@@ -23,7 +23,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .fans import Cone, cone_from_halfspaces, facets_with_normals, relative_interior_point
-from .linalg import vec_neg, vec_sub
+from .linalg import clear_denominators, vec_neg, vec_sub
 from .polynomials import IdealSpec, Polynomial, fresh_variable, initial_form
 
 
@@ -32,14 +32,16 @@ class TermOrder:
     """Weight rows compared lexicographically, then grevlex.
 
     convention "min" makes the smaller weight lead (the tropical default);
-    "max" is the classical direction.
+    "max" is the classical direction. Each weight row is stored scaled by the
+    lcm of its denominators: a positive factor changes no comparison, and
+    keys become integer dot products.
     """
 
     weight_rows: tuple = ()
     convention: str = "min"
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.weight_rows)
+        rows = tuple(tuple(clear_denominators(row)) for row in self.weight_rows)
         object.__setattr__(self, "weight_rows", rows)
         if self.convention not in ("min", "max"):
             raise ValueError("convention must be 'min' or 'max'")

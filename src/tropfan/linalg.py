@@ -1,29 +1,30 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
 Everything in this module is exact: integer matrices with arbitrary-precision
 entries, Hermite and Smith normal forms with their unimodular witnesses,
-saturated lattices in column Hermite normal form, rational linear solving, and
-an exact phase-1 simplex used to decide cone membership. No floating point is
-used anywhere.
+saturated lattices in column Hermite normal form, rational rank and linear
+solving, and a phase-1 simplex used to decide cone membership. Rational input
+is scaled to integers row by row (`clear_denominators`); elimination, inversion
+and the simplex then run in integer arithmetic only: elimination by
+cross-multiplication with row gcds divided out, inversion through the Hermite
+witness, and a simplex tableau with one shared denominator (Edmonds' pivots).
+Rationals appear only in that scaling and in the solution vectors
+`solve_rational` returns. No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 from .errors import DimMismatchError, NotFullRankError, ZeroVectorError
 
-Vec = tuple  # integer or Fraction entries
+Vec = tuple  # exact entries: ints, or rationals where a docstring says so
 
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vec_sub(a, b):
@@ -32,10 +33,6 @@ def vec_sub(a, b):
 
 def vec_neg(a):
     return tuple(-x for x in a)
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
 
 
 @dataclass(frozen=True)
@@ -305,87 +302,93 @@ def invariant_factors(m: IntMatrix) -> tuple:
     return tuple(f for f in facs if f != 0)
 
 
-def rational_rank(rows) -> int:
-    """Rank over Q of a list of vectors."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
+def clear_denominators(row) -> list:
+    """The row scaled by the least common multiple of its denominators.
+
+    Entries may be ints or any exact rational (or its string form); the
+    result is a list of ints, a positive multiple of the row.
+    """
+    if all(type(x) is int for x in row):
+        return list(row)
+    row = [Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _row_echelon(rows, reduced=False) -> list:
+    """Row echelon form of integer rows, in place, in integer arithmetic.
+
+    Eliminates by integer cross-multiplication and divides each new row by the
+    gcd of its entries. Pivots are taken column by column in order, so the
+    pivot columns are those of the rational echelon form. With `reduced`,
+    entries above each pivot are cleared as well. Returns the pivot columns;
+    the first `len(pivots)` rows are the pivot rows.
+    """
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    pivots = []
+    r = 0
     for j in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][j] != 0:
-                piv = i
-                break
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][j]), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pval = mat[rank][j]
-        for i in range(len(mat)):
-            if i != rank and mat[i][j] != 0:
-                f = mat[i][j] / pval
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[j]
+        for i in range(0 if reduced else r + 1, m):
+            a = rows[i][j]
+            if i == r or not a:
+                continue
+            new = [p * x - a * y for x, y in zip(rows[i], prow)]
+            g = gcd(*new)
+            rows[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(j)
+        r += 1
+    return pivots
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q of a list of vectors."""
+    return len(_row_echelon([clear_denominators(r) for r in rows]))
 
 
 def solve_rational(a_rows, b):
     """Solve A x = b exactly over Q.
 
-    Returns one solution (free variables set to 0) or None when the system is
-    inconsistent.
+    Returns one solution as a tuple of rationals (free variables set to 0) or
+    None when the system is inconsistent.
     """
     m = len(a_rows)
     if len(b) != m:
         raise DimMismatchError("right-hand side length mismatch")
     n = len(a_rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])]
+    aug = [clear_denominators(list(row) + [b[i]])
            for i, row in enumerate(a_rows)]
-    pivots = []
-    r = 0
-    for j in range(n):
-        piv = None
-        for i in range(r, m):
-            if aug[i][j] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pval = aug[r][j]
-        aug[r] = [x / pval for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][j] != 0:
-                f = aug[i][j]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(j)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    pivots = _row_echelon(aug, reduced=True)
+    if pivots and pivots[-1] == n:  # a row 0 = b_i with b_i != 0
+        return None
     x = [Fraction(0)] * n
-    for i, j in enumerate(pivots):
-        x[j] = aug[i][n]
+    for row, j in zip(aug, pivots):
+        x[j] = Fraction(row[n], row[j])
     return tuple(x)
 
 
 def int_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix (exact, integer entries)."""
-    n = m.nrows
-    cols = []
-    for j in range(n):
-        e = tuple(Fraction(1 if i == j else 0) for i in range(n))
-        x = solve_rational(m.entries, e)
-        if x is None:
+    """Inverse of a unimodular integer matrix (exact, integer entries).
+
+    The column Hermite normal form of a unimodular matrix is the identity, so
+    its witness U with M U = H is the inverse.
+    """
+    if m.nrows != m.ncols:
+        raise DimMismatchError("inverse of a non-square matrix")
+    h, u = hermite_normal_form(m)
+    if h.entries != IntMatrix.identity(m.nrows).entries:
+        if any(all(x == 0 for x in col) for col in h.columns()):
             raise NotFullRankError("matrix is singular")
-        col = []
-        for v in x:
-            if v.denominator != 1:
-                raise NotFullRankError("matrix is not unimodular")
-            col.append(v.numerator)
-        cols.append(tuple(col))
-    return IntMatrix.from_columns(cols, n)
+        raise NotFullRankError("matrix is not unimodular")
+    return u
 
 
 def integer_kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -479,60 +482,67 @@ def hnf_completion(basis: IntMatrix) -> IntMatrix:
 def nonneg_solution_exists(a_rows, b) -> bool:
     """Decide whether A x = b has a solution with x >= 0.
 
-    Exact phase-1 simplex over Q with Bland's rule, so termination and the
-    verdict are both unconditional.
+    Exact phase-1 simplex with Bland's rule, so termination and the verdict
+    are both unconditional. The tableau is kept in integers with one shared
+    positive denominator `den` (Edmonds' integer-preserving pivots): the
+    rational tableau is `tab / den`, and every division below is exact.
     """
     m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    rows = []
-    rhs = []
-    for i in range(m):
-        r = [Fraction(x) for x in a_rows[i]]
-        bi = Fraction(b[i])
-        if bi < 0:
-            r = [-x for x in r]
-            bi = -bi
-        rows.append(r)
-        rhs.append(bi)
     if m == 0:
         return True
-    # tableau columns: n structural vars, m artificials, rhs
-    tab = [rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [rhs[i]]
-           for i in range(m)]
-    basis = [n + i for i in range(m)]
+    n = len(a_rows[0])
     total = n + m
+    # row i is [A_i | 1 | b_i], signed so that b_i >= 0 and scaled to
+    # integers; its artificial entry c_i > 0 is the scaling factor. Scaling
+    # whole rows leaves the rational tableau of every basis, and so every
+    # pivot choice, unchanged. The starting basis B = diag(c) gives
+    # den = det(B) and the tableau adj(B) [A | B | b].
+    scaled = []
+    for i in range(m):
+        sign = -1 if b[i] < 0 else 1
+        scaled.append(clear_denominators([sign * x for x in a_rows[i]]
+                                         + [1, sign * b[i]]))
+    den = prod(r[n] for r in scaled)
+    tab = [[den // r[n] * x for x in r[:n]]
+           + [den if j == i else 0 for j in range(m)]
+           + [den // r[n] * r[n + 1]]
+           for i, r in enumerate(scaled)]
+    basis = [n + i for i in range(m)]
     while True:
-        # reduced costs for phase-1 objective (cost 1 on artificials)
-        lam = [Fraction(1 if basis[i] >= n else 0) for i in range(m)]
+        # reduced costs times den for the phase-1 objective (cost 1 on
+        # artificials)
+        art = [i for i in range(m) if basis[i] >= n]
         entering = None
         for j in range(total):
             if j in basis:
                 continue
-            red = (Fraction(1) if j >= n else Fraction(0)) \
-                - sum(lam[i] * tab[i][j] for i in range(m))
+            red = (den if j >= n else 0) - sum(tab[i][j] for i in art)
             if red < 0:
                 entering = j
                 break
         if entering is None:
-            obj = sum(lam[i] * tab[i][total] for i in range(m))
-            return obj == 0
+            return sum(tab[i][total] for i in art) == 0
         leaving = None
-        best = None
         for i in range(m):
             if tab[i][entering] > 0:
-                ratio = tab[i][total] / tab[i][entering]
-                if best is None or ratio < best or (ratio == best
-                                                    and basis[i] < basis[leaving]):
-                    best = ratio
+                if leaving is None:
+                    leaving = i
+                    continue
+                # compare tab[i][total]/tab[i][entering] with the best ratio
+                lhs = tab[i][total] * tab[leaving][entering]
+                rhs = tab[leaving][total] * tab[i][entering]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:  # phase-1 objective is bounded below by zero
             raise AssertionError("unbounded phase-1 simplex")
-        pv = tab[leaving][entering]
-        tab[leaving] = [x / pv for x in tab[leaving]]
+        prow = tab[leaving]
+        pv = prow[entering]
         for i in range(m):
-            if i != leaving and tab[i][entering] != 0:
-                f = tab[i][entering]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leaving])]
+            if i != leaving:
+                row = tab[i]
+                f = row[entering]
+                tab[i] = [(pv * x - f * y) // den for x, y in zip(row, prow)]
+        den = pv
         basis[leaving] = entering
 
 

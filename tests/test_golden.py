@@ -1,0 +1,39 @@
+"""Pinned outputs: sha256 of `tropfan variety --format json` on every
+PRIME_CORPUS ideal, recorded before the linear algebra became integer-only.
+An optimization must leave these bytes unchanged; a change meant to alter
+the output updates the table in the same commit."""
+
+import hashlib
+
+import pytest
+
+from tropfan.cli import main
+from tropfan.corpus import PRIME_CORPUS
+
+VARIETY_JSON_SHA256 = {
+    "line2": "819031ab31e9c2db4352a53c4dfa7a725fd18d6a7a01bc0c97b91f9e695f51ed",
+    "plane3": "d6a9b69470d4fac95d0f2b4184173e117cb1f46ca3d563836612903fd9fe39b4",
+    "linear_pair4": "e818f0a6f748965e82451c01f252bb8bbf59021d1b8ae609acef37050603bd55",
+    "hyperbola": "7a430f15574f26fc951be28f3026da66f18767e4f7d3e429b1621cfc0f046819",
+    "quadric_cone": "bebbdc5da94efd51cb4e4df4e78fe8150871244792f73213c519766b468f2bc2",
+    "toric_cubic": "08e609af63bd3bf8121a39100a14d05535886f87c048416103dc94bf04baea55",
+    "fermat_cubic": "847d5bb0ce8effe89888aeab98b0c1c012fea1d37af3458050826067719f3977",
+    "elliptic": "a2e81392f1d8d5f143fe0e6940ac089b3118bc60b8a8a3b123d3bbe11d5b6640",
+    "plane_in_3": "a9a1a8a902897e88fff8fe392767877930ac2a2fdf658d37cd5f8d4356084f3c",
+    "space_conic": "f832978030af413abbb9efe74f80a95b1765e9a1f99da392c363374e2f712f76",
+}
+
+
+def test_table_covers_the_corpus():
+    assert set(VARIETY_JSON_SHA256) == {e.name for e in PRIME_CORPUS}
+
+
+@pytest.mark.parametrize("entry", PRIME_CORPUS, ids=lambda e: e.name)
+def test_variety_json_is_pinned(entry, tmp_path, capsys):
+    path = tmp_path / f"{entry.name}.ideal"
+    path.write_text("vars: " + ",".join(entry.variables) + "\n"
+                    + "\n".join(entry.generators) + "\n")
+    assert main(["variety", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        VARIETY_JSON_SHA256[entry.name]

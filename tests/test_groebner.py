@@ -90,6 +90,43 @@ class TestReducedBasis:
         assert lead_max in {(1, 0), (0, 1)}
 
 
+class TestRationalWeights:
+    """Weight rows are stored scaled to integers; a positive factor must not
+    change any comparison."""
+
+    @pytest.mark.parametrize("convention", ["min", "max"])
+    def test_fraction_rows_match_scaled_rows(self, convention):
+        from fractions import Fraction
+        vs = ("x", "y", "z")
+        spec = ideal(vs, (P("x^2-y*z", vs), P("x*y-z^2", vs),
+                          P("y^3+x^2*z-2*z^3", vs)))
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        rational = TermOrder(((half, third, 0), (0, -third, 1)), convention)
+        scaled = TermOrder(((3, 2, 0), (0, -1, 3)), convention)
+        assert rational.weight_rows == scaled.weight_rows
+        for g in spec.generators:
+            assert leading_term(g, rational) == leading_term(g, scaled)
+        gb_r = reduced_groebner_basis(spec, rational)
+        gb_s = reduced_groebner_basis(spec, scaled)
+        assert gb_r.elements == gb_s.elements
+        assert gb_r.leading_exponents == gb_s.leading_exponents
+
+    @pytest.mark.parametrize("convention", ["min", "max"])
+    def test_scaling_keeps_key_order(self, convention):
+        from fractions import Fraction
+        from itertools import product
+        rational = TermOrder(((Fraction(1, 2), Fraction(1, 3), 0),),
+                             convention)
+        exps = list(product(range(3), repeat=3))
+        # keys of the stored integer rows order the monomials exactly as
+        # the rational dot products do
+        sign = -1 if convention == "min" else 1
+        want = sorted(exps, key=lambda e: (
+            sign * (Fraction(e[0], 2) + Fraction(e[1], 3)),
+            sum(e)) + tuple(-x for x in reversed(e)))
+        assert sorted(exps, key=rational.key) == want
+
+
 tiny_polys = st.lists(
     st.lists(
         st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),

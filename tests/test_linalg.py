@@ -42,6 +42,122 @@ def cofactor_det(m):
     return total
 
 
+def reference_rational_rank(rows) -> int:
+    """Rank over Q by Gauss-Jordan elimination on Fractions (the earlier
+    implementation, kept as an independent oracle)."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    for j in range(ncols):
+        piv = None
+        for i in range(rank, len(mat)):
+            if mat[i][j] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        pval = mat[rank][j]
+        for i in range(len(mat)):
+            if i != rank and mat[i][j] != 0:
+                f = mat[i][j] / pval
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def reference_solve_rational(a_rows, b):
+    """Solve A x = b over Q by Gauss-Jordan elimination on Fractions; None
+    when inconsistent (the earlier implementation)."""
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])]
+           for i, row in enumerate(a_rows)]
+    pivots = []
+    r = 0
+    for j in range(n):
+        piv = None
+        for i in range(r, m):
+            if aug[i][j] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pval = aug[r][j]
+        aug[r] = [x / pval for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][j] != 0:
+                f = aug[i][j]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(j)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for i, j in enumerate(pivots):
+        x[j] = aug[i][n]
+    return tuple(x)
+
+
+def reference_nonneg_solution_exists(a_rows, b) -> bool:
+    """Phase-1 simplex with Bland's rule on a Fraction tableau (the earlier
+    implementation)."""
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    rows = []
+    rhs = []
+    for i in range(m):
+        r = [Fraction(x) for x in a_rows[i]]
+        bi = Fraction(b[i])
+        if bi < 0:
+            r = [-x for x in r]
+            bi = -bi
+        rows.append(r)
+        rhs.append(bi)
+    if m == 0:
+        return True
+    tab = [rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [rhs[i]]
+           for i in range(m)]
+    basis = [n + i for i in range(m)]
+    total = n + m
+    while True:
+        lam = [Fraction(1 if basis[i] >= n else 0) for i in range(m)]
+        entering = None
+        for j in range(total):
+            if j in basis:
+                continue
+            red = (Fraction(1) if j >= n else Fraction(0)) \
+                - sum(lam[i] * tab[i][j] for i in range(m))
+            if red < 0:
+                entering = j
+                break
+        if entering is None:
+            obj = sum(lam[i] * tab[i][total] for i in range(m))
+            return obj == 0
+        leaving = None
+        best = None
+        for i in range(m):
+            if tab[i][entering] > 0:
+                ratio = tab[i][total] / tab[i][entering]
+                if best is None or ratio < best or (ratio == best
+                                                    and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            raise AssertionError("unbounded phase-1 simplex")
+        pv = tab[leaving][entering]
+        tab[leaving] = [x / pv for x in tab[leaving]]
+        for i in range(m):
+            if i != leaving and tab[i][entering] != 0:
+                f = tab[i][entering]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leaving])]
+        basis[leaving] = entering
+
+
 small_matrices = st.integers(1, 3).flatmap(
     lambda n: st.integers(1, 3).flatmap(
         lambda k: st.lists(
@@ -303,3 +419,114 @@ class TestLatticeHelpers:
     def test_det_oracle_agreement(self):
         m = IntMatrix.from_rows([[3, 1, 2], [0, -2, 5], [7, 1, 1]])
         assert det(m) == cofactor_det(m)
+
+
+small_rationals = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+def rational_systems(entries):
+    """(A, b) with 1-4 rows and 1-4 columns drawn from `entries`."""
+    return st.integers(1, 4).flatmap(
+        lambda m: st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=m, max_size=m),
+                st.lists(entries, min_size=m, max_size=m))))
+
+
+class TestAgainstFractionReferences:
+    """The integer-only routines against the earlier Fraction versions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(rational_systems(st.integers(-3, 3)),
+                     rational_systems(small_rationals)))
+    def test_rank(self, system):
+        a, _ = system
+        assert rational_rank(a) == reference_rational_rank(a)
+
+    def test_rank_of_no_rows(self):
+        assert rational_rank([]) == reference_rational_rank([]) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(rational_systems(st.integers(-3, 3)),
+                     rational_systems(small_rationals)))
+    def test_solve_consistency(self, system):
+        a, b = system
+        x = solve_rational(a, b)
+        want = reference_solve_rational(a, b)
+        assert (x is None) == (want is None)
+        if x is not None:
+            assert all(isinstance(v, Fraction) for v in x)
+            assert all(sum(Fraction(c) * v for c, v in zip(row, x)) == bi
+                       for row, bi in zip(a, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(rational_systems(st.integers(-3, 3)),
+                     rational_systems(small_rationals)))
+    def test_nonneg_feasibility(self, system):
+        a, b = system
+        assert nonneg_solution_exists(a, b) == \
+            reference_nonneg_solution_exists(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_systems(st.integers(-3, 3)),
+           st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    def test_nonneg_feasible_by_construction(self, system, x):
+        # b = A x with x >= 0 is always feasible
+        a, _ = system
+        b = [sum(c * v for c, v in zip(row, x)) for row in a]
+        assert nonneg_solution_exists(a, b)
+        assert reference_nonneg_solution_exists(a, b)
+
+
+def elementary(n, i, j, k):
+    """Identity plus k at (i, j) when i != j; for i == j, the swap of rows
+    i and i + 1 (mod n)."""
+    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    if i == j:
+        t = (i + 1) % n
+        rows[i], rows[t] = rows[t], rows[i]
+    else:
+        rows[i][j] = k
+    return IntMatrix.from_rows(rows, n)
+
+
+unimodular_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.integers(-3, 3)),
+        max_size=8).map(
+        lambda ops: (n, ops)))
+
+
+class TestIntInverse:
+    @settings(max_examples=80, deadline=None)
+    @given(unimodular_matrices)
+    def test_two_sided_inverse(self, spec):
+        n, ops = spec
+        m = IntMatrix.identity(n)
+        for i, j, k in ops:
+            m = m @ elementary(n, i, j, k)
+        inv = int_inverse(m)
+        eye = IntMatrix.identity(n).entries
+        assert (m @ inv).entries == eye
+        assert (inv @ m).entries == eye
+
+    def test_singular(self):
+        with pytest.raises(NotFullRankError, match="singular"):
+            int_inverse(IntMatrix.from_rows([[1, 2], [2, 4]]))
+
+    def test_not_unimodular(self):
+        with pytest.raises(NotFullRankError, match="not unimodular"):
+            int_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]],
+                                      [[1, 0], [0, 1], [0, 0]]])
+    def test_non_square(self, rows):
+        with pytest.raises(DimMismatchError):
+            int_inverse(IntMatrix.from_rows(rows))
+
+    def test_empty(self):
+        assert int_inverse(IntMatrix.identity(0)).entries == ()
