@@ -241,13 +241,18 @@ def fan_to_dict(fan: Fan, convention: str) -> dict:
     return d
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: true and false load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(data, field, kind):
     if field not in data:
         raise CycleSchemaError("missing field", field)
     value = data[field]
     if kind is list and not isinstance(value, list):
         raise CycleSchemaError("expected a list", field)
-    if kind is int and not isinstance(value, int):
+    if kind is int and not _is_int(value):
         raise CycleSchemaError("expected an integer", field)
     return value
 
@@ -256,7 +261,7 @@ def _int_columns(value, ambient, field):
     cols = []
     for col in value:
         if not isinstance(col, list) or len(col) != ambient \
-                or not all(isinstance(x, int) for x in col):
+                or not all(_is_int(x) for x in col):
             raise CycleSchemaError(
                 f"expected integer columns of length {ambient}", field)
         cols.append(tuple(col))
@@ -274,12 +279,14 @@ def cycle_from_dict(data, require_weights: bool = True):
     if ambient < 0:
         raise CycleSchemaError("ambient_dim must be nonnegative", "ambient_dim")
     ray_cols = _int_columns(_require(data, "rays", list), ambient, "rays")
+    if any(not any(col) for col in ray_cols):
+        raise CycleSchemaError("a ray must be nonzero", "rays")
     lin_cols = _int_columns(_require(data, "lineality", list), ambient, "lineality")
     mc = _require(data, "maximal_cones", list)
     cones = []
     for cone_idx in mc:
         if not isinstance(cone_idx, list) or \
-                not all(isinstance(i, int) and 0 <= i < len(ray_cols)
+                not all(_is_int(i) and 0 <= i < len(ray_cols)
                         for i in cone_idx):
             raise CycleSchemaError("bad ray index set", "maximal_cones")
         cones.append(cone_from_generators([ray_cols[i] for i in cone_idx],
@@ -288,7 +295,7 @@ def cycle_from_dict(data, require_weights: bool = True):
     if "multiplicities" in data and data["multiplicities"] is not None:
         weights = data["multiplicities"]
         if not isinstance(weights, list) or \
-                not all(isinstance(m, int) for m in weights):
+                not all(_is_int(m) for m in weights):
             raise CycleSchemaError("expected a list of integers", "multiplicities")
         if len(weights) != len(cones):
             raise CycleSchemaError(

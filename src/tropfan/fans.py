@@ -1,10 +1,12 @@
 """Rational polyhedral cones and fans.
 
 Cones carry both descriptions: extreme rays plus a lineality basis, and facet
-inequalities plus equations. The two are linked by an exact double description
-pass in each direction, and every stored field is canonical so that structural
-equality is cone equality. Fans share one ray matrix and one lineality space;
-maximal cones are index sets into the shared rays.
+inequalities plus equations. A cone built from halfspaces or from generators
+gets the other description from an exact double description pass in each
+direction; its faces come by incidence, from which rays each facet inequality
+is tight on, with no further pass. Every stored field is canonical so that
+structural equality is cone equality. Fans share one ray matrix and one
+lineality space; maximal cones are index sets into the shared rays.
 """
 
 from __future__ import annotations
@@ -214,13 +216,45 @@ def negate_cone(c: Cone) -> Cone:
 
 
 def facets_with_normals(c: Cone):
-    """Pairs (facet, inward_normal) for every facet of the cone."""
+    """Pairs (facet, inward_normal) for every facet of the cone.
+
+    A facet of a canonical cone is fixed by its ray-facet incidences, so no
+    double description is run. The facet on a has the rays tight on a (still
+    canonical and sorted, since the lineality is unchanged) and the cone's
+    lineality, and a joins its equations. Its own facets are the ridges: the
+    inequalities b whose rays tight on both a and b span, with the lineality,
+    a space of dimension dim - 2.
+    """
+    n = c.ambient_dim
+    rays = c.rays.columns()
+    lin = c.lineality.columns()
+    ineqs = c.inequalities.entries
+    tight = [tuple(j for j, r in enumerate(rays) if dot(a, r) == 0)
+             for a in ineqs]
+    rank_of = {}
+
+    def is_ridge(on_both):
+        if on_both not in rank_of:
+            rank_of[on_both] = rational_rank([rays[j] for j in on_both] + lin)
+        return rank_of[on_both] == c.dim - 2
+
     out = []
-    for a in c.inequalities.entries:
-        f = cone_from_halfspaces(list(c.inequalities.entries),
-                                 list(c.equations.entries) + [a],
-                                 c.ambient_dim)
-        out.append((f, a))
+    for i, a in enumerate(ineqs):
+        on_a = set(tight[i])
+        ridges = [b for k, b in enumerate(ineqs) if k != i
+                  and is_ridge(tuple(j for j in tight[k] if j in on_a))]
+        eq_basis = saturate_lattice(
+            IntMatrix.from_columns(list(c.equations.entries) + [a], n))
+        facet = Cone(
+            ambient_dim=n,
+            rays=IntMatrix.from_columns([rays[j] for j in tight[i]], n),
+            lineality=c.lineality,
+            inequalities=IntMatrix.from_rows(
+                sorted(set(_quotient_reps(ridges, eq_basis, n))), n),
+            equations=eq_basis.transpose(),
+            dim=c.dim - 1,
+        )
+        out.append((facet, a))
     return out
 
 
@@ -239,9 +273,20 @@ def faces(c: Cone, codim: int) -> list:
     return [layer[k] for k in sorted(layer)]
 
 
-def all_faces(c: Cone) -> list:
-    """Every face of the cone, all codimensions, deduplicated."""
-    seen = {_cone_key(c): c}
+def all_faces(c: Cone, seen=None) -> list:
+    """Every face of the cone, all codimensions, deduplicated and sorted.
+
+    A `seen` map (face key -> face) shared across calls walks the face
+    lattices of many cones once: a face already in it, and with it all of its
+    faces, is neither derived again nor returned.
+    """
+    if seen is None:
+        seen = {}
+    key = _cone_key(c)
+    if key in seen:
+        return []
+    seen[key] = c
+    new = [c]
     frontier = [c]
     while frontier:
         nxt = []
@@ -251,8 +296,9 @@ def all_faces(c: Cone) -> list:
                 if k not in seen:
                     seen[k] = f
                     nxt.append(f)
+        new.extend(nxt)
         frontier = nxt
-    return [seen[k] for k in sorted(seen)]
+    return sorted(new, key=_cone_key)
 
 
 def _cone_key(c: Cone):

@@ -35,6 +35,15 @@ def vec_neg(a):
     return tuple(-x for x in a)
 
 
+def _int_vector(v) -> tuple:
+    """The entries as a tuple of ints; a non-integral entry is an error, not
+    something to truncate."""
+    out = tuple(map(int, v))
+    if out != tuple(v):
+        raise ValueError("matrix entries must be integers")
+    return out
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, row-major storage with an explicit shape.
@@ -56,7 +65,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows, ncols=None) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(_int_vector(r) for r in rows)
         if ncols is None:
             if not rows:
                 raise ValueError("ncols required for a matrix with no rows")
@@ -65,7 +74,7 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, cols, nrows=None) -> "IntMatrix":
-        cols = [tuple(int(x) for x in c) for c in cols]
+        cols = [_int_vector(c) for c in cols]
         if nrows is None:
             if not cols:
                 raise ValueError("nrows required for a matrix with no columns")
@@ -73,7 +82,7 @@ class IntMatrix:
         for c in cols:
             if len(c) != nrows:
                 raise ValueError("column length mismatch")
-        rows = tuple(tuple(c[i] for c in cols) for i in range(nrows))
+        rows = tuple(zip(*cols)) if cols else ((),) * nrows
         return cls(nrows, len(cols), rows)
 
     @classmethod
@@ -92,14 +101,15 @@ class IntMatrix:
         return tuple(r[j] for r in self.entries)
 
     def columns(self) -> list:
-        return [self.column(j) for j in range(self.ncols)]
+        if not self.nrows:
+            return [()] * self.ncols
+        return list(zip(*self.entries))
 
     def rows(self) -> list:
         return list(self.entries)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.ncols, self.nrows,
-                         tuple(self.column(j) for j in range(self.ncols)))
+        return IntMatrix(self.ncols, self.nrows, tuple(self.columns()))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:

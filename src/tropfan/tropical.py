@@ -229,29 +229,24 @@ def as_cycle_from_hypersurfaces(spec: IdealSpec, convention: str = "min"):
     return tropical_variety(spec, convention=convention, strategy="newton")
 
 
-def _kept_faces(spec_h: IdealSpec):
-    """All monomial-free faces of the Gröbner fan of the homogenized ideal,
-    with the maximal cones for context: returns (fan_data, kept), kept mapping
-    face keys to (face, initial ideal)."""
-    fan_data = groebner_fan(spec_h)
+def _kept_faces(fan_data):
+    """The monomial-free faces of a Gröbner fan, given as (basis, cone)
+    pairs: a map from face keys to (face, initial ideal). The face lattices
+    are walked once for the whole fan; each face is tested with the basis of
+    the first Gröbner cone that reaches it."""
     kept = {}
-    seen = set()
+    seen = {}
     for gb, cone in fan_data:
-        for face in all_faces(cone):
-            key = (face.rays.entries, face.lineality.entries)
-            if key in seen:
-                continue
-            seen.add(key)
+        for face in all_faces(cone, seen):
             w = relative_interior_point(face)
             inw = initial_ideal(gb, w)
             if is_monomial_free(inw):
-                kept[key] = (face, inw)
-    return fan_data, kept
+                kept[(face.rays.entries, face.lineality.entries)] = (face, inw)
+    return kept
 
 
 def _groebner_variety(spec: IdealSpec):
-    spec_h = homogenize(spec)
-    _, kept = _kept_faces(spec_h)
+    kept = _kept_faces(groebner_fan(homogenize(spec)))
     faces_list = [face for face, _ in kept.values()]
     maximal = []
     for i, (face, inw) in enumerate(kept.values()):

@@ -145,6 +145,51 @@ class TestBalanceCommand:
         assert code == 0
 
 
+# Balanced cycles, each with one JSON boolean where the schema wants an
+# integer; read as 1 and 0 they would pass for valid cycles.
+BOOLEAN_ENTRY_CYCLES = {
+    "ambient_dim": {"ambient_dim": True, "rays": [[1], [-1]],
+                    "lineality": [], "maximal_cones": [[0], [1]],
+                    "multiplicities": [1, 1]},
+    "rays": {"ambient_dim": 2, "rays": [[True, 0], [-1, 0]],
+             "lineality": [[0, 1]], "maximal_cones": [[0], [1]],
+             "multiplicities": [1, 1]},
+    "lineality": {"ambient_dim": 2, "rays": [[1, 0], [-1, 0]],
+                  "lineality": [[0, True]], "maximal_cones": [[0], [1]],
+                  "multiplicities": [1, 1]},
+    "maximal_cones": {"ambient_dim": 2, "rays": [[1, 0], [-1, 0]],
+                      "lineality": [[0, 1]],
+                      "maximal_cones": [[False], [1]],
+                      "multiplicities": [1, 1]},
+    "multiplicities": {"ambient_dim": 2, "rays": [[1, 0], [-1, 0]],
+                       "lineality": [[0, 1]], "maximal_cones": [[0], [1]],
+                       "multiplicities": [True, 1]},
+}
+
+
+class TestCycleFileValidation:
+    @pytest.mark.parametrize("field", sorted(BOOLEAN_ENTRY_CYCLES))
+    def test_json_boolean_is_not_an_integer(self, capsys, tmp_path, field):
+        data = dict(BOOLEAN_ENTRY_CYCLES[field], convention="min")
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["is-balanced", str(path)])
+        assert code == 2
+        assert out == ""
+        assert field in err
+
+    def test_zero_ray_exit_two(self, capsys, tmp_path):
+        data = {"convention": "min", "ambient_dim": 2,
+                "rays": [[1, 0], [-1, 0], [0, 0]], "lineality": [[0, 1]],
+                "maximal_cones": [[0, 2], [1]], "multiplicities": [1, 1]}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["is-balanced", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "rays" in err
+
+
 class TestStableIntersectionCommand:
     def test_bezout_session(self, capsys, tmp_path):
         line_ideal = tmp_path / "deg1.ideal"

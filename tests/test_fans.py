@@ -2,16 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropfan.errors import BadCodimError, DimMismatchError
 from tropfan.fans import (
     Fan,
+    all_faces,
     common_refinement,
     cone_from_generators,
     cone_from_halfspaces,
     faces,
+    facets_with_normals,
     fan_cones,
     fan_dim,
     fan_from_cones,
@@ -161,6 +163,90 @@ class TestFaces:
         c = cone_from_generators([(1, 0)], [], 2)
         with pytest.raises(BadCodimError):
             faces(c, 2)
+
+
+def dd_facets(c):
+    """Reference: every facet rebuilt from halfspaces by double description."""
+    return [(cone_from_halfspaces(list(c.inequalities.entries),
+                                  list(c.equations.entries) + [a],
+                                  c.ambient_dim), a)
+            for a in c.inequalities.entries]
+
+
+def dd_faces(c, codim):
+    layer = {(c.rays.entries, c.lineality.entries): c}
+    for _ in range(codim):
+        layer = {(f.rays.entries, f.lineality.entries): f
+                 for cone in layer.values() for f, _ in dd_facets(cone)}
+    return [layer[k] for k in sorted(layer)]
+
+
+def assert_faces_match_dd(c):
+    got = facets_with_normals(c)
+    want = dd_facets(c)
+    assert [a for _, a in got] == [a for _, a in want]
+    for (f, _), (g, _) in zip(got, want):
+        assert f.rays == g.rays
+        assert f.lineality == g.lineality
+        assert f.inequalities == g.inequalities
+        assert f.equations == g.equations
+        assert f.dim == g.dim
+    every = []
+    for k in range(c.dim + 1):
+        layer = faces(c, k)
+        assert layer == dd_faces(c, k)
+        every += layer
+    assert all_faces(c) == sorted(every, key=lambda f: (f.rays.entries,
+                                                        f.lineality.entries))
+
+
+small_vecs4 = st.lists(
+    st.tuples(*[st.integers(-3, 3)] * 4), min_size=0, max_size=5)
+small_lins4 = st.lists(
+    st.tuples(*[st.integers(-3, 3)] * 4), min_size=0, max_size=2)
+
+
+class TestFacesByIncidence:
+    """Faces derived by incidence equal the double description reference,
+    field by field, at every codimension."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_vecs4, small_lins4)
+    # pointed and full-dimensional; with lineality; lower-dimensional
+    @example([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+              (1, 1, -1, 1)], [])
+    @example([(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0)], [(0, 0, 1, 1)])
+    @example([(1, 2, 0, 0), (0, 1, 1, 0), (1, 0, 0, 0)], [])
+    def test_from_generators(self, ray_list, lin_list):
+        rays = [r for r in ray_list if any(r)]
+        lins = [l for l in lin_list if any(l)]
+        assert_faces_match_dd(cone_from_generators(rays, lins, 4))
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_vecs4, small_lins4)
+    # a pointed orthant; a wedge with a 2-dimensional lineality; a cone in
+    # a hyperplane
+    @example([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], [])
+    @example([(1, 0, 0, 0), (1, 1, 0, 0)], [])
+    @example([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 0)], [(1, -1, 0, 1)])
+    def test_from_halfspaces(self, ineq_list, eq_list):
+        ineqs = [r for r in ineq_list if any(r)]
+        eqs = [e for e in eq_list if any(e)]
+        assert_faces_match_dd(cone_from_halfspaces(ineqs, eqs, 4))
+
+    def test_shared_walk_derives_each_face_once(self):
+        cones = [cone_from_generators(rays, [], 3) for rays in
+                 ([(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                  [(1, 0, 0), (0, 1, 0), (-1, -1, 0)],
+                  [(0, 0, 1), (0, 1, 0), (0, 0, -1)])]
+        seen = {}
+        walked = [f for c in cones for f in all_faces(c, seen)]
+        union = {(f.rays.entries, f.lineality.entries): f
+                 for c in cones for f in all_faces(c)}
+        assert len(walked) == len(union) == len(seen)
+        assert {(f.rays.entries, f.lineality.entries) for f in walked} \
+            == set(union)
+        assert all_faces(cones[0], seen) == []
 
 
 class TestRelativeInterior:

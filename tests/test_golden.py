@@ -1,7 +1,8 @@
 """Pinned outputs: sha256 of `tropfan variety --format json` on every
-PRIME_CORPUS ideal, recorded before the linear algebra became integer-only.
-An optimization must leave these bytes unchanged; a change meant to alter
-the output updates the table in the same commit."""
+PRIME_CORPUS ideal, recorded before the linear algebra became integer-only,
+and on the heavier probes of the benchmark, recorded before faces were
+derived by incidence. An optimization must leave these bytes unchanged; a
+change meant to alter the output updates the tables in the same commit."""
 
 import hashlib
 
@@ -23,6 +24,17 @@ VARIETY_JSON_SHA256 = {
     "space_conic": "f832978030af413abbb9efe74f80a95b1765e9a1f99da392c363374e2f712f76",
 }
 
+# (name, variables, generators, sha256): two generic linear forms in five
+# variables, a space curve, and the twisted cubic
+PROBES = [
+    ("linear5", "abcde", ("a+b+c+d+e", "a+2*b+3*c+5*d+7*e"),
+     "8bb4de4c8208c4f0b143eb3253bf93837ea090558575a1676d41ba31155d6666"),
+    ("curve3", "xyz", ("x+y+z+1", "x*y*z-1"),
+     "9dde307a378e0dc2fc44aca09fcddcc7bee362eb0e51aac5ea934ac6442d3ff5"),
+    ("twisted_cubic", "xyz", ("y-x^2", "z-x^3", "x*z-y^2"),
+     "86a2f11d114c875cbdb5528cce2443fe4b28acb887cb7d0985e5cb8fb79a945d"),
+]
+
 
 def test_table_covers_the_corpus():
     assert set(VARIETY_JSON_SHA256) == {e.name for e in PRIME_CORPUS}
@@ -37,3 +49,14 @@ def test_variety_json_is_pinned(entry, tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         VARIETY_JSON_SHA256[entry.name]
+
+
+@pytest.mark.parametrize("probe", PROBES, ids=lambda p: p[0])
+def test_probe_variety_json_is_pinned(probe, tmp_path, capsys):
+    name, variables, generators, digest = probe
+    path = tmp_path / f"{name}.ideal"
+    path.write_text("vars: " + ",".join(variables) + "\n"
+                    + "\n".join(generators) + "\n")
+    assert main(["variety", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

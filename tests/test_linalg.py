@@ -165,6 +165,41 @@ small_matrices = st.integers(1, 3).flatmap(
             min_size=n, max_size=n)))
 
 
+class TestIntMatrix:
+    def test_non_integral_entry_rejected(self):
+        for bad in (Fraction(3, 2), 2.5, "x"):
+            with pytest.raises(ValueError):
+                IntMatrix.from_rows([[1, bad]])
+            with pytest.raises(ValueError):
+                IntMatrix.from_columns([(1, bad)])
+
+    def test_integral_rationals_become_ints(self):
+        m = IntMatrix.from_rows([[Fraction(4, 2), -3]])
+        assert m.entries == ((2, -3),)
+        assert all(type(x) is int for x in m.entries[0])
+        assert IntMatrix.from_columns([(Fraction(-6, 3), 1)]).entries == \
+            ((-2,), (1,))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_matrices)
+    def test_columns_and_transpose(self, rows):
+        m = IntMatrix.from_rows(rows)
+        cols = m.columns()
+        assert cols == [tuple(r[j] for r in rows) for j in range(m.ncols)]
+        assert IntMatrix.from_columns(cols, m.nrows) == m
+        assert m.transpose() == IntMatrix.from_rows(cols, m.nrows)
+        assert m.transpose().transpose() == m
+
+    def test_empty_shapes(self):
+        no_cols = IntMatrix.from_columns([], 3)
+        assert (no_cols.nrows, no_cols.ncols) == (3, 0)
+        assert no_cols.columns() == []
+        assert no_cols.transpose() == IntMatrix.from_rows([], 3)
+        no_rows = IntMatrix.from_rows([], 2)
+        assert no_rows.columns() == [(), ()]
+        assert no_rows.transpose() == IntMatrix.from_columns([], 2)
+
+
 class TestHermite:
     def test_identity(self):
         m = IntMatrix.identity(2)

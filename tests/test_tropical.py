@@ -205,6 +205,36 @@ class TestVariety:
                 assert support_contains(pre, l)
 
 
+class TestFaceWalk:
+    def test_space_conic_derives_each_face_once(self, monkeypatch):
+        """Tripwire: the face walk over the 16 Gröbner cones of the
+        homogenized space conic derives each of its 55 distinct faces once,
+        by incidence, and runs no double description."""
+        import tropfan.fans
+        import tropfan.groebner
+        import tropfan.tropical
+        from tropfan.corpus import PRIME_CORPUS
+        from tropfan.groebner import groebner_fan
+
+        entry = next(e for e in PRIME_CORPUS if e.name == "space_conic")
+        fan_data = groebner_fan(homogenize(entry.ideal()))
+        assert len(fan_data) == 16
+        calls = {"facets_with_normals": 0, "cone_from_halfspaces": 0}
+        for name in calls:
+            original = getattr(tropfan.fans, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in (tropfan.fans, tropfan.groebner, tropfan.tropical):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        kept = tropfan.tropical._kept_faces(fan_data)
+        assert calls == {"facets_with_normals": 55, "cone_from_halfspaces": 0}
+        assert len(kept) == 5
+
+
 class TestPrincipalConsistency:
     def test_paths_agree(self):
         for text, vs in [("x+y+1", XY), ("x^2+y^2+z^2", XYZ), ("x*y-1", XY)]:
