@@ -55,7 +55,7 @@ def session_3_prevariety_vs_variety():
     g = parse_polynomial("x^2+y^2+z^2", vs)
     pre = timed("tropicalPrevariety", lambda: tropical_prevariety([f, g]))
     var = timed("tropicalVariety",
-                lambda: tropical_variety(ideal(vs, (f, g)), prime=False))
+                lambda: tropical_variety(ideal(vs, (f, g))))
     basis = timed("isTropicalBasis", lambda: is_tropical_basis([f, g]))
     print("isTropicalBasis:", basis)
     print("dim prevariety:", fan_dim(pre))

@@ -71,7 +71,6 @@ from .fans import (
 )
 from .cycles import (
     TropicalCycle,
-    WeightedFan,
     cycle_dim,
     cycle_from_dict,
     cycle_to_dict,
@@ -84,7 +83,6 @@ from .cycles import (
     swap_convention,
 )
 from .tropical import (
-    as_cycle_from_hypersurfaces,
     is_tropical_basis,
     multiplicity_at,
     stable_intersection,

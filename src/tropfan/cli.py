@@ -24,7 +24,6 @@ from .errors import (
 )
 from .cycles import (
     TropicalCycle,
-    WeightedFan,
     cycle_from_dict,
     cycle_to_dict,
     fan_to_dict,
@@ -98,9 +97,10 @@ def format_session(obj) -> str:
     lines.append(f"dim: {fan_dim(fan)}")
     lines.append(f"pure: {'true' if is_pure(fan) else 'false'}")
     if isinstance(obj, TropicalCycle):
-        lines.append(f"balanced: {'true' if is_balanced(obj) else 'false'}")
-    elif isinstance(obj, WeightedFan):
-        lines.append("balanced: n/a")
+        if not obj.pure:
+            lines.append("balanced: n/a")
+        else:
+            lines.append(f"balanced: {'true' if is_balanced(obj) else 'false'}")
     return "\n".join(lines) + "\n"
 
 
@@ -112,14 +112,14 @@ def format_output(obj, fmt: str, convention: str) -> str:
     if fmt == "json":
         if isinstance(obj, Fan):
             return dumps_canonical(fan_to_dict(obj, convention))
-        if isinstance(obj, (TropicalCycle, WeightedFan)):
+        if isinstance(obj, TropicalCycle):
             return dumps_canonical(cycle_to_dict(obj))
         if isinstance(obj, bool):
             return dumps_canonical({"value": obj})
         if isinstance(obj, Fraction):
             return dumps_canonical({"value": str(obj)})
         raise TypeError(f"cannot format {type(obj)!r}")
-    if isinstance(obj, (Fan, TropicalCycle, WeightedFan)):
+    if isinstance(obj, (Fan, TropicalCycle)):
         return format_session(obj)
     if isinstance(obj, bool):
         return ("true" if obj else "false") + "\n"
@@ -191,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("variety", parents=[common],
                        help="tropical variety of an ideal file")
     p.add_argument("ideal_file")
-    p.add_argument("--not-prime", action="store_true",
-                   help="flag a non-prime ideal (same exhaustive strategy)")
 
     p = sub.add_parser("prevariety", parents=[common],
                        help="tropical prevariety of an ideal file")
@@ -241,8 +239,7 @@ def dispatch(args) -> str:
                              args.format, convention)
     if args.command == "variety":
         spec = read_ideal_file(args.ideal_file)
-        cycle = tropical_variety(spec, prime=not args.not_prime,
-                                 convention=convention)
+        cycle = tropical_variety(spec, convention=convention)
         return format_output(cycle, args.format, convention)
     if args.command == "prevariety":
         spec = read_ideal_file(args.ideal_file)

@@ -1,9 +1,10 @@
 """Weighted fans and tropical cycles.
 
-A TropicalCycle is a pure weighted fan tagged with the min or max convention;
-WeightedFan is the escape hatch for non-pure results. Construction never
-checks balancing; is_balanced is the separate verifier. The JSON schema here
-is the on-disk interchange format of the CLI.
+A TropicalCycle is a weighted fan tagged with the min or max convention. It
+may be non-pure (a variety with components of different dimensions); its
+`pure` property says so, and the operations that need purity check it.
+Construction never checks balancing; is_balanced is the separate verifier.
+The JSON schema here is the on-disk interchange format of the CLI.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import (
 )
 from .fans import (
     Fan,
+    _quotient_reps,
     cone_from_generators,
     faces,
     fan_cones,
@@ -26,41 +28,12 @@ from .fans import (
     is_pure,
     negate_cone,
 )
-from .linalg import (
-    IntMatrix,
-    dot,
-    int_inverse,
-    integer_kernel_basis,
-    smith_normal_form,
-    solve_rational,
-    vec_neg,
-)
+from .linalg import IntMatrix, dot, integer_kernel_basis
 
 
 @dataclass(frozen=True)
 class TropicalCycle:
-    """A pure weighted fan with a convention tag."""
-
-    fan: Fan
-    multiplicities: tuple
-    convention: str
-
-    def __post_init__(self):
-        if len(self.multiplicities) != self.fan.n_maximal():
-            raise MultiplicityMismatchError(
-                f"{self.fan.n_maximal()} maximal cones but "
-                f"{len(self.multiplicities)} multiplicities")
-        if not is_pure(self.fan):
-            raise NotPureError("a tropical cycle needs a pure fan")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.fan.ambient_dim
-
-
-@dataclass(frozen=True)
-class WeightedFan:
-    """A weighted fan that is allowed to be non-pure."""
+    """A weighted fan, one weight per maximal cone, with a convention tag."""
 
     fan: Fan
     multiplicities: tuple
@@ -75,12 +48,17 @@ class WeightedFan:
     @property
     def ambient_dim(self) -> int:
         return self.fan.ambient_dim
+
+    @property
+    def pure(self) -> bool:
+        """Do all maximal cones have the same dimension?"""
+        return is_pure(self.fan)
 
 
 def weighted_from_cones(ambient_dim, weighted_cones, convention,
-                        merge_duplicates=False):
-    """Assemble a cycle (or weighted fan when non-pure) from (cone, weight)
-    pairs; zero-weight cones are dropped, duplicates summed when merging."""
+                        merge_duplicates=False) -> TropicalCycle:
+    """Assemble a cycle, pure or not, from (cone, weight) pairs; zero-weight
+    cones are dropped, duplicates summed when merging."""
     groups = {}
     order = []
     for cone, weight in weighted_cones:
@@ -99,10 +77,7 @@ def weighted_from_cones(ambient_dim, weighted_cones, convention,
             raise MultiplicityMismatchError("multiplicities must be positive")
     fan, sources = fan_from_cones(ambient_dim, [c for c, _ in kept],
                                   drop_contained=False)
-    mults = tuple(kept[i][1] for i in sources)
-    if is_pure(fan):
-        return TropicalCycle(fan, mults, convention)
-    return WeightedFan(fan, mults, convention)
+    return TropicalCycle(fan, tuple(kept[i][1] for i in sources), convention)
 
 
 def make_cycle(fan: Fan, multiplicities, convention: str = "min") -> TropicalCycle:
@@ -117,12 +92,12 @@ def make_cycle(fan: Fan, multiplicities, convention: str = "min") -> TropicalCyc
     if any(m < 0 for m in mults):
         raise MultiplicityMismatchError("multiplicities must be positive")
     if not is_pure(fan):
-        raise NotPureError("fan is not pure; use WeightedFan")
+        raise NotPureError("fan is not pure")
     if any(m == 0 for m in mults):
         cones = fan_cones(fan)
         pairs = [(c, m) for c, m in zip(cones, mults) if m != 0]
         out = weighted_from_cones(fan.ambient_dim, pairs, convention)
-        if isinstance(out, WeightedFan):
+        if not out.pure:
             raise NotPureError("fan is not pure after dropping zero weights")
         return out
     return TropicalCycle(fan, mults, convention)
@@ -133,11 +108,10 @@ def swap_convention(cycle):
     fan = cycle.fan
     flipped = "max" if cycle.convention == "min" else "min"
     if fan.is_empty():
-        return type(cycle)(fan, cycle.multiplicities, flipped)
+        return TropicalCycle(fan, cycle.multiplicities, flipped)
     pairs = [(negate_cone(c), m)
              for c, m in zip(fan_cones(fan), cycle.multiplicities)]
-    out = weighted_from_cones(fan.ambient_dim, pairs, flipped)
-    return out
+    return weighted_from_cones(fan.ambient_dim, pairs, flipped)
 
 
 def rays(cycle) -> IntMatrix:
@@ -166,38 +140,24 @@ def span_lattice_basis(cone) -> IntMatrix:
 
 
 def quotient_normal_vector(sigma, tau):
-    """A lattice vector of span(sigma) generating the rank-one quotient
-    (Z^n cap span sigma) / (Z^n cap span tau), signed to point into sigma."""
-    b_sigma = span_lattice_basis(sigma)
-    b_tau = span_lattice_basis(tau)
-    d = b_sigma.ncols
-    if b_tau.ncols != d - 1:
+    """The generator of the rank-one quotient
+    (Z^n cap span sigma) / (Z^n cap span tau) that points into sigma, for a
+    facet tau of sigma: the canonical representative, modulo span tau, of a
+    ray of sigma off tau."""
+    on_tau = set(tau.rays.columns())
+    rays = sigma.rays.columns()
+    if tau.lineality.entries != sigma.lineality.entries or not any(
+            {r for r in rays if dot(a, r) == 0} == on_tau
+            for a in sigma.inequalities.entries):
         raise DimMismatchError("tau is not a codimension-one face of sigma")
-    coords = []
-    for col in b_tau.columns():
-        x = solve_rational(b_sigma.entries, col)
-        if x is None or any(v.denominator != 1 for v in x):
-            raise DimMismatchError("face lattice is not contained in the cell lattice")
-        coords.append(tuple(v.numerator for v in x))
-    c = IntMatrix.from_columns(coords, d)
-    _, p, _ = smith_normal_form(c)
-    pinv = int_inverse(p)
-    v = b_sigma.mul_vec(pinv.column(d - 1))
-    # orient across the facet: positive on an inequality of sigma tight on tau
-    for a in sigma.inequalities.entries:
-        tight = all(dot(a, g) == 0 for g in tau.rays.columns()) and \
-            all(dot(a, g) == 0 for g in tau.lineality.columns())
-        if tight:
-            s = dot(a, v)
-            if s == 0:
-                continue
-            return v if s > 0 else vec_neg(v)
-    raise DimMismatchError("no inequality of sigma is tight exactly on tau")
+    off_tau = next(r for r in rays if r not in on_tau)
+    return _quotient_reps([off_tau], span_lattice_basis(tau),
+                          sigma.ambient_dim)[0]
 
 
 def is_balanced(cycle) -> bool:
     """Check the balancing condition at every codimension-one face."""
-    if isinstance(cycle, WeightedFan) and not is_pure(cycle.fan):
+    if not cycle.pure:
         raise NotPureError("balancing is defined for pure cycles only")
     fan = cycle.fan
     if fan.is_empty():
@@ -221,7 +181,7 @@ def is_balanced(cycle) -> bool:
 
 
 def cycle_to_dict(cycle) -> dict:
-    """The JSON-serializable form of a cycle or weighted fan."""
+    """The JSON-serializable form of a cycle."""
     fan = cycle.fan
     return {
         "convention": cycle.convention,
@@ -231,12 +191,12 @@ def cycle_to_dict(cycle) -> dict:
         "maximal_cones": [list(c) for c in fan.maximal_cones],
         "multiplicities": list(cycle.multiplicities),
         "dim": fan_dim(fan),
-        "pure": is_pure(fan),
+        "pure": cycle.pure,
     }
 
 
 def fan_to_dict(fan: Fan, convention: str) -> dict:
-    d = cycle_to_dict(WeightedFan(fan, (1,) * fan.n_maximal(), convention))
+    d = cycle_to_dict(TropicalCycle(fan, (1,) * fan.n_maximal(), convention))
     del d["multiplicities"]
     return d
 
@@ -269,7 +229,8 @@ def _int_columns(value, ambient, field):
 
 
 def cycle_from_dict(data, require_weights: bool = True):
-    """Rebuild a cycle, weighted fan, or bare fan from its JSON form."""
+    """Rebuild a cycle (pure or not) from its JSON form, or a bare fan when
+    the multiplicities are absent and not required."""
     if not isinstance(data, dict):
         raise CycleSchemaError("expected a JSON object", "$")
     convention = _require(data, "convention", None)

@@ -150,9 +150,6 @@ class Cone:
                 return False
         return True
 
-    def is_origin(self) -> bool:
-        return self.dim == 0
-
 
 def _assemble(ray_vecs, lin_vecs, ineq_vecs, eq_vecs, n) -> Cone:
     lineality = saturate_lattice(

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .cycles import (
     TropicalCycle,
-    WeightedFan,
+    span_lattice_basis,
     swap_convention,
     weighted_from_cones,
 )
@@ -32,6 +32,7 @@ from .fans import (
     Cone,
     Fan,
     all_faces,
+    common_refinement,
     cone_from_halfspaces,
     fan_cones,
     fan_from_cones,
@@ -67,7 +68,6 @@ from .polynomials import (
     homogenize,
     newton_polytope,
 )
-from .cycles import span_lattice_basis
 
 
 def tropical_evaluate(f: Polynomial, w, convention: str = "min") -> Fraction:
@@ -122,12 +122,7 @@ def tropical_prevariety(polys, convention: str = "min") -> Fan:
     fans = [tropical_hypersurface(f, convention).fan for f in polys]
     current = fans[0]
     for nxt in fans[1:]:
-        pieces = []
-        for c1 in fan_cones(current):
-            for c2 in fan_cones(nxt):
-                pieces.append(intersect(c1, c2))
-        current, _ = fan_from_cones(current.ambient_dim, pieces,
-                                    drop_contained=True)
+        current = common_refinement(current, nxt)
     survivors = []
     for c in fan_cones(current):
         w = relative_interior_point(c)
@@ -196,14 +191,15 @@ def _empty_cycle(n: int, convention: str) -> TropicalCycle:
     return TropicalCycle(Fan(n, empty, empty, ()), (), convention)
 
 
-def tropical_variety(spec: IdealSpec, prime: bool = True,
-                     convention: str = "min", strategy: str = "auto"):
+def tropical_variety(spec: IdealSpec, convention: str = "min",
+                     strategy: str = "auto") -> TropicalCycle:
     """The tropical variety of the torus part of V(spec), with multiplicities.
 
     strategy "groebner" runs the exhaustive Gröbner fan pipeline, "newton"
     the Newton polytope route for principal ideals, "auto" picks for you.
-    The prime flag is accepted for interface symmetry; the exhaustive
-    strategy is correct for prime and non-prime input alike.
+    Both are correct for prime and non-prime input alike; a variety with
+    components of different dimensions comes back as a cycle whose `pure`
+    is false.
     """
     _validated(spec)
     n = len(spec.variables)
@@ -222,11 +218,6 @@ def tropical_variety(spec: IdealSpec, prime: bool = True,
     if convention == "max":
         result = swap_convention(result)
     return result
-
-
-def as_cycle_from_hypersurfaces(spec: IdealSpec, convention: str = "min"):
-    """Principal-ideal fast path; identical to the generic pipeline."""
-    return tropical_variety(spec, convention=convention, strategy="newton")
 
 
 def _kept_faces(fan_data):
@@ -358,7 +349,6 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
     if not pairs:
         return _empty_cycle(n, a.convention)
     result = weighted_from_cones(n, pairs, a.convention, merge_duplicates=True)
-    if isinstance(result, WeightedFan) or \
-            any(c.dim != expected_dim for c in fan_cones(result.fan)):
+    if any(c.dim != expected_dim for c in fan_cones(result.fan)):
         raise GenericityError("displacement produced cells of unexpected dimension")
     return result

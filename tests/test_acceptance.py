@@ -79,8 +79,7 @@ def test_criterion_3_prevariety_vs_variety():
     g = P("x^2+y^2+z^2", vs)
     pre = tropical_prevariety([f, g])
     assert fan_dim(pre) == 2
-    variety = tropical_variety(ideal(vs, (f, g)), prime=False,
-                               strategy="groebner")
+    variety = tropical_variety(ideal(vs, (f, g)), strategy="groebner")
     assert cycle_dim(variety) == 1
     assert not is_tropical_basis([f, g])
     assert variety.fan.maximal_cones == ((),)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,14 @@ def line_ideal(tmp_path):
 def example3_ideal(tmp_path):
     path = tmp_path / "e3.ideal"
     path.write_text("vars: x,y,z\nx+y+z\nx^2+y^2+z^2\n")
+    return str(path)
+
+
+@pytest.fixture
+def non_pure_ideal(tmp_path):
+    # a plane union a line: components of dimensions 2 and 1
+    path = tmp_path / "non_pure.ideal"
+    path.write_text("vars: x,y,z\n(x+y+z+1)*(x-2)\n(x+y+z+1)*(y-3)\n")
     return str(path)
 
 
@@ -57,8 +66,13 @@ class TestVarietyCommand:
         assert data["dim"] == 1
         assert data["pure"] is True
 
-    def test_not_prime_flag(self, capsys, example3_ideal):
-        code, out, _ = run(capsys, ["variety", example3_ideal, "--not-prime",
+    def test_not_prime_flag_is_a_usage_error(self, capsys, example3_ideal):
+        with pytest.raises(SystemExit) as e:
+            main(["variety", example3_ideal, "--not-prime"])
+        assert e.value.code == 2
+        assert "--not-prime" in capsys.readouterr().err
+        # the non-prime example is computed without any flag
+        code, out, _ = run(capsys, ["variety", example3_ideal,
                                     "--format", "json"])
         assert code == 0
         data = json.loads(out)
@@ -66,6 +80,23 @@ class TestVarietyCommand:
         assert data["maximal_cones"] == [[]]
         assert data["multiplicities"] == [2]
         assert data["dim"] == 1
+
+    # sha256 of the whole output, recorded while non-pure results were a
+    # separate class
+    @pytest.mark.parametrize("fmt,digest", [
+        ("text", "a9250576ed6581996eec14e2f19b54820d272387b35190b18f46ac7a11be4f21"),
+        ("json", "92ecbf84b0469e84f24898b8d6b2f9a54ff3e20b0edd7a26dec5f5e5db4ee3fb"),
+    ])
+    def test_non_pure_output_is_pinned(self, capsys, non_pure_ideal, fmt,
+                                       digest):
+        code, out, _ = run(capsys, ["variety", non_pure_ideal,
+                                    "--format", fmt])
+        assert code == 0
+        if fmt == "text":
+            assert out.endswith("dim: 2\npure: false\nbalanced: n/a\n")
+        else:
+            assert json.loads(out)["pure"] is False
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_unit_ideal_exits_one(self, capsys, tmp_path):
         path = tmp_path / "unit.ideal"

@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tropfan.corpus import PRIME_CORPUS
 from tropfan.cycles import (
     TropicalCycle,
-    WeightedFan,
     cycle_dim,
     cycle_from_dict,
     cycle_to_dict,
@@ -14,12 +16,34 @@ from tropfan.cycles import (
     make_cycle,
     max_cones,
     multiplicities,
+    quotient_normal_vector,
     rays,
+    span_lattice_basis,
     swap_convention,
     weighted_from_cones,
 )
-from tropfan.errors import CycleSchemaError, MultiplicityMismatchError, NotPureError
-from tropfan.fans import cone_from_generators, fan_from_cones
+from tropfan.errors import (
+    CycleSchemaError,
+    DimMismatchError,
+    MultiplicityMismatchError,
+    NotPureError,
+)
+from tropfan.fans import (
+    cone_from_generators,
+    faces,
+    fan_cones,
+    fan_from_cones,
+)
+from tropfan.linalg import (
+    IntMatrix,
+    dot,
+    int_inverse,
+    smith_normal_form,
+    solve_rational,
+    vec_neg,
+)
+from tropfan.polynomials import Polynomial
+from tropfan.tropical import tropical_hypersurface, tropical_variety
 
 
 def line_fan():
@@ -65,9 +89,9 @@ class TestMakeCycle:
                 cone_from_generators([(-1, -1)], [], 2)])
         with pytest.raises(NotPureError):
             make_cycle(mixed, [1, 1], "min")
-        # the dataclass itself enforces purity and weight counts
-        with pytest.raises(NotPureError):
-            TropicalCycle(mixed, (1, 1), "min")
+        # the dataclass checks only weight counts; purity is derived
+        assert not TropicalCycle(mixed, (1, 1), "min").pure
+        assert TropicalCycle(line_fan(), (1, 1, 1), "min").pure
         with pytest.raises(MultiplicityMismatchError):
             TropicalCycle(line_fan(), (1, 1), "min")
 
@@ -119,9 +143,10 @@ class TestBalancing:
         mixed, _ = fan_from_cones(
             2, [cone_from_generators([(1, 0), (0, 1)], [], 2),
                 cone_from_generators([(-1, -1)], [], 2)])
-        wf = WeightedFan(mixed, (1, 1), "min")
+        c = TropicalCycle(mixed, (1, 1), "min")
+        assert not c.pure
         with pytest.raises(NotPureError):
-            is_balanced(wf)
+            is_balanced(c)
 
     def test_empty_cycle_balanced(self):
         from tropfan.linalg import IntMatrix
@@ -244,8 +269,120 @@ class TestWeightedFromCones:
             weighted_from_cones(2, [(a, 2), (a, 3)], "min",
                                 merge_duplicates=False)
 
-    def test_non_pure_becomes_weighted_fan(self):
+    def test_non_pure_cycle_is_not_pure(self):
         cones = [(cone_from_generators([(1, 0), (0, 1)], [], 2), 1),
                  (cone_from_generators([(-1, -1)], [], 2), 1)]
         out = weighted_from_cones(2, cones, "min")
-        assert isinstance(out, WeightedFan)
+        assert isinstance(out, TropicalCycle)
+        assert not out.pure
+        assert multiplicities(out) == [1, 1]
+        # its JSON round trip keeps the cycle and the flag
+        data = cycle_to_dict(out)
+        assert data["pure"] is False
+        assert cycle_from_dict(data) == out
+
+
+def reference_quotient_normal_vector(sigma, tau):
+    """The earlier route, kept as an oracle: lattice bases of both spans,
+    tau's basis in sigma's coordinates, a Smith form whose last column
+    completes it, and the sign taken from an inequality of sigma tight on
+    tau."""
+    b_sigma = span_lattice_basis(sigma)
+    b_tau = span_lattice_basis(tau)
+    d = b_sigma.ncols
+    assert b_tau.ncols == d - 1
+    coords = []
+    for col in b_tau.columns():
+        x = solve_rational(b_sigma.entries, col)
+        assert x is not None and all(v.denominator == 1 for v in x)
+        coords.append(tuple(v.numerator for v in x))
+    _, p, _ = smith_normal_form(IntMatrix.from_columns(coords, d))
+    v = b_sigma.mul_vec(int_inverse(p).column(d - 1))
+    for a in sigma.inequalities.entries:
+        if all(dot(a, g) == 0 for g in tau.rays.columns()) and \
+                all(dot(a, g) == 0 for g in tau.lineality.columns()):
+            s = dot(a, v)
+            if s != 0:
+                return v if s > 0 else vec_neg(v)
+    raise AssertionError("no inequality of sigma is tight exactly on tau")
+
+
+def facet_pairs(cycle):
+    """The (sigma, tau) pairs that is_balanced visits."""
+    cones = fan_cones(cycle.fan)
+    taus = {}
+    for c in cones:
+        if c.dim > 0:
+            for tau in faces(c, 1):
+                taus[(tau.rays.entries, tau.lineality.entries)] = tau
+    return [(sigma, tau) for tau in taus.values() for sigma in cones
+            if sigma.dim == tau.dim + 1 and sigma.contains_cone(tau)]
+
+
+def assert_matches_reference(sigma, tau):
+    v = quotient_normal_vector(sigma, tau)
+    ref = reference_quotient_normal_vector(sigma, tau)
+    # the same class modulo span tau (sign included), inside span sigma
+    diff = [x - y for x, y in zip(v, ref)]
+    assert all(dot(row, diff) == 0 for row in tau.equations.entries)
+    assert all(dot(row, v) == 0 for row in sigma.equations.entries)
+    assert any(dot(row, v) != 0 for row in tau.equations.entries)
+
+
+small_supports3 = st.lists(st.tuples(*[st.integers(0, 3)] * 3),
+                           min_size=2, max_size=5, unique=True)
+small_vecs4 = st.lists(
+    st.tuples(*[st.integers(-3, 3)] * 4), min_size=1, max_size=5)
+small_lins4 = st.lists(
+    st.tuples(*[st.integers(-3, 3)] * 4), min_size=0, max_size=2)
+
+
+class TestQuotientNormalVector:
+    """The representative of an off-facet ray modulo span tau agrees with the
+    earlier Smith-form route on every facet that balancing visits."""
+
+    def test_corpus_varieties(self):
+        checked = 0
+        for entry in PRIME_CORPUS:
+            for sigma, tau in facet_pairs(tropical_variety(entry.ideal())):
+                assert_matches_reference(sigma, tau)
+                checked += 1
+        assert checked > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_supports3)
+    # the tropical plane; a hypersurface with a lineality line
+    @example([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    @example([(0, 0, 0), (2, 1, 0), (0, 0, 3)])
+    def test_hypersurface_cycles(self, support):
+        f = Polynomial(("x", "y", "z"), {e: 1 for e in support})
+        for sigma, tau in facet_pairs(tropical_hypersurface(f)):
+            assert_matches_reference(sigma, tau)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_vecs4, small_lins4)
+    # a simplicial cone; a square pyramid (two rays off each facet); a
+    # half-plane over a lineality line
+    @example([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], [])
+    @example([(1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1)], [])
+    @example([(1, 2, 0, 0)], [(0, 1, 3, 0)])
+    def test_cone_facets(self, ray_list, lin_list):
+        sigma = cone_from_generators([r for r in ray_list if any(r)],
+                                     [l for l in lin_list if any(l)], 4)
+        if sigma.dim == 0:
+            return
+        for tau in faces(sigma, 1):
+            assert_matches_reference(sigma, tau)
+
+    def test_non_facet_rejected(self):
+        sigma = cone_from_generators([(1, 0), (0, 1)], [], 2)
+        # a ray through the interior, the apex (codimension two), the whole
+        # cone, and a ray outside it
+        for tau in ([(1, 1)], [], [(1, 0), (0, 1)], [(-1, 0)]):
+            with pytest.raises(DimMismatchError):
+                quotient_normal_vector(sigma, cone_from_generators(tau, [], 2))
+        # same rays, different lineality
+        wedge = cone_from_generators([(1, 0, 0)], [(0, 0, 1)], 3)
+        with pytest.raises(DimMismatchError):
+            quotient_normal_vector(wedge, cone_from_generators([], [], 3))
+

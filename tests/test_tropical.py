@@ -28,7 +28,6 @@ from tropfan.fans import (
 from tropfan.groebner import TermOrder, reduced_groebner_basis
 from tropfan.polynomials import homogenize, ideal, parse_polynomial
 from tropfan.tropical import (
-    as_cycle_from_hypersurfaces,
     is_tropical_basis,
     multiplicity_at,
     optimum_attained_twice,
@@ -143,7 +142,7 @@ class TestVariety:
 
     def test_line_and_quadric(self):
         spec = ideal(XYZ, (P("x+y+z", XYZ), P("x^2+y^2+z^2", XYZ)))
-        c = tropical_variety(spec, prime=False, strategy="groebner")
+        c = tropical_variety(spec, strategy="groebner")
         assert isinstance(c, TropicalCycle)
         assert c.fan.rays.ncols == 0
         assert c.fan.lineality.columns() == [(1, 1, 1)]
@@ -240,7 +239,7 @@ class TestPrincipalConsistency:
         for text, vs in [("x+y+1", XY), ("x^2+y^2+z^2", XYZ), ("x*y-1", XY)]:
             spec = ideal(vs, (P(text, vs),))
             assert tropical_variety(spec, strategy="groebner") == \
-                as_cycle_from_hypersurfaces(spec)
+                tropical_variety(spec, strategy="newton")
 
 
 class TestMultiplicityAt:
@@ -281,7 +280,7 @@ class TestMultiplicityAt:
                          ("y^2-x^3+x", XY), ("x^2+x*y+y^2", XY)]:
             spec = ideal(vs, (P(text, vs),))
             groebner_route = tropical_variety(spec, strategy="groebner")
-            newton_route = as_cycle_from_hypersurfaces(spec)
+            newton_route = tropical_variety(spec, strategy="newton")
             assert groebner_route == newton_route
             assert all(m >= 1 for m in groebner_route.multiplicities)
 
@@ -459,23 +458,22 @@ class TestTorusCurveCounts:
     def test_quadric_pair_three_lines(self):
         c = tropical_variety(
             ideal(XYZ, (P("x^2-y*z", XYZ), P("x*y-z^2", XYZ))),
-            prime=False, strategy="groebner")
+            strategy="groebner")
         assert c.multiplicities == (3,)
         assert c.fan.lineality.columns() == [(1, 1, 1)]
         assert is_balanced(c)
 
 
 class TestNonPureVariety:
-    def test_plane_union_line_is_weighted_fan(self):
+    def test_plane_union_line_is_not_pure(self):
         # product of a plane ideal and a vertical-line ideal: the tropical
         # variety is a 2-dimensional fan plus one isolated downward ray
-        from tropfan.cycles import WeightedFan
         from tropfan.errors import NotPureError
         g1 = P("(x+y+z+1)*(x-2)", XYZ)
         g2 = P("(x+y+z+1)*(y-3)", XYZ)
-        c = tropical_variety(ideal(XYZ, (g1, g2)), prime=False,
-                             strategy="groebner")
-        assert isinstance(c, WeightedFan)
+        c = tropical_variety(ideal(XYZ, (g1, g2)), strategy="groebner")
+        assert isinstance(c, TropicalCycle)
+        assert not c.pure
         dims = sorted({cone.dim for cone in fan_cones(c.fan)})
         assert dims == [1, 2]
         assert support_contains(c.fan, (0, 0, -1))
