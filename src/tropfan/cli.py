@@ -247,7 +247,7 @@ def dispatch(args) -> str:
         return format_output(fan, args.format, convention)
     if args.command == "is-tropical-basis":
         spec = read_ideal_file(args.ideal_file)
-        return format_output(is_tropical_basis(list(spec.generators), convention),
+        return format_output(is_tropical_basis(list(spec.generators)),
                              args.format, convention)
     if args.command == "is-balanced":
         cycle = read_cycle(args.cycle_file, require_weights=True)

@@ -19,7 +19,6 @@ from .errors import (
 )
 from .fans import (
     Fan,
-    _quotient_reps,
     cone_from_generators,
     faces,
     fan_cones,
@@ -28,7 +27,12 @@ from .fans import (
     is_pure,
     negate_cone,
 )
-from .linalg import IntMatrix, dot, integer_kernel_basis
+from .linalg import IntMatrix, dot, integer_kernel_basis, quotient_reps
+
+
+def check_convention(convention) -> None:
+    if convention not in ("min", "max"):
+        raise ValueError("convention must be 'min' or 'max'")
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,7 @@ class TropicalCycle:
     convention: str
 
     def __post_init__(self):
+        check_convention(self.convention)
         if len(self.multiplicities) != self.fan.n_maximal():
             raise MultiplicityMismatchError(
                 f"{self.fan.n_maximal()} maximal cones but "
@@ -151,8 +156,7 @@ def quotient_normal_vector(sigma, tau):
             for a in sigma.inequalities.entries):
         raise DimMismatchError("tau is not a codimension-one face of sigma")
     off_tau = next(r for r in rays if r not in on_tau)
-    return _quotient_reps([off_tau], span_lattice_basis(tau),
-                          sigma.ambient_dim)[0]
+    return quotient_reps([off_tau], span_lattice_basis(tau))[0]
 
 
 def is_balanced(cycle) -> bool:

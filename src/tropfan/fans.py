@@ -18,10 +18,9 @@ from .errors import BadCodimError, DimMismatchError
 from .linalg import (
     IntMatrix,
     dot,
-    hnf_completion,
-    int_inverse,
     integer_kernel_basis,
     primitive_vector,
+    quotient_reps,
     rational_rank,
     saturate_lattice,
     vec_neg,
@@ -92,23 +91,6 @@ def _dd(ineq_rows, eq_rows, n):
     return rays, lin
 
 
-def _quotient_reps(vectors, modulo_basis: IntMatrix, n):
-    """Canonical primitive representatives of vectors modulo a saturated
-    lattice (zero out the basis coordinates through a unimodular completion)."""
-    if modulo_basis.ncols == 0:
-        return [primitive_vector(v) for v in vectors]
-    v = hnf_completion(modulo_basis)
-    vinv = int_inverse(v)
-    ell = modulo_basis.ncols
-    reps = []
-    for vec in vectors:
-        coords = list(vinv.mul_vec(vec))
-        for i in range(ell):
-            coords[i] = 0
-        reps.append(primitive_vector(v.mul_vec(tuple(coords))))
-    return reps
-
-
 @dataclass(frozen=True)
 class Cone:
     """A rational polyhedral cone with canonical dual descriptions.
@@ -156,8 +138,8 @@ def _assemble(ray_vecs, lin_vecs, ineq_vecs, eq_vecs, n) -> Cone:
         IntMatrix.from_columns([tuple(v) for v in lin_vecs], n))
     eq_basis = saturate_lattice(
         IntMatrix.from_columns([tuple(v) for v in eq_vecs], n))
-    rays = sorted(_quotient_reps(ray_vecs, lineality, n))
-    ineqs = sorted(_quotient_reps(ineq_vecs, eq_basis, n))
+    rays = sorted(quotient_reps(ray_vecs, lineality))
+    ineqs = sorted(quotient_reps(ineq_vecs, eq_basis))
     dim = rational_rank(list(rays) + [list(c) for c in lineality.columns()]) \
         if (rays or lineality.ncols) else 0
     return Cone(
@@ -247,7 +229,7 @@ def facets_with_normals(c: Cone):
             rays=IntMatrix.from_columns([rays[j] for j in tight[i]], n),
             lineality=c.lineality,
             inequalities=IntMatrix.from_rows(
-                sorted(set(_quotient_reps(ridges, eq_basis, n))), n),
+                sorted(set(quotient_reps(ridges, eq_basis))), n),
             equations=eq_basis.transpose(),
             dim=c.dim - 1,
         )

@@ -401,13 +401,17 @@ def int_inverse(m: IntMatrix) -> IntMatrix:
     return u
 
 
+def _kernel_columns(m: IntMatrix) -> list:
+    """A basis, not canonical, of the integer kernel of m."""
+    h, u = hermite_normal_form(m)
+    return [uc for hc, uc in zip(h.columns(), u.columns()) if not any(hc)]
+
+
 def integer_kernel_basis(m: IntMatrix) -> IntMatrix:
     """Canonical basis (columns) of the saturated lattice {x in Z^n : Mx = 0}."""
     if m.nrows == 0:
         return hermite_basis(IntMatrix.identity(m.ncols))
-    h, u = hermite_normal_form(m)
-    ker = [u.column(j) for j in range(m.ncols)
-           if all(h.entries[i][j] == 0 for i in range(m.nrows))]
+    ker = _kernel_columns(m)
     if not ker:
         return IntMatrix.from_columns([], m.ncols)
     return hermite_basis(IntMatrix.from_columns(ker, m.ncols))
@@ -426,9 +430,9 @@ def saturate_lattice(m: IntMatrix) -> IntMatrix:
     """Canonical basis of span_Q(columns of m) intersected with Z^n."""
     if m.ncols == 0:
         return m
-    # rows orthogonal to the column span, then their integer kernel
-    orth = integer_kernel_basis(m.transpose())
-    return integer_kernel_basis(orth.transpose())
+    # rows orthogonal to the column span (any basis), then their integer kernel
+    orth = _kernel_columns(m.transpose())
+    return integer_kernel_basis(IntMatrix.from_rows(orth, m.nrows))
 
 
 @dataclass(frozen=True)
@@ -467,6 +471,27 @@ def lattice_index(l1: Lattice, l2: Lattice) -> int:
     return idx
 
 
+def _unit_smith(basis: IntMatrix):
+    """Witnesses (P, Q) of the Smith form P B Q of a saturated basis B."""
+    dmat, p, q = smith_normal_form(basis)
+    if any(dmat.entries[i][i] != 1 for i in range(basis.ncols)):
+        raise NotFullRankError("basis does not generate a saturated lattice")
+    return p, q
+
+
+def quotient_reps(vectors, basis: IntMatrix) -> list:
+    """Canonical primitive representatives of vectors modulo the saturated
+    lattice of the basis columns B: v - B Q (P v)[:d] for the Smith form
+    P B Q, as V^-1 = diag(Q, I) P for the completion V = [B | P^-1 ...]."""
+    d = basis.ncols
+    if d == 0:
+        return [primitive_vector(v) for v in vectors]
+    p, q = _unit_smith(basis)
+    bq = basis @ q
+    return [primitive_vector(vec_sub(v, bq.mul_vec(p.mul_vec(v)[:d])))
+            for v in vectors]
+
+
 def hnf_completion(basis: IntMatrix) -> IntMatrix:
     """Extend a saturated lattice basis (columns) to a unimodular matrix.
 
@@ -475,12 +500,7 @@ def hnf_completion(basis: IntMatrix) -> IntMatrix:
     invariant factors to be 1 (true exactly for saturated lattices).
     """
     n, d = basis.nrows, basis.ncols
-    if d == 0:
-        return IntMatrix.identity(n)
-    dmat, p, _ = smith_normal_form(basis)
-    for i in range(d):
-        if dmat.entries[i][i] != 1:
-            raise NotFullRankError("basis does not generate a saturated lattice")
+    p, _ = _unit_smith(basis)
     pinv = int_inverse(p)
     ext = [pinv.column(j) for j in range(d, n)]
     v = IntMatrix.from_columns(basis.columns() + ext, n)

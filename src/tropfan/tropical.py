@@ -24,6 +24,7 @@ from .errors import (
 )
 from .cycles import (
     TropicalCycle,
+    check_convention,
     span_lattice_basis,
     swap_convention,
     weighted_from_cones,
@@ -72,6 +73,7 @@ from .polynomials import (
 
 def tropical_evaluate(f: Polynomial, w, convention: str = "min") -> Fraction:
     """Piecewise-linear value min (or max) of w.u over the support of f."""
+    check_convention(convention)
     if f.is_zero():
         raise ZeroPolynomialError("cannot tropicalize the zero polynomial")
     if len(w) != len(f.variables):
@@ -82,6 +84,7 @@ def tropical_evaluate(f: Polynomial, w, convention: str = "min") -> Fraction:
 
 def optimum_attained_twice(f: Polynomial, w, convention: str = "min") -> bool:
     """Direct membership test for the tropical hypersurface."""
+    check_convention(convention)
     if f.is_zero():
         raise ZeroPolynomialError("cannot tropicalize the zero polynomial")
     values = [sum(Fraction(wi) * ei for wi, ei in zip(w, e)) for e in f.terms]
@@ -92,6 +95,7 @@ def optimum_attained_twice(f: Polynomial, w, convention: str = "min") -> bool:
 def tropical_hypersurface(f: Polynomial, convention: str = "min") -> TropicalCycle:
     """The codimension-one skeleton of the Newton polytope's normal fan,
     weighted by lattice lengths of the dual edges."""
+    check_convention(convention)
     if f.is_zero():
         raise ZeroPolynomialError("cannot tropicalize the zero polynomial")
     if f.num_terms() < 2:
@@ -201,6 +205,7 @@ def tropical_variety(spec: IdealSpec, convention: str = "min",
     components of different dimensions comes back as a cycle whose `pure`
     is false.
     """
+    check_convention(convention)
     _validated(spec)
     n = len(spec.variables)
     if not is_monomial_free(spec):
@@ -252,7 +257,7 @@ def _groebner_variety(spec: IdealSpec):
                                merge_duplicates=False)
 
 
-def is_tropical_basis(polys, convention: str = "min") -> bool:
+def is_tropical_basis(polys) -> bool:
     """Do the hypersurfaces of these polynomials cut out the tropical
     variety of the ideal they generate?
 
@@ -265,9 +270,8 @@ def is_tropical_basis(polys, convention: str = "min") -> bool:
         raise ZeroIdealError("empty generating set")
     variables = polys[0].variables
     spec = IdealSpec(variables, tuple(polys))
-    _validated(spec)
-    prevariety = tropical_prevariety(polys, "min")
-    variety = tropical_variety(spec, convention="min", strategy="groebner")
+    variety = tropical_variety(spec, strategy="groebner")  # validates spec
+    prevariety = tropical_prevariety(polys)
     if variety.fan.is_empty():
         return prevariety.is_empty()
     spec_h = homogenize(spec)

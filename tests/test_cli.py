@@ -116,11 +116,15 @@ class TestPrevarietyCommand:
         assert "multiplicities" not in data
 
     def test_basis_command(self, capsys, example3_ideal, line_ideal):
-        code, out, _ = run(capsys, ["is-tropical-basis", example3_ideal])
-        assert code == 0
-        assert out == "false\n"
-        code, out, _ = run(capsys, ["is-tropical-basis", line_ideal])
-        assert out == "true\n"
+        # --max is accepted and does not change the answer
+        for flags in ([], ["--max"]):
+            code, out, _ = run(capsys, ["is-tropical-basis", example3_ideal]
+                               + flags)
+            assert code == 0
+            assert out == "false\n"
+            code, out, _ = run(capsys, ["is-tropical-basis", line_ideal] + flags)
+            assert code == 0
+            assert out == "true\n"
 
 
 class TestBalanceCommand:

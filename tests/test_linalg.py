@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropfan.errors import DimMismatchError, NotFullRankError, ZeroVectorError
@@ -19,6 +19,7 @@ from tropfan.linalg import (
     lattice_index,
     nonneg_solution_exists,
     primitive_vector,
+    quotient_reps,
     rational_rank,
     saturate_lattice,
     smith_normal_form,
@@ -565,3 +566,104 @@ class TestIntInverse:
 
     def test_empty(self):
         assert int_inverse(IntMatrix.identity(0)).entries == ()
+
+
+def reference_quotient_reps(vectors, basis):
+    """Quotient representatives through the unimodular completion
+    V = hnf_completion(basis) and its inverse: zero the basis coordinates of
+    V^-1 v and map back (the earlier implementation, kept as an oracle)."""
+    if basis.ncols == 0:
+        return [primitive_vector(v) for v in vectors]
+    v = hnf_completion(basis)
+    vinv = int_inverse(v)
+    reps = []
+    for vec in vectors:
+        coords = list(vinv.mul_vec(vec))
+        for i in range(basis.ncols):
+            coords[i] = 0
+        reps.append(primitive_vector(v.mul_vec(tuple(coords))))
+    return reps
+
+
+def rep_or_zero(route, vec, basis):
+    try:
+        return route([vec], basis)[0]
+    except ZeroVectorError:
+        return "zero"
+
+
+# saturated lattices of every rank 0..n in Z^3 to Z^5, as bases from
+# saturate_lattice of random columns, with vectors to reduce modulo them
+saturated_cases = st.integers(3, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                 max_size=n),
+        st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                 min_size=1, max_size=4),
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        st.just(n)))
+
+
+def old_saturate_lattice(m):
+    """Saturation with the orthogonal lattice made canonical as well."""
+    if m.ncols == 0:
+        return m
+    orth = integer_kernel_basis(m.transpose())
+    return integer_kernel_basis(orth.transpose())
+
+
+class TestQuotientReps:
+    @settings(max_examples=120, deadline=None)
+    @given(saturated_cases)
+    @example(([(1, 2, 3, 4)], [(0, 0, 0, 1)], [1, 1, 1, 1], 4))
+    @example(([(2, 3, 0), (1, 1, 1)], [(1, 0, 0)], [0, 0, 0], 3))
+    @example(([], [(2, 4, -6)], [0, 0, 0], 3))
+    def test_matches_completion_and_inverse(self, case):
+        cols, vectors, coeffs, n = case
+        basis = saturate_lattice(IntMatrix.from_columns(
+            [tuple(c) for c in cols], n))
+        # a lattice vector added must not change the representative, and a
+        # lattice vector alone has none
+        shift = basis.mul_vec(tuple(coeffs[:basis.ncols]))
+        for vec in vectors + [shift]:
+            moved = tuple(x + y for x, y in zip(vec, shift))
+            want = rep_or_zero(reference_quotient_reps, tuple(vec), basis)
+            assert rep_or_zero(quotient_reps, tuple(vec), basis) == want
+            assert rep_or_zero(quotient_reps, moved, basis) == want
+        if all(c == 0 for c in coeffs[:basis.ncols]):
+            return
+        with pytest.raises(ZeroVectorError):
+            quotient_reps([shift], basis)
+
+    def test_empty_basis(self):
+        empty = IntMatrix.from_columns([], 3)
+        assert quotient_reps([(2, 4, -6), (0, 1, 0)], empty) == \
+            [(1, 2, -3), (0, 1, 0)]
+        assert quotient_reps([], empty) == []
+        assert hnf_completion(empty).entries == IntMatrix.identity(3).entries
+
+    def test_vector_in_lattice(self):
+        basis = saturate_lattice(IntMatrix.from_columns([(1, 1, 1)], 3))
+        with pytest.raises(ZeroVectorError):
+            quotient_reps([(3, 3, 3)], basis)
+
+    def test_representative(self):
+        basis = saturate_lattice(IntMatrix.from_columns([(1, 1, 1)], 3))
+        # the class of (2, 1, 0) modulo (1, 1, 1), primitive
+        rep = quotient_reps([(2, 1, 0)], basis)[0]
+        assert rational_rank([rep, (2, 1, 0), (1, 1, 1)]) == 2
+        assert rep == reference_quotient_reps([(2, 1, 0)], basis)[0]
+
+    @pytest.mark.parametrize("route", [
+        lambda b: quotient_reps([(1, 1)], b), hnf_completion])
+    def test_not_saturated(self, route):
+        with pytest.raises(NotFullRankError, match="saturated"):
+            route(IntMatrix.from_columns([(2, 0)], 2))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+        min_size=1, max_size=5)))
+    def test_saturation_matches_doubly_canonical_route(self, cols):
+        m = IntMatrix.from_columns([tuple(c) for c in cols])
+        assert saturate_lattice(m) == old_saturate_lattice(m)

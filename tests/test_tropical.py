@@ -208,9 +208,11 @@ class TestFaceWalk:
     def test_space_conic_derives_each_face_once(self, monkeypatch):
         """Tripwire: the face walk over the 16 Gröbner cones of the
         homogenized space conic derives each of its 55 distinct faces once,
-        by incidence, and runs no double description."""
+        by incidence, runs no double description, and reduces modulo
+        lattices with no unimodular completion or inverse."""
         import tropfan.fans
         import tropfan.groebner
+        import tropfan.linalg
         import tropfan.tropical
         from tropfan.corpus import PRIME_CORPUS
         from tropfan.groebner import groebner_fan
@@ -218,20 +220,61 @@ class TestFaceWalk:
         entry = next(e for e in PRIME_CORPUS if e.name == "space_conic")
         fan_data = groebner_fan(homogenize(entry.ideal()))
         assert len(fan_data) == 16
-        calls = {"facets_with_normals": 0, "cone_from_halfspaces": 0}
-        for name in calls:
-            original = getattr(tropfan.fans, name)
+        homes = {"facets_with_normals": tropfan.fans,
+                 "cone_from_halfspaces": tropfan.fans,
+                 "int_inverse": tropfan.linalg,
+                 "hnf_completion": tropfan.linalg}
+        calls = dict.fromkeys(homes, 0)
+        for name, home in homes.items():
+            original = getattr(home, name)
 
             def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
                 return _original(*args)
 
-            for module in (tropfan.fans, tropfan.groebner, tropfan.tropical):
+            # every module that bound the function, the defining one
+            # included: hnf_completion looks int_inverse up in tropfan.linalg
+            for module in (tropfan.linalg, tropfan.fans, tropfan.groebner,
+                           tropfan.tropical):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         kept = tropfan.tropical._kept_faces(fan_data)
-        assert calls == {"facets_with_normals": 55, "cone_from_halfspaces": 0}
+        assert calls == {"facets_with_normals": 55, "cone_from_halfspaces": 0,
+                         "int_inverse": 0, "hnf_completion": 0}
         assert len(kept) == 5
+
+
+class TestUnknownConvention:
+    """A convention other than min or max is an error, not a min answer."""
+
+    def check(self, call):
+        with pytest.raises(ValueError, match="convention must be 'min' or 'max'"):
+            call()
+
+    def line_fan(self):
+        fan, _ = fan_from_cones(2, [cone_from_generators([r], [], 2)
+                                    for r in [(1, 0), (0, 1), (-1, -1)]])
+        return fan
+
+    def test_tropical_cycle(self):
+        self.check(lambda: TropicalCycle(self.line_fan(), (1, 1, 1), "foo"))
+
+    def test_tropical_evaluate(self):
+        self.check(lambda: tropical_evaluate(P("x+y+1", XY), (1, 2), "foo"))
+
+    def test_optimum_attained_twice(self):
+        self.check(lambda: optimum_attained_twice(P("x+y+1", XY), (0, 0),
+                                                  "foo"))
+
+    def test_tropical_hypersurface(self):
+        self.check(lambda: tropical_hypersurface(P("x+y+1", XY), "foo"))
+
+    def test_tropical_variety(self):
+        spec = ideal(XY, (P("x+y+1", XY),))
+        self.check(lambda: tropical_variety(spec, convention="foo"))
+
+    def test_make_cycle(self):
+        self.check(lambda: make_cycle(self.line_fan(), [1, 1, 1], "foo"))
 
 
 class TestPrincipalConsistency:
@@ -288,6 +331,24 @@ class TestMultiplicityAt:
 class TestTropicalBasis:
     def test_example_false(self):
         assert not is_tropical_basis([P("x+y+z", XYZ), P("x^2+y^2+z^2", XYZ)])
+
+    def test_zero_ideal_rejected(self):
+        with pytest.raises(ZeroIdealError):
+            is_tropical_basis([P("0", XY)])
+
+    def test_unit_ideal_rejected(self):
+        with pytest.raises(UnitIdealError):
+            is_tropical_basis([P("x+1", XY), P("x", XY)])
+
+    def test_ideal_validated_once(self, monkeypatch):
+        import tropfan.tropical
+
+        calls = []
+        original = tropfan.tropical._validated
+        monkeypatch.setattr(tropfan.tropical, "_validated",
+                            lambda spec: calls.append(spec) or original(spec))
+        assert is_tropical_basis([P("x+y+1", XY)])
+        assert len(calls) == 1
 
     def test_principal_always_true(self):
         assert is_tropical_basis([P("x+y+1", XY)])
