@@ -128,11 +128,6 @@ def format_output(obj, fmt: str, convention: str) -> str:
     raise TypeError(f"cannot format {type(obj)!r}")
 
 
-def write_cycle(obj, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(cycle_to_dict(obj)))
-
-
 def read_cycle(path: str, require_weights: bool = True):
     try:
         with open(path, "r", encoding="utf-8") as fh:

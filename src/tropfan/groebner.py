@@ -3,9 +3,11 @@
 Term orders are weight-row matrices refined by a fixed graded reverse
 lexicographic tie-break (first variable largest). Under the min convention the
 smaller weight is the leading one, so initial forms of tropical weight vectors
-are exactly the leading forms seen by the engine. On top of reduced bases sit
-saturation, monomial-freeness, dimension counts, and the brute-force Gröbner
-fan walk over facets.
+are exactly the leading forms seen by the engine. Division, S-polynomials
+and interreduction work on plain {exponent: Fraction} dicts; a Polynomial is
+built only for a result. On top of reduced bases sit saturation,
+monomial-freeness, dimension counts, and the Gröbner fan walk, which crosses
+each facet once.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add, le, sub
 
 from .errors import (
     DimMismatchError,
@@ -23,7 +26,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .fans import Cone, cone_from_halfspaces, facets_with_normals, relative_interior_point
-from .linalg import clear_denominators, vec_neg, vec_sub
+from .linalg import clear_denominators, vec_neg
 from .polynomials import IdealSpec, Polynomial, fresh_variable, initial_form
 
 
@@ -34,7 +37,8 @@ class TermOrder:
     convention "min" makes the smaller weight lead (the tropical default);
     "max" is the classical direction. Each weight row is stored scaled by the
     lcm of its denominators: a positive factor changes no comparison, and
-    keys become integer dot products.
+    keys become integer dot products. Keys are memoized for the life of the
+    order, which sees the same few monomials many times.
     """
 
     weight_rows: tuple = ()
@@ -45,13 +49,19 @@ class TermOrder:
         object.__setattr__(self, "weight_rows", rows)
         if self.convention not in ("min", "max"):
             raise ValueError("convention must be 'min' or 'max'")
+        object.__setattr__(self, "_keys", {})
 
     def key(self, exps):
+        try:
+            return self._keys[exps]
+        except KeyError:
+            pass
         sign = -1 if self.convention == "min" else 1
         weight = tuple(sign * sum(w * e for w, e in zip(row, exps))
                        for row in self.weight_rows)
         grevlex = (sum(exps),) + tuple(-e for e in reversed(exps))
-        return weight + grevlex
+        k = self._keys[exps] = weight + grevlex
+        return k
 
     def effective_max_rows(self):
         sign = -1 if self.convention == "min" else 1
@@ -85,46 +95,75 @@ def leading_term(p: Polynomial, order: TermOrder):
     return lead, p.terms[lead]
 
 
+# The engine works on {exponent: Fraction} term dicts; an element of a basis
+# under construction is a monic pair (lead, terms).
+
 def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
+
+
+def _monic(terms, key):
+    """(lead, terms scaled to leading coefficient 1). A dict that already
+    is monic is shared, not copied: the engine never mutates an element."""
+    lead = max(terms, key=key)
+    c = terms[lead]
+    if c != 1:
+        inv = 1 / c
+        terms = {e: inv * v for e, v in terms.items()}
+    return lead, terms
+
+
+def _add_multiple(work, terms, shift, factor):
+    """work += factor * x^shift * terms, in place, dropping cancelled terms."""
+    for e, c in terms.items():
+        m = tuple(map(add, e, shift))
+        v = work.get(m)
+        if v is None:
+            work[m] = factor * c
+        else:
+            v += factor * c
+            if v:
+                work[m] = v
+            else:
+                del work[m]
+
+
+def _reduce(terms, reducers, key):
+    """Full remainder of a term dict on division by monic (lead, terms)
+    pairs, the first divisor in list order taking each step."""
+    work = dict(terms)
+    remainder = {}
+    while work:
+        lt = max(work, key=key)
+        for lead, g in reducers:
+            if _divides(lead, lt):
+                _add_multiple(work, g, tuple(map(sub, lt, lead)), -work[lt])
+                break
+        else:
+            remainder[lt] = work.pop(lt)
+    return remainder
+
+
+def _s_terms(f, g):
+    (lf, tf), (lg, tg) = f, g
+    lcm = tuple(map(max, lf, lg))
+    s = {}
+    _add_multiple(s, tf, tuple(map(sub, lcm, lf)), 1)
+    _add_multiple(s, tg, tuple(map(sub, lcm, lg)), -1)
+    return s
 
 
 def normal_form(p: Polynomial, basis, order: TermOrder) -> Polynomial:
     """Full remainder of p on division by the basis list."""
-    leads = [(leading_term(g, order), g) for g in basis if not g.is_zero()]
-    remainder = {}
-    work = p
-    while not work.is_zero():
-        lt, lc = leading_term(work, order)
-        hit = None
-        for (le, ce), g in leads:
-            if _divides(le, lt):
-                hit = (le, ce, g)
-                break
-        if hit is None:
-            remainder[lt] = lc
-            work = Polynomial(work.variables,
-                              {e: c for e, c in work.terms.items() if e != lt})
-            continue
-        le, ce, g = hit
-        shift = tuple(a - b for a, b in zip(lt, le))
-        factor = Polynomial(work.variables, {shift: lc / ce})
-        work = work - factor * g
-    return Polynomial(p.variables, remainder)
+    reducers = [_monic(g.terms, order.key) for g in basis if not g.is_zero()]
+    return Polynomial(p.variables, _reduce(p.terms, reducers, order.key))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    lf, cf = leading_term(f, order)
-    lg, cg = leading_term(g, order)
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    mf = Polynomial(f.variables, {vec_sub(lcm, lf): 1 / cf})
-    mg = Polynomial(g.variables, {vec_sub(lcm, lg): 1 / cg})
-    return mf * f - mg * g
-
-
-def _monic(p: Polynomial, order: TermOrder) -> Polynomial:
-    _, c = leading_term(p, order)
-    return p.scale(1 / c)
+    if f.is_zero() or g.is_zero():
+        raise ZeroPolynomialError("zero polynomial has no leading term")
+    return Polynomial(f.variables, _s_terms(_monic(f.terms, order.key),
+                                            _monic(g.terms, order.key)))
 
 
 def _check_termination(spec: IdealSpec, order: TermOrder):
@@ -138,21 +177,28 @@ def _check_termination(spec: IdealSpec, order: TermOrder):
 def reduced_groebner_basis(spec: IdealSpec, order: TermOrder) -> GroebnerBasis:
     """The unique reduced Gröbner basis of the ideal for the order."""
     _check_termination(spec, order)
-    basis = [_monic(g, order) for g in spec.generators if not g.is_zero()]
-    if not basis:
+    key = order.key
+    gens = [_monic(g.terms, key) for g in spec.generators if not g.is_zero()]
+    if not gens:
         z = Polynomial.zero(spec.variables)
         return GroebnerBasis(order, (z,), ((0,) * len(spec.variables),))
-    basis = _autoreduce(basis, order)
+    # one pass over the input: each generator is reduced by the reduced ones
+    # before it and the untouched ones after it, so copies cannot annihilate
+    # each other
+    basis = []
+    for i, (_, terms) in enumerate(gens):
+        r = _reduce(terms, basis + gens[i + 1:], key)
+        if r:
+            basis.append(_monic(r, key))
+    basis.sort(key=lambda g: key(g[0]))
     pairs = []
     counter = 0
 
-    def push_pairs(upto):
+    def push_pairs(i):
         nonlocal counter
-        i = upto
+        lf = basis[i][0]
         for j in range(i):
-            lf = leading_term(basis[i], order)[0]
-            lg = leading_term(basis[j], order)[0]
-            lcm_deg = sum(max(a, b) for a, b in zip(lf, lg))
+            lcm_deg = sum(map(max, lf, basis[j][0]))
             heapq.heappush(pairs, (lcm_deg, counter, i, j))
             counter += 1
 
@@ -160,39 +206,35 @@ def reduced_groebner_basis(spec: IdealSpec, order: TermOrder) -> GroebnerBasis:
         push_pairs(i)
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
-        lf = leading_term(basis[i], order)[0]
-        lg = leading_term(basis[j], order)[0]
-        if all(min(a, b) == 0 for a, b in zip(lf, lg)):
+        if not any(map(min, basis[i][0], basis[j][0])):
             continue  # coprime leading monomials: S-pair reduces to zero
-        s = s_polynomial(basis[i], basis[j], order)
-        r = normal_form(s, basis, order)
-        if not r.is_zero():
-            basis.append(_monic(r, order))
+        r = _reduce(_s_terms(basis[i], basis[j]), basis, key)
+        if r:
+            basis.append(_monic(r, key))
             push_pairs(len(basis) - 1)
-    basis = _autoreduce(basis, order)
-    leads = tuple(leading_term(g, order)[0] for g in basis)
-    return GroebnerBasis(order, tuple(basis), leads)
+    basis = _minimal_reduced(basis, key)
+    return GroebnerBasis(order,
+                         tuple(Polynomial(spec.variables, t) for _, t in basis),
+                         tuple(lead for lead, _ in basis))
 
 
-def _autoreduce(basis, order):
-    basis = [g for g in basis if not g.is_zero()]
-    while True:
-        changed = False
-        kept = []
-        for i, g in enumerate(basis):
-            # reduce against everything already kept plus the untouched tail,
-            # so mutually reducible copies cannot annihilate each other
-            reducers = kept + basis[i + 1:]
-            r = normal_form(g, reducers, order) if reducers else g
-            if r.terms != g.terms:
-                changed = True
-            if not r.is_zero():
-                kept.append(_monic(r, order))
-        basis = kept
-        if not changed:
-            break
-    basis.sort(key=lambda g: order.key(leading_term(g, order)[0]))
-    return basis
+def _minimal_reduced(basis, key):
+    """The reduced basis, sorted by lead, from a Gröbner basis of monic
+    pairs."""
+    # a lead that divides another has the smaller degree, so a scan by degree
+    # keeps one element per minimal generator of the lead ideal
+    minimal = []
+    for lead, terms in sorted(basis, key=lambda g: sum(g[0])):
+        if not any(_divides(m, lead) for m, _ in minimal):
+            minimal.append((lead, terms))
+    minimal.sort(key=lambda g: key(g[0]))
+    # the leads are final now, so one sweep reducing each tail suffices
+    done = []
+    for i, (lead, terms) in enumerate(minimal):
+        tail = {e: c for e, c in terms.items() if e != lead}
+        reduced = _reduce(tail, done + minimal[i + 1:], key)
+        done.append((lead, {lead: terms[lead], **reduced}))
+    return done
 
 
 def is_unit_basis(gb: GroebnerBasis) -> bool:
@@ -314,8 +356,10 @@ def groebner_fan(spec: IdealSpec):
     """All maximal Gröbner cones of a homogeneous ideal with their reduced
     bases, enumerated by breadth-first facet crossing.
 
-    Each facet is crossed by rerunning Buchberger with weight rows (p, nu):
-    p a relative interior point of the facet, nu the outward normal.
+    Each facet is crossed once, by rerunning Buchberger with weight rows
+    (p, nu): p a relative interior point of the facet, nu the outward normal.
+    The fan of a homogeneous ideal is complete, so a facet borders exactly
+    two cones, and the cone beyond a facet already crossed is already seen.
     """
     if not all(g.is_homogeneous() for g in spec.generators):
         raise RequiresHomogeneousError("the Gröbner fan needs homogeneous input")
@@ -327,10 +371,15 @@ def groebner_fan(spec: IdealSpec):
     first_cone = groebner_cone(start)
     seen = {start.marked_key(): (start, first_cone)}
     queue = [start.marked_key()]
+    crossed = set()
     while queue:
         key = queue.pop(0)
         _, cone = seen[key]
         for facet, inward in facets_with_normals(cone):
+            facet_key = (facet.rays.entries, facet.lineality.entries)
+            if facet_key in crossed:
+                continue
+            crossed.add(facet_key)
             p = relative_interior_point(facet)
             outward = vec_neg(inward)
             neighbor = reduced_groebner_basis(

@@ -1,8 +1,11 @@
 """Pinned outputs: sha256 of `tropfan variety --format json` on every
 PRIME_CORPUS ideal, recorded before the linear algebra became integer-only,
 and on the heavier probes of the benchmark, recorded before faces were
-derived by incidence. An optimization must leave these bytes unchanged; a
-change meant to alter the output updates the tables in the same commit."""
+derived by incidence. The probe `curve4` (x+y+z+w+1, x*y*z*w-1) was
+recorded before the Buchberger kernel moved to term dicts and each Gröbner
+fan facet came to be crossed once. An optimization must leave these bytes
+unchanged; a change meant to alter the output updates the tables in the
+same commit."""
 
 import hashlib
 
@@ -25,7 +28,7 @@ VARIETY_JSON_SHA256 = {
 }
 
 # (name, variables, generators, sha256): two generic linear forms in five
-# variables, a space curve, and the twisted cubic
+# variables, a space curve, the twisted cubic, and a curve in four variables
 PROBES = [
     ("linear5", "abcde", ("a+b+c+d+e", "a+2*b+3*c+5*d+7*e"),
      "8bb4de4c8208c4f0b143eb3253bf93837ea090558575a1676d41ba31155d6666"),
@@ -33,6 +36,8 @@ PROBES = [
      "9dde307a378e0dc2fc44aca09fcddcc7bee362eb0e51aac5ea934ac6442d3ff5"),
     ("twisted_cubic", "xyz", ("y-x^2", "z-x^3", "x*z-y^2"),
      "86a2f11d114c875cbdb5528cce2443fe4b28acb887cb7d0985e5cb8fb79a945d"),
+    ("curve4", "xyzw", ("x+y+z+w+1", "x*y*z*w-1"),
+     "c9083956332a4346c12bcde23e00da139a9fcc23d0de6945479dc6bd37c80edc"),
 ]
 
 

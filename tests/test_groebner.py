@@ -1,21 +1,27 @@
+import heapq
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tropfan.groebner as groebner
+from tropfan.corpus import PRIME_CORPUS
 from tropfan.errors import (
     NotZeroDimensionalError,
     RequiresHomogeneousError,
     ZeroPolynomialError,
 )
-from tropfan.fans import cone_from_halfspaces
+from tropfan.fans import cone_from_halfspaces, facets_with_normals, relative_interior_point
 from tropfan.groebner import (
+    GroebnerBasis,
     TermOrder,
     groebner_cone,
     groebner_fan,
     initial_ideal,
     is_monomial_free,
+    is_unit_basis,
     krull_dimension,
     leading_term,
     normal_form,
@@ -24,11 +30,134 @@ from tropfan.groebner import (
     saturate,
     vector_space_dimension,
 )
-from tropfan.polynomials import homogenize, ideal, newton_polytope, parse_polynomial
+from tropfan.linalg import vec_neg, vec_sub
+from tropfan.polynomials import (
+    Polynomial,
+    homogenize,
+    ideal,
+    newton_polytope,
+    parse_polynomial,
+)
 
 
 def P(text, vs):
     return parse_polynomial(text, vs)
+
+
+# The earlier engine, kept as an oracle: every step of the division builds a
+# Polynomial, and interreduction loops to a fixpoint before and after the
+# pair loop.
+
+def reference_normal_form(p, basis, order):
+    leads = [(leading_term(g, order), g) for g in basis if not g.is_zero()]
+    remainder = {}
+    work = p
+    while not work.is_zero():
+        lt, lc = leading_term(work, order)
+        hit = None
+        for (le, ce), g in leads:
+            if all(x <= y for x, y in zip(le, lt)):
+                hit = (le, ce, g)
+                break
+        if hit is None:
+            remainder[lt] = lc
+            work = Polynomial(work.variables,
+                              {e: c for e, c in work.terms.items() if e != lt})
+            continue
+        le, ce, g = hit
+        shift = tuple(a - b for a, b in zip(lt, le))
+        factor = Polynomial(work.variables, {shift: lc / ce})
+        work = work - factor * g
+    return Polynomial(p.variables, remainder)
+
+
+def reference_s_polynomial(f, g, order):
+    lf, cf = leading_term(f, order)
+    lg, cg = leading_term(g, order)
+    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+    mf = Polynomial(f.variables, {vec_sub(lcm, lf): 1 / cf})
+    mg = Polynomial(g.variables, {vec_sub(lcm, lg): 1 / cg})
+    return mf * f - mg * g
+
+
+def reference_monic(p, order):
+    _, c = leading_term(p, order)
+    return p.scale(1 / c)
+
+
+def reference_autoreduce(basis, order):
+    basis = [g for g in basis if not g.is_zero()]
+    while True:
+        changed = False
+        kept = []
+        for i, g in enumerate(basis):
+            reducers = kept + basis[i + 1:]
+            r = reference_normal_form(g, reducers, order) if reducers else g
+            if r.terms != g.terms:
+                changed = True
+            if not r.is_zero():
+                kept.append(reference_monic(r, order))
+        basis = kept
+        if not changed:
+            break
+    basis.sort(key=lambda g: order.key(leading_term(g, order)[0]))
+    return basis
+
+
+def reference_reduced_groebner_basis(spec, order):
+    basis = [reference_monic(g, order) for g in spec.generators
+             if not g.is_zero()]
+    if not basis:
+        z = Polynomial.zero(spec.variables)
+        return GroebnerBasis(order, (z,), ((0,) * len(spec.variables),))
+    basis = reference_autoreduce(basis, order)
+    pairs = []
+    counter = 0
+
+    def push_pairs(i):
+        nonlocal counter
+        for j in range(i):
+            lf = leading_term(basis[i], order)[0]
+            lg = leading_term(basis[j], order)[0]
+            lcm_deg = sum(max(a, b) for a, b in zip(lf, lg))
+            heapq.heappush(pairs, (lcm_deg, counter, i, j))
+            counter += 1
+
+    for i in range(1, len(basis)):
+        push_pairs(i)
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
+        lf = leading_term(basis[i], order)[0]
+        lg = leading_term(basis[j], order)[0]
+        if all(min(a, b) == 0 for a, b in zip(lf, lg)):
+            continue
+        s = reference_s_polynomial(basis[i], basis[j], order)
+        r = reference_normal_form(s, basis, order)
+        if not r.is_zero():
+            basis.append(reference_monic(r, order))
+            push_pairs(len(basis) - 1)
+    basis = reference_autoreduce(basis, order)
+    leads = tuple(leading_term(g, order)[0] for g in basis)
+    return GroebnerBasis(order, tuple(basis), leads)
+
+
+def reference_groebner_fan(spec):
+    """The earlier walk: Buchberger from both sides of every facet."""
+    start = reduced_groebner_basis(spec, TermOrder((), "min"))
+    seen = {start.marked_key(): (start, groebner_cone(start))}
+    queue = [start.marked_key()]
+    while queue:
+        _, cone = seen[queue.pop(0)]
+        for facet, inward in facets_with_normals(cone):
+            order = TermOrder((relative_interior_point(facet),
+                               vec_neg(inward)), "min")
+            neighbor = reduced_groebner_basis(spec, order)
+            nk = neighbor.marked_key()
+            if nk not in seen:
+                seen[nk] = (neighbor, groebner_cone(neighbor))
+                queue.append(nk)
+    return sorted(seen.values(),
+                  key=lambda gc: (gc[1].rays.entries, gc[1].lineality.entries))
 
 
 def gb_strings(gb):
@@ -312,3 +441,141 @@ class TestGroebnerFan:
         spec = ideal(hv, (P("x+y+h", hv),))
         gb = reduced_groebner_basis(spec, TermOrder(((3, 1, 2),), "min"))
         assert groebner_cone(gb).contains((3, 1, 2))
+
+
+@st.composite
+def ideals_and_orders(draw):
+    """2-4 variables, at most 3 generators of degree at most 3 with small
+    integer coefficients, and 0-2 integer weight rows under either
+    convention. An order that is not a well-order needs homogeneous input,
+    so each generator is then cut to its top-degree part."""
+    n = draw(st.integers(2, 4))
+    variables = tuple(f"x{i}" for i in range(n))
+    monomial = st.lists(st.integers(0, n - 1), max_size=3).map(
+        lambda idx: tuple(idx.count(i) for i in range(n)))
+    term = st.tuples(monomial, st.integers(-3, 3).filter(bool))
+    polys = st.lists(term, min_size=1, max_size=4).map(
+        lambda terms: Polynomial(variables, dict(terms)))
+    gens = draw(st.lists(polys, min_size=1, max_size=3))
+    row = st.tuples(*[st.integers(-3, 3)] * n)
+    order = TermOrder(tuple(draw(st.lists(row, max_size=2))),
+                      draw(st.sampled_from(["min", "max"])))
+    if any(x < 0 for r in order.effective_max_rows() for x in r):
+        gens = [top_degree_part(g) for g in gens]
+    return ideal(variables, tuple(gens)), order, draw(polys)
+
+
+def top_degree_part(g):
+    d = g.total_degree()
+    return Polynomial(g.variables,
+                      {e: c for e, c in g.terms.items() if sum(e) == d})
+
+
+class TestAgainstReferenceEngine:
+    """The dict-based engine against the earlier Polynomial-based one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ideals_and_orders())
+    @example((ideal(("x", "y"), (P("x^2-y^2", ("x", "y")),
+                                 P("x*y-y^2", ("x", "y")))),
+              TermOrder(((1, -1),), "min"), P("x^3+x*y+1", ("x", "y"))))
+    # copies and multiples of one generator must not annihilate each other
+    @example((ideal(("x", "y"), (P("x^2+x*y-y^2", ("x", "y")),
+                                 P("3*x^2+3*x*y-3*y^2", ("x", "y")),
+                                 P("x*y^2", ("x", "y")))),
+              TermOrder(((2, 1),), "max"), P("x^2*y", ("x", "y"))))
+    def test_same_reduced_basis_and_normal_forms(self, case):
+        spec, order, p = case
+        gb = reduced_groebner_basis(spec, order)
+        ref = reference_reduced_groebner_basis(spec, order)
+        assert gb.elements == ref.elements
+        assert gb.leading_exponents == ref.leading_exponents
+        assert gb.order == order
+        for basis in (gb.elements, spec.generators):
+            assert normal_form(p, basis, order) == \
+                reference_normal_form(p, basis, order)
+        nonzero = [g for g in gb.elements if not g.is_zero()]
+        for f in nonzero:
+            assert s_polynomial(f, p, order) == \
+                reference_s_polynomial(f, p, order)
+
+    def test_zero_polynomial_has_no_s_polynomial(self):
+        xy = ("x", "y")
+        with pytest.raises(ZeroPolynomialError):
+            s_polynomial(P("x", xy), P("0", xy), TermOrder())
+
+
+class TestSympyOracle:
+    """An independent engine: sympy's reduced grevlex basis, made monic.
+    TermOrder((), "max") is grevlex with the first variable largest, as
+    sympy orders its generators."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ideals_and_orders())
+    def test_grevlex_basis_matches_sympy(self, case):
+        sympy = pytest.importorskip("sympy")
+        spec, _, _ = case
+        gens = sympy.symbols(spec.variables)
+        exprs = [sympy.Poly.from_dict({e: sympy.Rational(c.numerator,
+                                                         c.denominator)
+                                       for e, c in g.terms.items()},
+                                      gens, domain="QQ").as_expr()
+                 for g in spec.generators]
+        want = set()
+        for q in sympy.groebner(exprs, *gens, order="grevlex",
+                                domain="QQ").polys:
+            terms = q.terms(order="grevlex")
+            lc = terms[0][1]
+            want.add(frozenset((m, Fraction(int((c / lc).p), int((c / lc).q)))
+                               for m, c in terms))
+        gb = reduced_groebner_basis(spec, TermOrder((), "max"))
+        got = {frozenset(g.terms.items()) for g in gb.elements}
+        assert got == want
+
+
+def _fan_cases():
+    cases = [(e.name, e.variables, e.generators) for e in PRIME_CORPUS]
+    cases += [
+        ("linear5", "abcde", ("a+b+c+d+e", "a+2*b+3*c+5*d+7*e")),
+        ("curve3", "xyz", ("x+y+z+1", "x*y*z-1")),
+        ("curve4", "xyzw", ("x+y+z+w+1", "x*y*z*w-1")),
+        ("twisted_cubic", "xyz", ("y-x^2", "z-x^3", "x*z-y^2")),
+    ]
+    return cases
+
+
+def _homogenized(case):
+    _, variables, generators = case
+    variables = tuple(variables)
+    return homogenize(ideal(variables,
+                            tuple(P(g, variables) for g in generators)))
+
+
+class TestFacetsCrossedOnce:
+    @pytest.mark.parametrize("case", _fan_cases(), ids=lambda c: c[0])
+    def test_same_walk_as_crossing_every_facet_twice(self, case):
+        spec = _homogenized(case)
+        got = [gb.marked_key() for gb, _ in groebner_fan(spec)]
+        want = [gb.marked_key() for gb, _ in reference_groebner_fan(spec)]
+        assert got == want
+
+    @pytest.mark.parametrize("name, runs", [
+        ("linear5", 31), ("curve4", 47), ("space_conic", 27), ("curve3", 22),
+    ])
+    def test_one_buchberger_run_per_facet(self, name, runs, monkeypatch):
+        case = next(c for c in _fan_cases() if c[0] == name)
+        spec = _homogenized(case)
+        count = 0
+        engine = groebner.reduced_groebner_basis
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return engine(*args)
+
+        monkeypatch.setattr(groebner, "reduced_groebner_basis", counting)
+        fan = groebner_fan(spec)
+        facets = {(f.rays.entries, f.lineality.entries)
+                  for _, cone in fan for f, _ in facets_with_normals(cone)}
+        assert count == runs == len(facets) + 1
+        assert not any(is_unit_basis(gb) for gb, _ in fan)
