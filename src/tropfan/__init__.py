@@ -52,7 +52,6 @@ from .groebner import (
     groebner_fan,
     initial_ideal,
     is_monomial_free,
-    krull_dimension,
     reduced_groebner_basis,
     saturate,
     vector_space_dimension,
@@ -84,7 +83,6 @@ from .cycles import (
 )
 from .tropical import (
     is_tropical_basis,
-    multiplicity_at,
     stable_intersection,
     tropical_evaluate,
     tropical_hypersurface,

@@ -128,7 +128,7 @@ def format_output(obj, fmt: str, convention: str) -> str:
     raise TypeError(f"cannot format {type(obj)!r}")
 
 
-def read_cycle(path: str, require_weights: bool = True):
+def read_cycle(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -136,7 +136,7 @@ def read_cycle(path: str, require_weights: bool = True):
         raise IdealFileError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise IdealFileError(f"{path}: invalid JSON: {e}") from e
-    return cycle_from_dict(data, require_weights=require_weights)
+    return cycle_from_dict(data)
 
 
 def _check_convention(obj, convention: str) -> None:
@@ -245,12 +245,12 @@ def dispatch(args) -> str:
         return format_output(is_tropical_basis(list(spec.generators)),
                              args.format, convention)
     if args.command == "is-balanced":
-        cycle = read_cycle(args.cycle_file, require_weights=True)
+        cycle = read_cycle(args.cycle_file)
         _check_convention(cycle, convention)
         return format_output(is_balanced(cycle), args.format, convention)
     if args.command == "stable-intersection":
-        a = read_cycle(args.cycle_a, require_weights=True)
-        b = read_cycle(args.cycle_b, require_weights=True)
+        a = read_cycle(args.cycle_a)
+        b = read_cycle(args.cycle_b)
         _check_convention(a, convention)
         _check_convention(b, convention)
         return format_output(stable_intersection(a, b, seed=_seed(args)),

@@ -10,6 +10,7 @@ The JSON schema here is the on-disk interchange format of the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     CycleSchemaError,
@@ -20,7 +21,8 @@ from .errors import (
 from .fans import (
     Fan,
     cone_from_generators,
-    faces,
+    cone_key,
+    facets_by_key,
     fan_cones,
     fan_dim,
     fan_from_cones,
@@ -67,7 +69,7 @@ def weighted_from_cones(ambient_dim, weighted_cones, convention,
     groups = {}
     order = []
     for cone, weight in weighted_cones:
-        key = (cone.rays.entries, cone.lineality.entries)
+        key = cone_key(cone)
         if key in groups:
             if not merge_duplicates:
                 raise MultiplicityMismatchError("duplicate maximal cone")
@@ -169,10 +171,9 @@ def is_balanced(cycle) -> bool:
     cones = fan_cones(fan)
     facet_map = {}
     for c in cones:
-        if c.dim == 0:
-            continue
-        for tau in faces(c, 1):
-            facet_map[(tau.rays.entries, tau.lineality.entries)] = tau
+        for key, _, build in sorted(facets_by_key(c), key=itemgetter(0)):
+            if key not in facet_map:
+                facet_map[key] = build()
     for tau in facet_map.values():
         total = [0] * fan.ambient_dim
         for c, m in zip(cones, cycle.multiplicities):

@@ -5,14 +5,17 @@ inequalities plus equations. A cone built from halfspaces or from generators
 gets the other description from an exact double description pass in each
 direction; its faces come by incidence, from which rays each facet inequality
 is tight on, with no further pass. Every stored field is canonical so that
-structural equality is cone equality. Fans share one ray matrix and one
+structural equality is cone equality, and the (rays, lineality) key alone
+tells cones apart. facets_by_key gives each facet's key from the incidences
+and builds the facet only on demand, so the Gröbner walk, the face walks and
+balancing build no facet they discard. Fans share one ray matrix and one
 lineality space; maximal cones are index sets into the shared rays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import BadCodimError, DimMismatchError
 from .linalg import (
@@ -172,14 +175,6 @@ def cone_from_generators(ray_cols, lineality_cols, ambient_dim: int) -> Cone:
     return _assemble(ray_vecs, lin_vecs, facet_vecs, eq_basis, n)
 
 
-def full_space(n: int) -> Cone:
-    return cone_from_halfspaces([], [], n)
-
-
-def origin_cone(n: int) -> Cone:
-    return cone_from_generators([], [], n)
-
-
 def intersect(c1: Cone, c2: Cone) -> Cone:
     if c1.ambient_dim != c2.ambient_dim:
         raise DimMismatchError("cones live in different ambient spaces")
@@ -194,15 +189,17 @@ def negate_cone(c: Cone) -> Cone:
                                 c.lineality.columns(), c.ambient_dim)
 
 
-def facets_with_normals(c: Cone):
-    """Pairs (facet, inward_normal) for every facet of the cone.
+def facets_by_key(c: Cone):
+    """Triples (key, inward_normal, build) for every facet of the cone, one
+    per inequality a, in order.
 
-    A facet of a canonical cone is fixed by its ray-facet incidences, so no
-    double description is run. The facet on a has the rays tight on a (still
-    canonical and sorted, since the lineality is unchanged) and the cone's
-    lineality, and a joins its equations. Its own facets are the ridges: the
-    inequalities b whose rays tight on both a and b span, with the lineality,
-    a space of dimension dim - 2.
+    A facet of a canonical cone is fixed by its ray-facet incidences, so its
+    key costs no lattice work: the rays tight on a (still canonical and
+    sorted, since the lineality is unchanged) and the cone's lineality, in
+    the cone_key form. build() derives the whole canonical facet, with no
+    double description: a joins the equations, and its own facets are the
+    ridges, the inequalities b whose rays tight on both a and b span, with
+    the lineality, a space of dimension dim - 2.
     """
     n = c.ambient_dim
     rays = c.rays.columns()
@@ -217,24 +214,33 @@ def facets_with_normals(c: Cone):
             rank_of[on_both] = rational_rank([rays[j] for j in on_both] + lin)
         return rank_of[on_both] == c.dim - 2
 
-    out = []
-    for i, a in enumerate(ineqs):
+    def build(i, facet_rays):
         on_a = set(tight[i])
         ridges = [b for k, b in enumerate(ineqs) if k != i
                   and is_ridge(tuple(j for j in tight[k] if j in on_a))]
         eq_basis = saturate_lattice(
-            IntMatrix.from_columns(list(c.equations.entries) + [a], n))
-        facet = Cone(
+            IntMatrix.from_columns(list(c.equations.entries) + [ineqs[i]], n))
+        return Cone(
             ambient_dim=n,
-            rays=IntMatrix.from_columns([rays[j] for j in tight[i]], n),
+            rays=facet_rays,
             lineality=c.lineality,
             inequalities=IntMatrix.from_rows(
                 sorted(set(quotient_reps(ridges, eq_basis))), n),
             equations=eq_basis.transpose(),
             dim=c.dim - 1,
         )
-        out.append((facet, a))
+
+    out = []
+    for i, a in enumerate(ineqs):
+        facet_rays = IntMatrix.from_columns([rays[j] for j in tight[i]], n)
+        out.append(((facet_rays.entries, c.lineality.entries), a,
+                    partial(build, i, facet_rays)))
     return out
+
+
+def facets_with_normals(c: Cone):
+    """Pairs (facet, inward_normal) for every facet of the cone."""
+    return [(build(), a) for _, a, build in facets_by_key(c)]
 
 
 def faces(c: Cone, codim: int) -> list:
@@ -242,14 +248,7 @@ def faces(c: Cone, codim: int) -> list:
     if codim < 0 or codim > c.dim:
         raise BadCodimError(f"codimension {codim} out of range for a "
                             f"{c.dim}-dimensional cone")
-    layer = {_cone_key(c): c}
-    for _ in range(codim):
-        nxt = {}
-        for cone in layer.values():
-            for f, _ in facets_with_normals(cone):
-                nxt[_cone_key(f)] = f
-        layer = nxt
-    return [layer[k] for k in sorted(layer)]
+    return [f for f in all_faces(c) if f.dim == c.dim - codim]
 
 
 def all_faces(c: Cone, seen=None) -> list:
@@ -257,11 +256,13 @@ def all_faces(c: Cone, seen=None) -> list:
 
     A `seen` map (face key -> face) shared across calls walks the face
     lattices of many cones once: a face already in it, and with it all of its
-    faces, is neither derived again nor returned.
+    faces, is neither derived again nor returned. Each facet's key is looked
+    up before the facet is built, so a face is built once however many faces
+    cover it.
     """
     if seen is None:
         seen = {}
-    key = _cone_key(c)
+    key = cone_key(c)
     if key in seen:
         return []
     seen[key] = c
@@ -270,27 +271,23 @@ def all_faces(c: Cone, seen=None) -> list:
     while frontier:
         nxt = []
         for cone in frontier:
-            for f, _ in facets_with_normals(cone):
-                k = _cone_key(f)
+            for k, _, build in facets_by_key(cone):
                 if k not in seen:
-                    seen[k] = f
+                    seen[k] = f = build()
                     nxt.append(f)
         new.extend(nxt)
         frontier = nxt
-    return sorted(new, key=_cone_key)
+    return sorted(new, key=cone_key)
 
 
-def _cone_key(c: Cone):
+def cone_key(c: Cone):
+    """The canonical (rays, lineality) entries: equal keys, equal cones."""
     return (c.rays.entries, c.lineality.entries)
 
 
 def relative_interior_point(c: Cone):
     """The sum of the ray columns; the zero vector for a rayless cone."""
-    point = [0] * c.ambient_dim
-    for r in c.rays.columns():
-        for i, x in enumerate(r):
-            point[i] += x
-    return tuple(point)
+    return tuple(sum(row) for row in c.rays.entries)
 
 
 @dataclass(frozen=True)
@@ -334,7 +331,7 @@ def fan_from_cones(ambient_dim: int, cones, drop_contained: bool = True):
     for i, c in enumerate(cones):
         if c.ambient_dim != ambient_dim:
             raise DimMismatchError("cone ambient dimension mismatch")
-        k = _cone_key(c)
+        k = cone_key(c)
         if k not in keys:
             keys[k] = len(uniq)
             uniq.append((c, i))
@@ -405,14 +402,6 @@ def is_pure(fan: Fan) -> bool:
     return len(dims) == 1
 
 
-def negate_fan(fan: Fan) -> Fan:
-    if fan.is_empty():
-        return fan
-    cones = [negate_cone(c) for c in fan_cones(fan)]
-    out, _ = fan_from_cones(fan.ambient_dim, cones, drop_contained=False)
-    return out
-
-
 def slice_first_coordinate(c: Cone) -> Cone:
     """Intersect with {x0 = 0} and drop coordinate 0."""
     ineqs = [r[1:] for r in c.inequalities.entries]
@@ -433,6 +422,6 @@ def validate_fan(fan: Fan) -> bool:
                 face = cone_from_halfspaces(list(c.inequalities.entries),
                                             list(c.equations.entries) + tight,
                                             c.ambient_dim)
-                if _cone_key(face) != _cone_key(meet):
+                if cone_key(face) != cone_key(meet):
                     return False
     return True

@@ -25,7 +25,7 @@ from .errors import (
     UnitIdealError,
     ZeroPolynomialError,
 )
-from .fans import Cone, cone_from_halfspaces, facets_with_normals, relative_interior_point
+from .fans import Cone, cone_from_halfspaces, cone_key, facets_by_key
 from .linalg import clear_denominators, vec_neg
 from .polynomials import IdealSpec, Polynomial, fresh_variable, initial_form
 
@@ -296,24 +296,6 @@ def is_monomial_free(spec: IdealSpec) -> bool:
                    for g in sat.generators)
 
 
-def krull_dimension(spec: IdealSpec) -> int:
-    """Dimension of the affine variety; -1 for the unit ideal."""
-    gb = reduced_groebner_basis(spec, TermOrder((), "max"))
-    if is_unit_basis(gb):
-        return -1
-    supports = [frozenset(i for i, e in enumerate(lead) if e > 0)
-                for g, lead in zip(gb.elements, gb.leading_exponents)
-                if not g.is_zero()]
-    nvars = len(spec.variables)
-    best = -1
-    for mask in range(1 << nvars):
-        subset = frozenset(i for i in range(nvars) if mask >> i & 1)
-        if any(s <= subset for s in supports):
-            continue
-        best = max(best, len(subset))
-    return best
-
-
 def vector_space_dimension(spec: IdealSpec) -> int:
     """Count of standard monomials of the ideal (staircase complement)."""
     gb = reduced_groebner_basis(spec, TermOrder((), "max"))
@@ -357,9 +339,11 @@ def groebner_fan(spec: IdealSpec):
     bases, enumerated by breadth-first facet crossing.
 
     Each facet is crossed once, by rerunning Buchberger with weight rows
-    (p, nu): p a relative interior point of the facet, nu the outward normal.
-    The fan of a homogeneous ideal is complete, so a facet borders exactly
-    two cones, and the cone beyond a facet already crossed is already seen.
+    (p, nu): p the sum of the facet's rays, a relative interior point, and
+    nu the outward normal. Both come from the facet's key and inequality, so
+    no facet is built. The fan of a homogeneous ideal is complete, so a
+    facet borders exactly two cones, and the cone beyond a facet already
+    crossed is already seen.
     """
     if not all(g.is_homogeneous() for g in spec.generators):
         raise RequiresHomogeneousError("the Gröbner fan needs homogeneous input")
@@ -375,19 +359,16 @@ def groebner_fan(spec: IdealSpec):
     while queue:
         key = queue.pop(0)
         _, cone = seen[key]
-        for facet, inward in facets_with_normals(cone):
-            facet_key = (facet.rays.entries, facet.lineality.entries)
+        for facet_key, inward, _ in facets_by_key(cone):
             if facet_key in crossed:
                 continue
             crossed.add(facet_key)
-            p = relative_interior_point(facet)
-            outward = vec_neg(inward)
+            facet_rays, _ = facet_key
+            p = tuple(sum(row) for row in facet_rays)
             neighbor = reduced_groebner_basis(
-                spec, TermOrder((p, outward), "min"))
+                spec, TermOrder((p, vec_neg(inward)), "min"))
             nk = neighbor.marked_key()
             if nk not in seen:
                 seen[nk] = (neighbor, groebner_cone(neighbor))
                 queue.append(nk)
-    result = sorted(seen.values(),
-                    key=lambda gc: (gc[1].rays.entries, gc[1].lineality.entries))
-    return result
+    return sorted(seen.values(), key=lambda gc: cone_key(gc[1]))

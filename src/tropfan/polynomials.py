@@ -149,15 +149,6 @@ class Polynomial:
             k >>= 1
         return result
 
-    def substitute_one(self, index: int) -> "Polynomial":
-        """Set the variable at the given index to 1 and drop it."""
-        new_vars = self.variables[:index] + self.variables[index + 1:]
-        terms = {}
-        for e, c in self.terms.items():
-            ne = e[:index] + e[index + 1:]
-            terms[ne] = terms.get(ne, Fraction(0)) + c
-        return Polynomial(new_vars, terms)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -378,12 +369,6 @@ def homogenize(spec: IdealSpec) -> IdealSpec:
             terms[(d - sum(e),) + e] = c
         gens.append(Polynomial(new_vars, terms))
     return IdealSpec(new_vars, tuple(gens))
-
-
-def dehomogenize(spec: IdealSpec) -> IdealSpec:
-    """Set the first variable to 1 (inverse of homogenize up to term order)."""
-    gens = tuple(g.substitute_one(0) for g in spec.generators)
-    return IdealSpec(spec.variables[1:], gens)
 
 
 def newton_polytope(f: Polynomial) -> list:

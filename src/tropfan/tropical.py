@@ -35,6 +35,7 @@ from .fans import (
     all_faces,
     common_refinement,
     cone_from_halfspaces,
+    cone_key,
     fan_cones,
     fan_from_cones,
     intersect,
@@ -80,16 +81,6 @@ def tropical_evaluate(f: Polynomial, w, convention: str = "min") -> Fraction:
         raise DimMismatchError("point dimension mismatch")
     values = [sum(Fraction(wi) * ei for wi, ei in zip(w, e)) for e in f.terms]
     return min(values) if convention == "min" else max(values)
-
-
-def optimum_attained_twice(f: Polynomial, w, convention: str = "min") -> bool:
-    """Direct membership test for the tropical hypersurface."""
-    check_convention(convention)
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot tropicalize the zero polynomial")
-    values = [sum(Fraction(wi) * ei for wi, ei in zip(w, e)) for e in f.terms]
-    opt = min(values) if convention == "min" else max(values)
-    return sum(1 for v in values if v == opt) >= 2
 
 
 def tropical_hypersurface(f: Polynomial, convention: str = "min") -> TropicalCycle:
@@ -174,14 +165,6 @@ def _multiplicity_from_initial(inw: IdealSpec, sigma: Cone) -> int:
     return vector_space_dimension(residual)
 
 
-def multiplicity_at(spec_homogeneous: IdealSpec, sigma: Cone) -> int:
-    """Multiplicity of a maximal cell of the tropical variety of a
-    homogeneous ideal."""
-    w = relative_interior_point(sigma)
-    gb = reduced_groebner_basis(spec_homogeneous, TermOrder((w,), "min"))
-    return _multiplicity_from_initial(initial_ideal(gb, w), sigma)
-
-
 def _validated(spec: IdealSpec):
     if all(g.is_zero() for g in spec.generators):
         raise ZeroIdealError("the zero ideal has no tropical variety")
@@ -237,7 +220,7 @@ def _kept_faces(fan_data):
             w = relative_interior_point(face)
             inw = initial_ideal(gb, w)
             if is_monomial_free(inw):
-                kept[(face.rays.entries, face.lineality.entries)] = (face, inw)
+                kept[cone_key(face)] = (face, inw)
     return kept
 
 

@@ -30,11 +30,12 @@ from tropfan.polynomials import (
 )
 from tropfan.tropical import (
     is_tropical_basis,
-    optimum_attained_twice,
     stable_intersection,
     tropical_prevariety,
     tropical_variety,
 )
+
+from oracles import optimum_attained_twice
 
 
 def P(text, vs):

@@ -12,16 +12,15 @@ from tropfan.fans import (
     common_refinement,
     cone_from_generators,
     cone_from_halfspaces,
+    cone_key,
     faces,
+    facets_by_key,
     facets_with_normals,
     fan_cones,
     fan_dim,
     fan_from_cones,
-    full_space,
     intersect,
     is_pure,
-    negate_fan,
-    origin_cone,
     relative_interior_point,
     slice_first_coordinate,
     support_contains,
@@ -81,7 +80,7 @@ class TestDualDescription:
             assert via_h == c
 
     def test_empty_input_is_origin(self):
-        c = origin_cone(3)
+        c = cone_from_generators([], [], 3)
         assert c.dim == 0
         assert c.rays.ncols == 0
         assert c.lineality.ncols == 0
@@ -149,7 +148,7 @@ class TestFaces:
         assert sorted(f.rays.columns() for f in fs) == [[(0, 1)], [(1, 0)]]
 
     def test_full_plane_has_no_proper_faces(self):
-        assert faces(full_space(2), 1) == []
+        assert faces(cone_from_halfspaces([], [], 2), 1) == []
 
     def test_simplicial_cone_has_three_facets(self):
         c = cone_from_generators([(1, 0, 1), (0, 1, 1), (0, 0, 1)], [], 3)
@@ -233,6 +232,21 @@ class TestFacesByIncidence:
         ineqs = [r for r in ineq_list if any(r)]
         eqs = [e for e in eq_list if any(e)]
         assert_faces_match_dd(cone_from_halfspaces(ineqs, eqs, 4))
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_vecs4, small_lins4, st.booleans())
+    @example([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 0)], [(1, -1, 0, 1)],
+             False)
+    def test_keys_match_the_built_facets(self, vecs, lins, from_generators):
+        """Each key is the built facet's cone_key, and the normals come in
+        facets_with_normals order."""
+        make = cone_from_generators if from_generators else cone_from_halfspaces
+        c = make([v for v in vecs if any(v)], [l for l in lins if any(l)], 4)
+        keyed = facets_by_key(c)
+        assert [a for _, a, _ in keyed] \
+            == [a for _, a in facets_with_normals(c)]
+        for key, _, build in keyed:
+            assert key == cone_key(build())
 
     def test_shared_walk_derives_each_face_once(self):
         cones = [cone_from_generators(rays, [], 3) for rays in
@@ -337,11 +351,6 @@ class TestFanAssembly:
         c2 = cone_from_generators([(1, 1), (-1, 1)], [], 2)
         bad, _ = fan_from_cones(2, [c1, c2], drop_contained=False)
         assert not validate_fan(bad)
-
-    def test_negate(self):
-        neg = negate_fan(line_fan())
-        assert neg.rays.columns() == [(-1, 0), (0, -1), (1, 1)]
-        assert negate_fan(neg) == line_fan()
 
     def test_purity(self):
         assert is_pure(line_fan())

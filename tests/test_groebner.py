@@ -13,7 +13,12 @@ from tropfan.errors import (
     RequiresHomogeneousError,
     ZeroPolynomialError,
 )
-from tropfan.fans import cone_from_halfspaces, facets_with_normals, relative_interior_point
+from tropfan.fans import (
+    cone_from_halfspaces,
+    facets_by_key,
+    facets_with_normals,
+    relative_interior_point,
+)
 from tropfan.groebner import (
     GroebnerBasis,
     TermOrder,
@@ -22,7 +27,6 @@ from tropfan.groebner import (
     initial_ideal,
     is_monomial_free,
     is_unit_basis,
-    krull_dimension,
     leading_term,
     normal_form,
     reduced_groebner_basis,
@@ -342,13 +346,6 @@ class TestMonomialFree:
 
 
 class TestDimensions:
-    def test_krull(self):
-        xy = ("x", "y")
-        assert krull_dimension(ideal(xy, (P("x+y+1", xy),))) == 1
-        assert krull_dimension(ideal(xy, (P("x*y", xy),))) == 1
-        assert krull_dimension(ideal(xy, (P("x", xy), P("y", xy)))) == 0
-        assert krull_dimension(ideal(xy, (P("1", xy),))) == -1
-
     def test_vector_space_dimension(self):
         x = ("x",)
         assert vector_space_dimension(ideal(x, (P("x^2", x),))) == 2
@@ -575,7 +572,14 @@ class TestFacetsCrossedOnce:
 
         monkeypatch.setattr(groebner, "reduced_groebner_basis", counting)
         fan = groebner_fan(spec)
-        facets = {(f.rays.entries, f.lineality.entries)
-                  for _, cone in fan for f, _ in facets_with_normals(cone)}
+        facets = {key for _, cone in fan for key, _, _ in facets_by_key(cone)}
         assert count == runs == len(facets) + 1
         assert not any(is_unit_basis(gb) for gb, _ in fan)
+
+    @pytest.mark.parametrize("name, cones", [("linear5", 10),
+                                             ("space_conic", 16)])
+    def test_crossing_builds_no_facet(self, name, cones, facet_counts):
+        """Tripwire: a facet is crossed from its key and inequality alone."""
+        case = next(c for c in _fan_cases() if c[0] == name)
+        assert len(groebner_fan(_homogenized(case))) == cones
+        assert facet_counts == {"keyed": cones, "built": 0}

@@ -8,7 +8,6 @@ from tropfan.errors import PolynomialParseError, ZeroPolynomialError
 from tropfan.polynomials import (
     IdealSpec,
     Polynomial,
-    dehomogenize,
     edge_lattice_length,
     homogenize,
     ideal,
@@ -112,11 +111,6 @@ class TestHomogenize:
         vs = ("x", "y")
         spec = homogenize(ideal(vs, (P("x^3+y+2", vs), P("x*y-1", vs))))
         assert all(g.is_homogeneous() for g in spec.generators)
-
-    def test_dehomogenize_recovers(self):
-        vs = ("x", "y")
-        orig = ideal(vs, (P("x^3+y+2", vs), P("x*y-1", vs)))
-        assert dehomogenize(homogenize(orig)).generators == orig.generators
 
     def test_fresh_name_when_h_taken(self):
         vs = ("h", "x")

@@ -19,24 +19,24 @@ from tropfan.errors import (
 )
 from tropfan.fans import (
     cone_from_generators,
+    cone_from_halfspaces,
     fan_cones,
     fan_dim,
     fan_from_cones,
-    full_space,
     support_contains,
 )
 from tropfan.groebner import TermOrder, reduced_groebner_basis
 from tropfan.polynomials import homogenize, ideal, parse_polynomial
 from tropfan.tropical import (
     is_tropical_basis,
-    multiplicity_at,
-    optimum_attained_twice,
     stable_intersection,
     tropical_evaluate,
     tropical_hypersurface,
     tropical_prevariety,
     tropical_variety,
 )
+
+from oracles import multiplicity_at, optimum_attained_twice
 
 
 def P(text, vs):
@@ -205,23 +205,20 @@ class TestVariety:
 
 
 class TestFaceWalk:
-    def test_space_conic_derives_each_face_once(self, monkeypatch):
-        """Tripwire: the face walk over the 16 Gröbner cones of the
-        homogenized space conic derives each of its 55 distinct faces once,
-        by incidence, runs no double description, and reduces modulo
-        lattices with no unimodular completion or inverse."""
+    """Tripwires: the face walk over a whole Gröbner fan keys the facets of
+    each distinct face once and builds each face that is not a Gröbner cone
+    once, by incidence; it runs no double description and reduces modulo
+    lattices with no unimodular completion or inverse."""
+
+    def walk(self, spec, monkeypatch, facet_counts):
         import tropfan.fans
-        import tropfan.groebner
         import tropfan.linalg
         import tropfan.tropical
-        from tropfan.corpus import PRIME_CORPUS
         from tropfan.groebner import groebner_fan
 
-        entry = next(e for e in PRIME_CORPUS if e.name == "space_conic")
-        fan_data = groebner_fan(homogenize(entry.ideal()))
-        assert len(fan_data) == 16
-        homes = {"facets_with_normals": tropfan.fans,
-                 "cone_from_halfspaces": tropfan.fans,
+        fan_data = groebner_fan(homogenize(spec))
+        facet_counts.update(keyed=0, built=0)
+        homes = {"cone_from_halfspaces": tropfan.fans,
                  "int_inverse": tropfan.linalg,
                  "hnf_completion": tropfan.linalg}
         calls = dict.fromkeys(homes, 0)
@@ -234,14 +231,26 @@ class TestFaceWalk:
 
             # every module that bound the function, the defining one
             # included: hnf_completion looks int_inverse up in tropfan.linalg
-            for module in (tropfan.linalg, tropfan.fans, tropfan.groebner,
-                           tropfan.tropical):
+            for module in (tropfan.linalg, tropfan.fans, tropfan.tropical):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         kept = tropfan.tropical._kept_faces(fan_data)
-        assert calls == {"facets_with_normals": 55, "cone_from_halfspaces": 0,
-                         "int_inverse": 0, "hnf_completion": 0}
-        assert len(kept) == 5
+        assert calls == dict.fromkeys(homes, 0)
+        return len(fan_data), dict(facet_counts), len(kept)
+
+    def test_space_conic_derives_each_face_once(self, monkeypatch,
+                                                facet_counts):
+        from tropfan.corpus import PRIME_CORPUS
+
+        entry = next(e for e in PRIME_CORPUS if e.name == "space_conic")
+        assert self.walk(entry.ideal(), monkeypatch, facet_counts) \
+            == (16, {"keyed": 55, "built": 39}, 5)
+
+    def test_linear5_derives_each_face_once(self, monkeypatch, facet_counts):
+        vs = tuple("abcde")
+        spec = ideal(vs, (P("a+b+c+d+e", vs), P("a+2*b+3*c+5*d+7*e", vs)))
+        assert self.walk(spec, monkeypatch, facet_counts) \
+            == (10, {"keyed": 81, "built": 71}, 16)
 
 
 class TestUnknownConvention:
@@ -261,10 +270,6 @@ class TestUnknownConvention:
 
     def test_tropical_evaluate(self):
         self.check(lambda: tropical_evaluate(P("x+y+1", XY), (1, 2), "foo"))
-
-    def test_optimum_attained_twice(self):
-        self.check(lambda: optimum_attained_twice(P("x+y+1", XY), (0, 0),
-                                                  "foo"))
 
     def test_tropical_hypersurface(self):
         self.check(lambda: tropical_hypersurface(P("x+y+1", XY), "foo"))
@@ -378,7 +383,7 @@ class TestStableIntersection:
         assert cycle_dim(got) == 0
 
     def test_full_space_is_identity(self):
-        fs, _ = fan_from_cones(2, [full_space(2)])
+        fs, _ = fan_from_cones(2, [cone_from_halfspaces([], [], 2)])
         unit = TropicalCycle(fs, (1,), "min")
         line = tropical_variety(ideal(XY, (P("x+y+1", XY),)))
         assert stable_intersection(unit, line) == line
