@@ -10,11 +10,9 @@ The JSON schema here is the on-disk interchange format of the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import (
     CycleSchemaError,
-    DimMismatchError,
     MultiplicityMismatchError,
     NotPureError,
 )
@@ -146,40 +144,29 @@ def span_lattice_basis(cone) -> IntMatrix:
     return integer_kernel_basis(cone.equations)
 
 
-def quotient_normal_vector(sigma, tau):
-    """The generator of the rank-one quotient
-    (Z^n cap span sigma) / (Z^n cap span tau) that points into sigma, for a
-    facet tau of sigma: the canonical representative, modulo span tau, of a
-    ray of sigma off tau."""
-    on_tau = set(tau.rays.columns())
-    rays = sigma.rays.columns()
-    if tau.lineality.entries != sigma.lineality.entries or not any(
-            {r for r in rays if dot(a, r) == 0} == on_tau
-            for a in sigma.inequalities.entries):
-        raise DimMismatchError("tau is not a codimension-one face of sigma")
-    off_tau = next(r for r in rays if r not in on_tau)
-    return quotient_reps([off_tau], span_lattice_basis(tau))[0]
-
-
 def is_balanced(cycle) -> bool:
-    """Check the balancing condition at every codimension-one face."""
+    """Check the balancing condition at every codimension-one face.
+
+    The maximal cones of a fan meet in common faces, so the cones around a
+    facet tau are those that list tau among their facets: each cone's facet
+    keys give its incidences, and the first ray of the cone off tau gives
+    its normal vector modulo span tau. Each tau is built once.
+    """
     if not cycle.pure:
         raise NotPureError("balancing is defined for pure cycles only")
     fan = cycle.fan
-    if fan.is_empty():
-        return True
-    cones = fan_cones(fan)
-    facet_map = {}
-    for c in cones:
-        for key, _, build in sorted(facets_by_key(c), key=itemgetter(0)):
-            if key not in facet_map:
-                facet_map[key] = build()
-    for tau in facet_map.values():
-        total = [0] * fan.ambient_dim
-        for c, m in zip(cones, cycle.multiplicities):
-            if c.contains_cone(tau) and c.dim == tau.dim + 1:
-                v = quotient_normal_vector(c, tau)
-                total = [t + m * x for t, x in zip(total, v)]
+    around = {}     # facet key -> (build, [(weight, ray off the facet)])
+    for c, m in zip(fan_cones(fan), cycle.multiplicities):
+        rays = c.rays.columns()
+        for key, a, build in facets_by_key(c):
+            off = next(r for r in rays if dot(a, r) != 0)
+            around.setdefault(key, (build, []))[1].append((m, off))
+    for build, incident in around.values():
+        tau = build()
+        normals = quotient_reps([r for _, r in incident],
+                                span_lattice_basis(tau))
+        total = [sum(m * v[k] for (m, _), v in zip(incident, normals))
+                 for k in range(fan.ambient_dim)]
         if any(dot(row, total) != 0 for row in tau.equations.entries):
             return False
     return True

@@ -8,13 +8,17 @@ is tight on, with no further pass. Every stored field is canonical so that
 structural equality is cone equality, and the (rays, lineality) key alone
 tells cones apart. facets_by_key gives each facet's key from the incidences
 and builds the facet only on demand, so the Gröbner walk, the face walks and
-balancing build no facet they discard. Fans share one ray matrix and one
-lineality space; maximal cones are index sets into the shared rays.
+balancing build no facet they discard. Intersections are keyed the same way:
+intersection_by_key runs the primal pass alone, which fixes the key and the
+dimension, and builds the cone on demand, so callers skip the dual pass for
+pieces they discard or have built already. Fans share one ray matrix and one
+lineality space; maximal cones are index sets into the shared rays, and a fan
+keeps the canonical cones it was assembled from, so none is built again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from .errors import BadCodimError, DimMismatchError
@@ -136,18 +140,24 @@ class Cone:
         return True
 
 
-def _assemble(ray_vecs, lin_vecs, ineq_vecs, eq_vecs, n) -> Cone:
+def _v_description(ray_vecs, lin_vecs, n):
+    """The canonical rays (modulo the saturated lineality), the lineality and
+    the dimension of cone(rays) + span(lineality)."""
     lineality = saturate_lattice(
         IntMatrix.from_columns([tuple(v) for v in lin_vecs], n))
-    eq_basis = saturate_lattice(
-        IntMatrix.from_columns([tuple(v) for v in eq_vecs], n))
     rays = sorted(quotient_reps(ray_vecs, lineality))
-    ineqs = sorted(quotient_reps(ineq_vecs, eq_basis))
     dim = rational_rank(list(rays) + [list(c) for c in lineality.columns()]) \
         if (rays or lineality.ncols) else 0
+    return IntMatrix.from_columns(rays, n), lineality, dim
+
+
+def _assemble(rays, lineality, dim, ineq_vecs, eq_vecs, n) -> Cone:
+    eq_basis = saturate_lattice(
+        IntMatrix.from_columns([tuple(v) for v in eq_vecs], n))
+    ineqs = sorted(quotient_reps(ineq_vecs, eq_basis))
     return Cone(
         ambient_dim=n,
-        rays=IntMatrix.from_columns(rays, n),
+        rays=rays,
         lineality=lineality,
         inequalities=IntMatrix.from_rows(ineqs, n),
         equations=eq_basis.transpose(),
@@ -155,14 +165,30 @@ def _assemble(ray_vecs, lin_vecs, ineq_vecs, eq_vecs, n) -> Cone:
     )
 
 
-def cone_from_halfspaces(ineq_rows, eq_rows, ambient_dim: int) -> Cone:
-    """Build the canonical cone {x : eq_rows . x = 0, ineq_rows . x >= 0}."""
+def halfspaces_by_key(ineq_rows, eq_rows, ambient_dim: int):
+    """(key, dim, build) for the cone {x : eq_rows . x = 0, ineq_rows . x >= 0}.
+
+    One double description pass gives the canonical rays and lineality, so
+    the cone_key and the dimension; build() adds the dual pass for the facets
+    and equations and returns the canonical cone. A caller that discards the
+    cone by its key or dimension skips the dual pass.
+    """
     n = ambient_dim
     ray_vecs, lin_vecs = _dd(list(ineq_rows), list(eq_rows), n)
-    # dual pass gives the irredundant facets and the full equation space
-    facet_vecs, eq_basis = _dd([tuple(r) for r in ray_vecs],
-                               [tuple(l) for l in lin_vecs], n)
-    return _assemble(ray_vecs, lin_vecs, facet_vecs, eq_basis, n)
+    rays, lineality, dim = _v_description(ray_vecs, lin_vecs, n)
+
+    def build():
+        # the dual pass gives the irredundant facets and the full equations
+        facet_vecs, eq_basis = _dd([tuple(r) for r in ray_vecs],
+                                   [tuple(l) for l in lin_vecs], n)
+        return _assemble(rays, lineality, dim, facet_vecs, eq_basis, n)
+
+    return (rays.entries, lineality.entries), dim, build
+
+
+def cone_from_halfspaces(ineq_rows, eq_rows, ambient_dim: int) -> Cone:
+    """Build the canonical cone {x : eq_rows . x = 0, ineq_rows . x >= 0}."""
+    return halfspaces_by_key(ineq_rows, eq_rows, ambient_dim)[2]()
 
 
 def cone_from_generators(ray_cols, lineality_cols, ambient_dim: int) -> Cone:
@@ -172,16 +198,23 @@ def cone_from_generators(ray_cols, lineality_cols, ambient_dim: int) -> Cone:
                                [tuple(l) for l in lineality_cols], n)
     ray_vecs, lin_vecs = _dd([tuple(r) for r in facet_vecs],
                              [tuple(e) for e in eq_basis], n)
-    return _assemble(ray_vecs, lin_vecs, facet_vecs, eq_basis, n)
+    return _assemble(*_v_description(ray_vecs, lin_vecs, n),
+                     facet_vecs, eq_basis, n)
 
 
-def intersect(c1: Cone, c2: Cone) -> Cone:
+def intersection_by_key(c1: Cone, c2: Cone):
+    """(key, dim, build) of the intersection of two cones, as
+    halfspaces_by_key gives them."""
     if c1.ambient_dim != c2.ambient_dim:
         raise DimMismatchError("cones live in different ambient spaces")
-    return cone_from_halfspaces(
+    return halfspaces_by_key(
         list(c1.inequalities.entries) + list(c2.inequalities.entries),
         list(c1.equations.entries) + list(c2.equations.entries),
         c1.ambient_dim)
+
+
+def intersect(c1: Cone, c2: Cone) -> Cone:
+    return intersection_by_key(c1, c2)[2]()
 
 
 def negate_cone(c: Cone) -> Cone:
@@ -293,12 +326,22 @@ def relative_interior_point(c: Cone):
 @dataclass(frozen=True)
 class Fan:
     """A fan as shared primitive ray columns, one lineality space, and
-    maximal cones given as tuples of ray indices."""
+    maximal cones given as tuples of ray indices.
+
+    cones holds the canonical maximal cones themselves, in maximal_cones
+    order, as fan_from_cones received them. They are fixed by the other
+    fields, so they take no part in equality or hashing.
+    """
 
     ambient_dim: int
     rays: IntMatrix
     lineality: IntMatrix
     maximal_cones: tuple
+    cones: tuple = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self):
+        if len(self.cones) != len(self.maximal_cones):
+            raise ValueError("a fan keeps one cone per maximal cone")
 
     def n_maximal(self) -> int:
         return len(self.maximal_cones)
@@ -309,14 +352,16 @@ class Fan:
 
 @lru_cache(maxsize=8192)
 def fan_cone(fan: Fan, index: int) -> Cone:
-    """Reconstruct the maximal cone with the given index."""
-    idx = fan.maximal_cones[index]
-    cols = [fan.rays.column(j) for j in idx]
-    return cone_from_generators(cols, fan.lineality.columns(), fan.ambient_dim)
+    """The maximal cone with the given index, as the fan keeps it.
+
+    Fans keep their cones, so the cache saves no work. It stays because the
+    benchmark's tracer (perfbench/tracer.py) reports fan_cone.cache_info().
+    """
+    return fan.cones[index]
 
 
 def fan_cones(fan: Fan) -> list:
-    return [fan_cone(fan, i) for i in range(fan.n_maximal())]
+    return list(fan.cones)
 
 
 def fan_from_cones(ambient_dim: int, cones, drop_contained: bool = True):
@@ -324,7 +369,8 @@ def fan_from_cones(ambient_dim: int, cones, drop_contained: bool = True):
 
     Returns (fan, kept_cone_indices) where the indices point into the input
     list (after deduplication, in input order) so callers can carry per-cone
-    data such as multiplicities through the canonicalization.
+    data such as multiplicities through the canonicalization. The fan keeps
+    the kept cones themselves.
     """
     uniq = []
     keys = {}
@@ -361,24 +407,29 @@ def fan_from_cones(ambient_dim: int, cones, drop_contained: bool = True):
     entries = []
     for c, src in kept:
         idx = tuple(sorted(ray_index[r] for r in c.rays.columns()))
-        entries.append((idx, src))
+        entries.append((idx, src, c))
     entries.sort(key=lambda t: t[0])
     fan = Fan(ambient_dim,
               IntMatrix.from_columns(rays, ambient_dim),
               lin,
-              tuple(idx for idx, _ in entries))
-    return fan, [src for _, src in entries]
+              tuple(idx for idx, _, _ in entries),
+              tuple(c for _, _, c in entries))
+    return fan, [src for _, src, _ in entries]
 
 
 def common_refinement(f1: Fan, f2: Fan) -> Fan:
-    """The fan of inclusion-maximal pairwise intersections."""
+    """The fan of inclusion-maximal pairwise intersections. Each distinct
+    intersection is built once, however many pairs of cones meet in it."""
     if f1.ambient_dim != f2.ambient_dim:
         raise DimMismatchError("fans live in different ambient spaces")
-    pieces = []
+    pieces = {}
     for c1 in fan_cones(f1):
         for c2 in fan_cones(f2):
-            pieces.append(intersect(c1, c2))
-    fan, _ = fan_from_cones(f1.ambient_dim, pieces, drop_contained=True)
+            key, _, build = intersection_by_key(c1, c2)
+            if key not in pieces:
+                pieces[key] = build()
+    fan, _ = fan_from_cones(f1.ambient_dim, list(pieces.values()),
+                            drop_contained=True)
     return fan
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (
     ConventionMismatchError,
@@ -34,11 +35,10 @@ from .fans import (
     Fan,
     all_faces,
     common_refinement,
-    cone_from_halfspaces,
     cone_key,
     fan_cones,
-    fan_from_cones,
-    intersect,
+    halfspaces_by_key,
+    intersection_by_key,
     relative_interior_point,
     slice_first_coordinate,
     support_contains,
@@ -99,10 +99,10 @@ def tropical_hypersurface(f: Polynomial, convention: str = "min") -> TropicalCyc
     for i, vi in enumerate(vertices):
         for vj in vertices[i + 1:]:
             rows = [tuple(u[k] - vi[k] for k in range(n)) for u in supp]
-            cone = cone_from_halfspaces(
+            _, dim, build = halfspaces_by_key(
                 rows, [tuple(vi[k] - vj[k] for k in range(n))], n)
-            if cone.dim == n - 1:
-                pairs.append((cone, edge_lattice_length(vi, vj)))
+            if dim == n - 1:
+                pairs.append((build(), edge_lattice_length(vi, vj)))
     cycle = weighted_from_cones(n, pairs, "min", merge_duplicates=False)
     if convention == "max":
         cycle = swap_convention(cycle)
@@ -111,20 +111,11 @@ def tropical_hypersurface(f: Polynomial, convention: str = "min") -> TropicalCyc
 
 def tropical_prevariety(polys, convention: str = "min") -> Fan:
     """Common refinement of the tropical hypersurfaces of the given
-    polynomials, restricted to cones inside every hypersurface."""
+    polynomials; each of its cones lies in every hypersurface."""
     if not polys:
         raise ZeroIdealError("prevariety of an empty list")
-    fans = [tropical_hypersurface(f, convention).fan for f in polys]
-    current = fans[0]
-    for nxt in fans[1:]:
-        current = common_refinement(current, nxt)
-    survivors = []
-    for c in fan_cones(current):
-        w = relative_interior_point(c)
-        if all(support_contains(f, w) for f in fans):
-            survivors.append(c)
-    fan, _ = fan_from_cones(current.ambient_dim, survivors, drop_contained=True)
-    return fan
+    return reduce(common_refinement,
+                  [tropical_hypersurface(f, convention).fan for f in polys])
 
 
 def _multiplicity_from_initial(inw: IdealSpec, sigma: Cone) -> int:
@@ -262,10 +253,9 @@ def is_tropical_basis(polys) -> bool:
               for _, cone in groebner_fan(spec_h)]
     for sigma in fan_cones(prevariety):
         for gamma in sliced:
-            piece = intersect(sigma, gamma)
-            w = relative_interior_point(piece)
-            if not piece.contains(w):
-                continue
+            (piece_rays, _), _, _ = intersection_by_key(sigma, gamma)
+            # the sum of the piece's rays, as relative_interior_point gives it
+            w = tuple(sum(row) for row in piece_rays)
             if not support_contains(variety.fan, w):
                 return False
     return True
@@ -317,6 +307,7 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
     if v is None:
         raise GenericityError("no generic displacement vector found")
     pairs = []
+    built = {}
     for ca, ma, cb, mb in full:
         rays_cols = ca.rays.columns() + [vec_neg(r) for r in cb.rays.columns()]
         lin_cols = ca.lineality.columns() + cb.lineality.columns()
@@ -324,15 +315,17 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
         difference_lin = IntMatrix.from_columns(lin_cols, n)
         if not cone_feasible(difference_rays, difference_lin, v):
             continue
-        piece = intersect(ca, cb)
-        if piece.dim < expected_dim:
+        key, dim, build = intersection_by_key(ca, cb)
+        if dim < expected_dim:
             # boundary scrap: it lies in faces of full-dimensional pieces and
             # carries no weight of its own
             continue
+        if key not in built:
+            built[key] = build()
         la = lattice_from_generators(n, span_lattice_basis(ca).columns())
         lb = lattice_from_generators(n, span_lattice_basis(cb).columns())
         weight = ma * mb * lattice_index(la, lb)
-        pairs.append((piece, weight))
+        pairs.append((built[key], weight))
     if not pairs:
         return _empty_cycle(n, a.convention)
     result = weighted_from_cones(n, pairs, a.convention, merge_duplicates=True)

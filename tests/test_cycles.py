@@ -16,7 +16,6 @@ from tropfan.cycles import (
     make_cycle,
     max_cones,
     multiplicities,
-    quotient_normal_vector,
     rays,
     span_lattice_basis,
     swap_convention,
@@ -45,6 +44,7 @@ from tropfan.linalg import (
 from tropfan.polynomials import Polynomial
 from tropfan.tropical import tropical_hypersurface, tropical_variety
 
+from oracles import quotient_normal_vector, reference_is_balanced
 
 def line_fan():
     cones = [cone_from_generators([r], [], 2)
@@ -386,3 +386,51 @@ class TestQuotientNormalVector:
         with pytest.raises(DimMismatchError):
             quotient_normal_vector(wedge, cone_from_generators([], [], 3))
 
+
+class TestBalancingByIncidence:
+    """is_balanced finds the cones around each facet from facet keys; the
+    oracle scans every cone with contains_cone."""
+
+    def test_matches_reference_on_corpus(self):
+        """Balanced corpus varieties, and each with one weight raised."""
+        checked = 0
+        for entry in PRIME_CORPUS:
+            cycle = tropical_variety(entry.ideal())
+            assert is_balanced(cycle) == reference_is_balanced(cycle) is True
+            for i in range(cycle.fan.n_maximal()):
+                mults = list(cycle.multiplicities)
+                mults[i] += 1
+                bumped = make_cycle(cycle.fan, mults, "min")
+                assert is_balanced(bumped) == reference_is_balanced(bumped)
+                checked += not is_balanced(bumped)
+        assert checked > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_supports3, st.lists(st.integers(1, 3), min_size=10,
+                                     max_size=10))
+    # the tropical plane, unit weights and one weight raised
+    @example([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [1] * 10)
+    @example([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [2] + [1] * 9)
+    def test_matches_reference_on_reweighted_hypersurfaces(self, support,
+                                                           weights):
+        # at most 5 terms, so at most 10 maximal cones
+        cycle = tropical_hypersurface(
+            Polynomial(("x", "y", "z"), {e: 1 for e in support}))
+        reweighted = make_cycle(cycle.fan, weights[:cycle.fan.n_maximal()])
+        for c in (cycle, reweighted):
+            assert is_balanced(c) == reference_is_balanced(c)
+
+    def test_walks_incidences_without_containment_scans(self, monkeypatch):
+        from tropfan.fans import Cone
+        cycle = tropical_variety(
+            next(e for e in PRIME_CORPUS if e.name == "space_conic").ideal())
+        calls = []
+        original = Cone.contains_cone
+
+        def counted(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Cone, "contains_cone", counted)
+        assert is_balanced(cycle)
+        assert calls == []

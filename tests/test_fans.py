@@ -16,10 +16,12 @@ from tropfan.fans import (
     faces,
     facets_by_key,
     facets_with_normals,
+    fan_cone,
     fan_cones,
     fan_dim,
     fan_from_cones,
     intersect,
+    intersection_by_key,
     is_pure,
     relative_interior_point,
     slice_first_coordinate,
@@ -28,6 +30,7 @@ from tropfan.fans import (
 )
 from tropfan.linalg import dot
 
+from oracles import reference_fan_cone
 
 def line_fan():
     cones = [cone_from_generators([r], [], 2)
@@ -352,6 +355,22 @@ class TestFanAssembly:
         bad, _ = fan_from_cones(2, [c1, c2], drop_contained=False)
         assert not validate_fan(bad)
 
+    def test_fans_keep_their_cones(self):
+        c1 = cone_from_generators([(1, 0), (0, 1)], [], 2)
+        c2 = cone_from_generators([(-1, -1)], [], 2)
+        c3 = cone_from_generators([(1, 0)], [], 2)
+        fan, kept = fan_from_cones(2, [c2, c3, c1])
+        assert kept == [0, 2]
+        assert fan.cones == (c2, c1)
+        assert fan_cones(fan) == [reference_fan_cone(fan, i) for i in (0, 1)]
+        assert fan_cone(fan, 0) is c2
+        # the cones are fixed by the other fields, so equality ignores them
+        bare = Fan(fan.ambient_dim, fan.rays, fan.lineality,
+                   fan.maximal_cones, (c2, c1))
+        assert bare == fan and hash(bare) == hash(fan)
+        with pytest.raises(ValueError):
+            Fan(fan.ambient_dim, fan.rays, fan.lineality, fan.maximal_cones)
+
     def test_purity(self):
         assert is_pure(line_fan())
         mixed, _ = fan_from_cones(
@@ -390,3 +409,21 @@ class TestIntersect:
         b = cone_from_generators([(1, 1)], [(1, -1)], 2)
         meet = intersect(a, b)
         assert meet == b
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_vecs4, small_lins4, small_vecs4, small_lins4, st.booleans())
+    # two 3-dimensional cones that meet in a ray of each
+    @example([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], [],
+             [(1, 0, 0, 0), (-1, 1, 0, 0), (0, 0, -1, 0)], [], True)
+    def test_keyed_intersection_matches_the_built_cone(
+            self, vecs1, lins1, vecs2, lins2, from_generators):
+        """The key and dimension, from the primal pass alone, are those of
+        the cone that build() returns."""
+        make = cone_from_generators if from_generators else cone_from_halfspaces
+        c1 = make([v for v in vecs1 if any(v)], [l for l in lins1 if any(l)], 4)
+        c2 = make([v for v in vecs2 if any(v)], [l for l in lins2 if any(l)], 4)
+        key, dim, build = intersection_by_key(c1, c2)
+        piece = build()
+        assert key == cone_key(piece)
+        assert dim == piece.dim
+        assert piece == intersect(c1, c2)

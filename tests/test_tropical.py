@@ -36,7 +36,11 @@ from tropfan.tropical import (
     tropical_variety,
 )
 
-from oracles import multiplicity_at, optimum_attained_twice
+from oracles import (
+    multiplicity_at,
+    optimum_attained_twice,
+    reference_fan_cone,
+)
 
 
 def P(text, vs):
@@ -251,6 +255,144 @@ class TestFaceWalk:
         spec = ideal(vs, (P("a+b+c+d+e", vs), P("a+2*b+3*c+5*d+7*e", vs)))
         assert self.walk(spec, monkeypatch, facet_counts) \
             == (10, {"keyed": 81, "built": 71}, 16)
+
+
+# hypersurfaces in four and five variables whose cycles the CLI intersects
+A4 = "x*y+z*w+x*z+y*w+x^2+w^2+y^2*z+1"
+B4 = "x^2*y+y^2*z+z^2*w+w^2*x+x*y*z+y*z*w+1"
+A5 = "a*b+c*d+e*a+b*c+d*e+a^2+e^2+1"
+B5 = "a^2*b+b^2*c+c^2*d+d^2*e+e^2*a+a*b*c*d*e+1"
+XYZW = ("x", "y", "z", "w")
+
+
+def assert_fan_keeps_its_cones(fan):
+    assert len(fan.cones) == fan.n_maximal()
+    for i, cone in enumerate(fan_cones(fan)):
+        assert cone == reference_fan_cone(fan, i)
+
+
+class TestFansKeepTheirCones:
+    """Every fan the library returns carries the cones that rebuilding them
+    from its rays and lineality gives."""
+
+    def test_hypersurfaces(self):
+        for text, vs in [(A4, XYZW), ("x+y+1", XY), ("x^2+y^2+z^2", XYZ),
+                         ("x*y-1", XY)]:
+            for convention in ("min", "max"):
+                assert_fan_keeps_its_cones(
+                    tropical_hypersurface(P(text, vs), convention).fan)
+
+    def test_varieties(self):
+        from tropfan.corpus import PRIME_CORPUS
+        for entry in PRIME_CORPUS:
+            for convention in ("min", "max"):
+                assert_fan_keeps_its_cones(tropical_variety(
+                    entry.ideal(), convention, strategy="groebner").fan)
+
+    def test_stable_intersections(self):
+        a = tropical_hypersurface(P(A4, XYZW))
+        b = tropical_hypersurface(P(B4, XYZW))
+        assert_fan_keeps_its_cones(stable_intersection(a, b, seed=3).fan)
+        line = tropical_hypersurface(P("x+y+z", XYZ))
+        conic = tropical_hypersurface(P("x^2+y^2+z^2+x*y", XYZ))
+        assert_fan_keeps_its_cones(stable_intersection(line, conic).fan)
+
+    def test_prevarieties(self):
+        for texts, vs in [(("x+y+z", "x^2+y^2+z^2"), XYZ),
+                          (("x+y+1", "x-y"), XY), (("x*y+z",), XYZ)]:
+            assert_fan_keeps_its_cones(
+                tropical_prevariety([P(t, vs) for t in texts]))
+
+    def test_cycle_from_dict(self):
+        from tropfan.cycles import cycle_from_dict, cycle_to_dict, fan_to_dict
+        cycle = tropical_hypersurface(P(A4, XYZW))
+        read = cycle_from_dict(cycle_to_dict(cycle))
+        assert read == cycle
+        assert_fan_keeps_its_cones(read.fan)
+        assert_fan_keeps_its_cones(
+            cycle_from_dict(fan_to_dict(cycle.fan, "min"),
+                            require_weights=False))
+        # rays neither primitive nor reduced modulo the lineality
+        plane = cycle_from_dict({
+            "convention": "min", "ambient_dim": 3,
+            "rays": [[2, 0, 0], [1, 4, 1], [-3, -3, 0]],
+            "lineality": [[1, 1, 1]],
+            "maximal_cones": [[0], [1], [2]], "multiplicities": [1, 1, 1]})
+        assert_fan_keeps_its_cones(plane.fan)
+
+
+class TestConesBuiltOnce:
+    """Tripwires on CLI commands: a fan's cones are never rebuilt, an
+    intersection is built only when its key and dimension are needed, and
+    balancing finds the cones around a facet by incidence. Counted are the
+    double description passes (one keys a cone, a second builds it), the
+    cones read from generators, and contains_cone calls."""
+
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch, capsys):
+        import tropfan.cycles
+        import tropfan.fans
+        from tropfan.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        counts = {"dd": 0, "from_generators": 0, "contains_cone": 0}
+
+        def counted(key, original):
+            def wrapper(*args):
+                counts[key] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(tropfan.fans, "_dd",
+                            counted("dd", tropfan.fans._dd))
+        generators = counted("from_generators",
+                             tropfan.fans.cone_from_generators)
+        for module in (tropfan.fans, tropfan.cycles):
+            monkeypatch.setattr(module, "cone_from_generators", generators)
+        monkeypatch.setattr(tropfan.fans.Cone, "contains_cone",
+                            counted("contains_cone",
+                                    tropfan.fans.Cone.contains_cone))
+
+        def command(*argv):
+            counts.update(dict.fromkeys(counts, 0))
+            assert main(list(argv)) == 0
+            capsys.readouterr()
+            return dict(counts)
+
+        return command
+
+    def hypersurfaces(self, run, *labels):
+        polys = {"A4": (A4, "x,y,z,w"), "B4": (B4, "x,y,z,w"),
+                 "A5": (A5, "a,b,c,d,e"), "B5": (B5, "a,b,c,d,e")}
+        for label in labels:
+            poly, vs = polys[label]
+            run("hypersurface", poly, "--vars", vs, "--format", "json",
+                "--out", f"{label}.json")
+
+    def test_hypersurface_builds_only_codimension_one_pairs(self, run):
+        # 28 vertex pairs keyed, 20 of them cones of the hypersurface
+        assert run("hypersurface", A4, "--vars", "x,y,z,w") \
+            == {"dd": 48, "from_generators": 0, "contains_cone": 0}
+
+    def test_stable_intersection_builds_each_piece_once(self, run):
+        self.hypersurfaces(run, "A5", "B5")
+        # 41 input cones read, 187 pieces keyed, 87 distinct cells built
+        assert run("stable-intersection", "A5.json", "B5.json", "--seed", "0",
+                   "--format", "json", "--out", "A5B5.json") \
+            == {"dd": 2 * 41 + 187 + 87, "from_generators": 41,
+                "contains_cone": 0}
+        # 87 cones read, none rebuilt, no containment scan
+        assert run("is-balanced", "A5B5.json") \
+            == {"dd": 2 * 87, "from_generators": 87, "contains_cone": 0}
+
+    def test_prevariety_builds_each_piece_once(self, tmp_path, run):
+        (tmp_path / "A4B4.ideal").write_text(f"vars: x,y,z,w\n{A4}\n{B4}\n")
+        # the two hypersurfaces (48 and 39 passes), then 20 x 18 pieces
+        # keyed and 47 distinct ones built; the containment scans are those
+        # of fan_from_cones dropping pieces inside others
+        assert run("prevariety", "A4B4.ideal", "--format", "json") \
+            == {"dd": 48 + 39 + 20 * 18 + 47, "from_generators": 0,
+                "contains_cone": 1712}
 
 
 class TestUnknownConvention:
