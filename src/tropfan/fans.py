@@ -2,18 +2,22 @@
 
 Cones carry both descriptions: extreme rays plus a lineality basis, and facet
 inequalities plus equations. A cone built from halfspaces or from generators
-gets the other description from an exact double description pass in each
-direction; its faces come by incidence, from which rays each facet inequality
-is tight on, with no further pass. Every stored field is canonical so that
-structural equality is cone equality, and the (rays, lineality) key alone
-tells cones apart. facets_by_key gives each facet's key from the incidences
-and builds the facet only on demand, so the Gröbner walk, the face walks and
-balancing build no facet they discard. Intersections are keyed the same way:
-intersection_by_key runs the primal pass alone, which fixes the key and the
-dimension, and builds the cone on demand, so callers skip the dual pass for
-pieces they discard or have built already. Fans share one ray matrix and one
-lineality space; maximal cones are index sets into the shared rays, and a fan
-keeps the canonical cones it was assembled from, so none is built again.
+gets the other description from one exact double description pass, which
+tracks for every output ray the input rows it is tight on. The facets (from
+halfspaces) or the extreme rays (from generators) are the input rows whose
+incidence sets are proper and maximal, and the remaining space, equations or
+lineality, is an integer kernel; no second pass runs. A cone's faces come
+by incidence too, from which rays each facet inequality is tight on. Every
+stored field is canonical so that structural equality is cone equality, and
+the (rays, lineality) key alone tells cones apart. facets_by_key gives each
+facet's key from the incidences and builds the facet only on demand, so the
+Gröbner walk, the face walks and balancing build no facet they discard.
+Intersections are keyed the same way: intersection_by_key runs the pass,
+which fixes the key and the dimension, and builds the cone on demand, so
+callers skip the facet work for pieces they discard or have built already.
+Fans share one ray matrix and one lineality space; maximal cones are index
+sets into the shared rays, and a fan keeps the canonical cones it was
+assembled from, so none is built again.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from functools import lru_cache, partial
 from .errors import BadCodimError, DimMismatchError
 from .linalg import (
     IntMatrix,
+    _kernel_columns,
     dot,
-    integer_kernel_basis,
     primitive_vector,
     quotient_reps,
     rational_rank,
@@ -36,66 +40,80 @@ from .linalg import (
 
 def _dd(ineq_rows, eq_rows, n):
     """Double description: minimal V-representation of
-    {x : E x = 0, A x >= 0}.
+    {x : E x = 0, A x >= 0}, with its incidences.
 
-    Returns (rays, lineality_vectors); the rays are primitive and extreme
-    modulo the lineality space. Inequalities are inserted incrementally; ray
-    adjacency is decided by an exact rank test over the constraints processed
-    so far.
+    Returns (rays, lineality_vectors, masks). The rays are primitive and
+    extreme modulo the lineality space, and bit j of masks[i] is set when
+    rays[i] is tight on ineq_rows[j]. The lineality starts as a basis, not
+    canonical, of the integer kernel of E. Inequalities are inserted
+    incrementally, and each ray carries the mask of the rows inserted so far
+    that it is tight on. Two rays are adjacent when no third ray is tight on
+    every row both are tight on (the combinatorial test of Fukuda and Prodon,
+    "Double description method revisited", 1996), so no rank is computed.
     """
-    eq_matrix = IntMatrix.from_rows(list(eq_rows), n)
-    lin = integer_kernel_basis(eq_matrix).columns()
+    lin = _kernel_columns(IntMatrix.from_rows(list(eq_rows), n))
     rays = []
-    processed = []
-
-    def adjacent(r1, r2, lin_dim):
-        tight = list(eq_rows) + [h for h in processed
-                                 if dot(h, r1) == 0 and dot(h, r2) == 0]
-        if not tight:
-            return n - lin_dim - 2 == 0
-        return rational_rank(tight) == n - lin_dim - 2
-
-    for a in ineq_rows:
-        if all(x == 0 for x in a):
-            continue
-        pivot = None
-        for l in lin:
-            if dot(a, l) != 0:
-                pivot = l
-                break
-        if pivot is not None:
-            if dot(a, pivot) < 0:
-                pivot = vec_neg(pivot)
+    masks = []
+    done = 0
+    for j, a in enumerate(ineq_rows):
+        bit = 1 << j
+        k = next((i for i, l in enumerate(lin) if dot(a, l) != 0), None)
+        if k is not None:
+            # the lineality leaves the hyperplane: a pivot direction becomes
+            # a ray, tight on every row before a, and the rest is projected
+            # into the hyperplane
+            pivot = lin[k]
             d0 = dot(a, pivot)
-            new_lin = []
-            for l in lin:
-                if l is pivot or l == pivot or l == vec_neg(pivot):
-                    continue
-                s = dot(a, l)
-                new_lin.append(l if s == 0 else
-                               primitive_vector(tuple(d0 * x - s * y
-                                                      for x, y in zip(l, pivot))))
-            lin = new_lin
-            rays = [r if dot(a, r) == 0 else
-                    primitive_vector(tuple(d0 * x - dot(a, r) * y
-                                           for x, y in zip(r, pivot)))
-                    for r in rays]
+            if d0 < 0:
+                pivot, d0 = vec_neg(pivot), -d0
+
+            def project(v):
+                s = dot(a, v)
+                return v if s == 0 else primitive_vector(
+                    tuple(d0 * x - s * y for x, y in zip(v, pivot)))
+
+            lin = [project(l) for l in lin[:k] + lin[k + 1:]]
+            rays = [project(r) for r in rays]
+            masks = [m | bit for m in masks]
             rays.append(pivot)
+            masks.append(done)
         else:
-            pos = [r for r in rays if dot(a, r) > 0]
-            zero = [r for r in rays if dot(a, r) == 0]
-            neg = [r for r in rays if dot(a, r) < 0]
-            if neg:
-                new_rays = pos + zero
-                for rp in pos:
-                    for rn in neg:
-                        if adjacent(rp, rn, len(lin)):
-                            combo = tuple(dot(a, rp) * x - dot(a, rn) * y
-                                          for x, y in zip(rn, rp))
-                            new_rays.append(primitive_vector(combo))
-                rays = new_rays
-        processed.append(tuple(a))
-    return rays, lin
+            dots = [dot(a, r) for r in rays]
+            pos = [i for i, s in enumerate(dots) if s > 0]
+            neg = [i for i, s in enumerate(dots) if s < 0]
+            new_rays = [r for r, s in zip(rays, dots) if s >= 0]
+            new_masks = [m | bit if s == 0 else m
+                         for m, s in zip(masks, dots) if s >= 0]
+            for p in pos:
+                for q in neg:
+                    common = masks[p] & masks[q]
+                    if any(m & common == common for i, m in enumerate(masks)
+                           if i != p and i != q):
+                        continue
+                    new_rays.append(primitive_vector(tuple(
+                        dots[p] * x - dots[q] * y
+                        for x, y in zip(rays[q], rays[p]))))
+                    new_masks.append(common | bit)
+            rays, masks = new_rays, new_masks
+        done |= bit
+    return rays, lin, masks
+
+
+def _maximal_proper(masks, count):
+    """The indices j < count whose incidence sets {i : bit j of masks[i]}
+    are proper and maximal under inclusion.
+
+    For the rays and masks of a cone's double description these are the
+    input inequalities that define its facets; for the facets and masks of
+    the dual pass, the input generators that are extreme rays. Equal sets
+    are all kept: they name the same face.
+    """
+    full = (1 << len(masks)) - 1
+    sets = [sum(1 << i for i, m in enumerate(masks) if m >> j & 1)
+            for j in range(count)]
+    proper = {s for s in sets if s != full}
+    top = {s for s in proper if not any(t != s and t & s == s for t in proper)}
+    return [j for j, s in enumerate(sets) if s in top]
 
 
 @dataclass(frozen=True)
@@ -145,7 +163,7 @@ def _v_description(ray_vecs, lin_vecs, n):
     the dimension of cone(rays) + span(lineality)."""
     lineality = saturate_lattice(
         IntMatrix.from_columns([tuple(v) for v in lin_vecs], n))
-    rays = sorted(quotient_reps(ray_vecs, lineality))
+    rays = sorted(set(quotient_reps(ray_vecs, lineality)))
     dim = rational_rank(list(rays) + [list(c) for c in lineality.columns()]) \
         if (rays or lineality.ncols) else 0
     return IntMatrix.from_columns(rays, n), lineality, dim
@@ -154,7 +172,7 @@ def _v_description(ray_vecs, lin_vecs, n):
 def _assemble(rays, lineality, dim, ineq_vecs, eq_vecs, n) -> Cone:
     eq_basis = saturate_lattice(
         IntMatrix.from_columns([tuple(v) for v in eq_vecs], n))
-    ineqs = sorted(quotient_reps(ineq_vecs, eq_basis))
+    ineqs = sorted(set(quotient_reps(ineq_vecs, eq_basis)))
     return Cone(
         ambient_dim=n,
         rays=rays,
@@ -169,19 +187,21 @@ def halfspaces_by_key(ineq_rows, eq_rows, ambient_dim: int):
     """(key, dim, build) for the cone {x : eq_rows . x = 0, ineq_rows . x >= 0}.
 
     One double description pass gives the canonical rays and lineality, so
-    the cone_key and the dimension; build() adds the dual pass for the facets
-    and equations and returns the canonical cone. A caller that discards the
-    cone by its key or dimension skips the dual pass.
+    the cone_key and the dimension, and the ray-inequality incidences.
+    build() reads the rest off them, with no second pass: the facets are the
+    inequalities whose sets of tight rays are proper and maximal, and the
+    equations span the integer kernel of the rays and the lineality.
     """
     n = ambient_dim
-    ray_vecs, lin_vecs = _dd(list(ineq_rows), list(eq_rows), n)
+    ineq_rows = list(ineq_rows)
+    ray_vecs, lin_vecs, masks = _dd(ineq_rows, list(eq_rows), n)
     rays, lineality, dim = _v_description(ray_vecs, lin_vecs, n)
 
     def build():
-        # the dual pass gives the irredundant facets and the full equations
-        facet_vecs, eq_basis = _dd([tuple(r) for r in ray_vecs],
-                                   [tuple(l) for l in lin_vecs], n)
-        return _assemble(rays, lineality, dim, facet_vecs, eq_basis, n)
+        facet_vecs = [ineq_rows[j]
+                      for j in _maximal_proper(masks, len(ineq_rows))]
+        eq_vecs = _kernel_columns(IntMatrix.from_rows(ray_vecs + lin_vecs, n))
+        return _assemble(rays, lineality, dim, facet_vecs, eq_vecs, n)
 
     return (rays.entries, lineality.entries), dim, build
 
@@ -192,14 +212,20 @@ def cone_from_halfspaces(ineq_rows, eq_rows, ambient_dim: int) -> Cone:
 
 
 def cone_from_generators(ray_cols, lineality_cols, ambient_dim: int) -> Cone:
-    """Build the canonical cone cone(rays) + span(lineality)."""
+    """Build the canonical cone cone(rays) + span(lineality).
+
+    One double description pass of the dual gives the facets and the
+    equations, and the generator-facet incidences. The extreme rays are the
+    generators whose sets of tight facets are proper and maximal, and the
+    lineality spans the integer kernel of the facets and the equations.
+    """
     n = ambient_dim
-    facet_vecs, eq_basis = _dd([tuple(r) for r in ray_cols],
-                               [tuple(l) for l in lineality_cols], n)
-    ray_vecs, lin_vecs = _dd([tuple(r) for r in facet_vecs],
-                             [tuple(e) for e in eq_basis], n)
+    gens = [tuple(r) for r in ray_cols]
+    facet_vecs, eq_vecs, masks = _dd(gens, list(lineality_cols), n)
+    ray_vecs = [gens[j] for j in _maximal_proper(masks, len(gens))]
+    lin_vecs = _kernel_columns(IntMatrix.from_rows(facet_vecs + eq_vecs, n))
     return _assemble(*_v_description(ray_vecs, lin_vecs, n),
-                     facet_vecs, eq_basis, n)
+                     facet_vecs, eq_vecs, n)
 
 
 def intersection_by_key(c1: Cone, c2: Cone):

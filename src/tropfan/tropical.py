@@ -93,12 +93,13 @@ def tropical_hypersurface(f: Polynomial, convention: str = "min") -> TropicalCyc
         raise MonomialHypersurfaceError(
             "a monomial has an empty tropical hypersurface")
     n = len(f.variables)
-    supp = f.support()
     vertices = newton_polytope(f)
     pairs = []
     for i, vi in enumerate(vertices):
         for vj in vertices[i + 1:]:
-            rows = [tuple(u[k] - vi[k] for k in range(n)) for u in supp]
+            # the normal cone of the segment [vi, vj]: every support point
+            # is a convex combination of the vertices, so their rows suffice
+            rows = [tuple(u[k] - vi[k] for k in range(n)) for u in vertices]
             _, dim, build = halfspaces_by_key(
                 rows, [tuple(vi[k] - vj[k] for k in range(n))], n)
             if dim == n - 1:
@@ -290,11 +291,13 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
     full = []
     for ca, ma in cones_a:
         for cb, mb in cones_b:
-            span = _span_matrix(ca) + _span_matrix(cb)
-            if rational_rank(span) == n:
+            # the spans fill Q^n exactly when their orthogonal complements,
+            # spanned by the independent equation rows, meet only in 0
+            eqs = ca.equations.entries + cb.equations.entries
+            if rational_rank(eqs) == len(eqs):
                 full.append((ca, ma, cb, mb))
             else:
-                deficient.append(span)
+                deficient.append(_span_matrix(ca) + _span_matrix(cb))
     v = None
     for _ in range(32):
         cand = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(n))
@@ -306,6 +309,14 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
             break
     if v is None:
         raise GenericityError("no generic displacement vector found")
+    lattices = {}
+
+    def span_lattice(cone):
+        if cone not in lattices:
+            lattices[cone] = lattice_from_generators(
+                n, span_lattice_basis(cone).columns())
+        return lattices[cone]
+
     pairs = []
     built = {}
     for ca, ma, cb, mb in full:
@@ -322,9 +333,7 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
             continue
         if key not in built:
             built[key] = build()
-        la = lattice_from_generators(n, span_lattice_basis(ca).columns())
-        lb = lattice_from_generators(n, span_lattice_basis(cb).columns())
-        weight = ma * mb * lattice_index(la, lb)
+        weight = ma * mb * lattice_index(span_lattice(ca), span_lattice(cb))
         pairs.append((built[key], weight))
     if not pairs:
         return _empty_cycle(n, a.convention)

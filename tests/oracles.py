@@ -6,12 +6,21 @@ from fractions import Fraction
 from tropfan.cycles import span_lattice_basis
 from tropfan.errors import DimMismatchError, NotPureError
 from tropfan.fans import (
-    cone_from_generators,
+    _assemble,
+    _v_description,
     facets_by_key,
     relative_interior_point,
 )
 from tropfan.groebner import TermOrder, initial_ideal, reduced_groebner_basis
-from tropfan.linalg import dot, quotient_reps
+from tropfan.linalg import (
+    IntMatrix,
+    dot,
+    integer_kernel_basis,
+    primitive_vector,
+    quotient_reps,
+    rational_rank,
+    vec_neg,
+)
 from tropfan.tropical import _multiplicity_from_initial
 
 
@@ -30,11 +39,93 @@ def multiplicity_at(spec_homogeneous, sigma) -> int:
     return _multiplicity_from_initial(initial_ideal(gb, w), sigma)
 
 
+def reference_dd(ineq_rows, eq_rows, n):
+    """Double description with adjacency decided by an exact rank test:
+    (rays, lineality_vectors) of {x : E x = 0, A x >= 0}, the rays primitive
+    and extreme modulo the lineality space. It keeps no incidences."""
+    eq_matrix = IntMatrix.from_rows(list(eq_rows), n)
+    lin = integer_kernel_basis(eq_matrix).columns()
+    rays = []
+    processed = []
+
+    def adjacent(r1, r2, lin_dim):
+        tight = list(eq_rows) + [h for h in processed
+                                 if dot(h, r1) == 0 and dot(h, r2) == 0]
+        if not tight:
+            return n - lin_dim - 2 == 0
+        return rational_rank(tight) == n - lin_dim - 2
+
+    for a in ineq_rows:
+        if all(x == 0 for x in a):
+            continue
+        pivot = None
+        for l in lin:
+            if dot(a, l) != 0:
+                pivot = l
+                break
+        if pivot is not None:
+            if dot(a, pivot) < 0:
+                pivot = vec_neg(pivot)
+            d0 = dot(a, pivot)
+            new_lin = []
+            for l in lin:
+                if l is pivot or l == pivot or l == vec_neg(pivot):
+                    continue
+                s = dot(a, l)
+                new_lin.append(l if s == 0 else
+                               primitive_vector(tuple(d0 * x - s * y
+                                                      for x, y in zip(l, pivot))))
+            lin = new_lin
+            rays = [r if dot(a, r) == 0 else
+                    primitive_vector(tuple(d0 * x - dot(a, r) * y
+                                           for x, y in zip(r, pivot)))
+                    for r in rays]
+            rays.append(pivot)
+        else:
+            pos = [r for r in rays if dot(a, r) > 0]
+            zero = [r for r in rays if dot(a, r) == 0]
+            neg = [r for r in rays if dot(a, r) < 0]
+            if neg:
+                new_rays = pos + zero
+                for rp in pos:
+                    for rn in neg:
+                        if adjacent(rp, rn, len(lin)):
+                            combo = tuple(dot(a, rp) * x - dot(a, rn) * y
+                                          for x, y in zip(rn, rp))
+                            new_rays.append(primitive_vector(combo))
+                rays = new_rays
+        processed.append(tuple(a))
+    return rays, lin
+
+
+def reference_cone_from_halfspaces(ineq_rows, eq_rows, n):
+    """The canonical cone {x : eq_rows . x = 0, ineq_rows . x >= 0} by two
+    passes: the primal one for the rays, then the dual one, from the rays,
+    for the irredundant facets and the equations."""
+    ray_vecs, lin_vecs = reference_dd([tuple(a) for a in ineq_rows],
+                                      [tuple(e) for e in eq_rows], n)
+    facet_vecs, eq_vecs = reference_dd(ray_vecs, lin_vecs, n)
+    return _assemble(*_v_description(ray_vecs, lin_vecs, n),
+                     facet_vecs, eq_vecs, n)
+
+
+def reference_cone_from_generators(ray_cols, lineality_cols, n):
+    """The canonical cone cone(rays) + span(lineality) by two passes: the
+    dual one for the facets and equations, then the primal one, from the
+    facets, for the extreme rays and the lineality."""
+    facet_vecs, eq_vecs = reference_dd([tuple(r) for r in ray_cols],
+                                       [tuple(l) for l in lineality_cols], n)
+    ray_vecs, lin_vecs = reference_dd(facet_vecs, eq_vecs, n)
+    return _assemble(*_v_description(ray_vecs, lin_vecs, n),
+                     facet_vecs, eq_vecs, n)
+
+
 def reference_fan_cone(fan, index):
     """The maximal cone with the given index, rebuilt from the fan's shared
-    rays and lineality by two double description passes."""
+    rays and lineality by the two-pass reference."""
     cols = [fan.rays.column(j) for j in fan.maximal_cones[index]]
-    return cone_from_generators(cols, fan.lineality.columns(), fan.ambient_dim)
+    return reference_cone_from_generators(cols, fan.lineality.columns(),
+                                          fan.ambient_dim)
 
 
 def reference_is_balanced(cycle) -> bool:

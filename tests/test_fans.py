@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tropfan.errors import BadCodimError, DimMismatchError
 from tropfan.fans import (
     Fan,
+    _dd,
     all_faces,
     common_refinement,
     cone_from_generators,
@@ -30,7 +31,11 @@ from tropfan.fans import (
 )
 from tropfan.linalg import dot
 
-from oracles import reference_fan_cone
+from oracles import (
+    reference_cone_from_generators,
+    reference_cone_from_halfspaces,
+    reference_fan_cone,
+)
 
 def line_fan():
     cones = [cone_from_generators([r], [], 2)
@@ -144,6 +149,83 @@ class TestDoubleDescriptionFuzz:
             assert all(ldot(e, l) == 0 for l in lins)
 
 
+@st.composite
+def redundant_rows(draw):
+    """(n, rows, lineality_or_equation_rows) in Z^3 to Z^5, the rows padded
+    with what a one-pass description must see through: duplicates, positive
+    rescalings, negations (g and -g), zero rows, and rows that lie in the
+    span of the second list."""
+    n = draw(st.integers(3, 5))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    rows = draw(st.lists(vec, max_size=6))
+    spans = draw(st.lists(vec, max_size=2))
+    for _ in range(draw(st.integers(0, 3))):
+        base = draw(st.sampled_from(rows + spans)) if rows + spans \
+            else (0,) * n
+        scale = draw(st.sampled_from([1, 2, 3, -1]))
+        rows.append(tuple(scale * x for x in base))
+    if draw(st.booleans()):
+        rows.append((0,) * n)
+    return n, draw(st.permutations(rows)), spans
+
+
+def assert_same_cone(got, want):
+    assert got.ambient_dim == want.ambient_dim
+    assert got.rays == want.rays
+    assert got.lineality == want.lineality
+    assert got.inequalities == want.inequalities
+    assert got.equations == want.equations
+    assert got.dim == want.dim
+
+
+class TestOnePassMatchesTwoPasses:
+    """One double description pass with incidences gives, field by field,
+    the cone the two-pass reference (rank-test adjacency) gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(redundant_rows())
+    # a line from g and -g; generators inside the lineality; the origin
+    @example((3, [(1, 0, 0), (-1, 0, 0)], []))
+    @example((4, [(1, 1, 0, 0), (2, 2, 0, 0), (0, 0, 1, 0)],
+              [(1, 1, 0, 0), (0, 0, 0, 1)]))
+    @example((3, [(0, 0, 0)], []))
+    # rayless: a linear space
+    @example((5, [], [(1, 2, 0, 0, 1), (0, 1, 1, 0, 0)]))
+    def test_from_generators(self, case):
+        n, gens, lins = case
+        assert_same_cone(cone_from_generators(gens, lins, n),
+                         reference_cone_from_generators(gens, lins, n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(redundant_rows())
+    # a hyperplane from a and -a; a row implied by the equations; all space
+    @example((3, [(1, 2, 0), (-1, -2, 0)], []))
+    @example((4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0)], [(0, 0, 1, 0)]))
+    @example((3, [], []))
+    # a redundant row, a rescaled one and a zero row around an orthant
+    @example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 3, 0),
+                  (0, 0, 0)], []))
+    def test_from_halfspaces(self, case):
+        n, ineqs, eqs = case
+        assert_same_cone(cone_from_halfspaces(ineqs, eqs, n),
+                         reference_cone_from_halfspaces(ineqs, eqs, n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(redundant_rows())
+    @example((4, [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0)],
+              [(0, 0, 1, 1)]))
+    def test_every_mask_bit_is_a_tight_row(self, case):
+        n, ineqs, eqs = case
+        rays, lin, masks = _dd(ineqs, eqs, n)
+        assert len(masks) == len(rays)
+        for ray, mask in zip(rays, masks):
+            assert mask >> len(ineqs) == 0
+            assert [mask >> j & 1 for j in range(len(ineqs))] \
+                == [int(dot(a, ray) == 0) for a in ineqs]
+        for l in lin:
+            assert all(dot(a, l) == 0 for a in list(ineqs) + list(eqs))
+
+
 class TestFaces:
     def test_quadrant_facets(self):
         c = cone_from_generators([(1, 0), (0, 1)], [], 2)
@@ -168,10 +250,11 @@ class TestFaces:
 
 
 def dd_facets(c):
-    """Reference: every facet rebuilt from halfspaces by double description."""
-    return [(cone_from_halfspaces(list(c.inequalities.entries),
-                                  list(c.equations.entries) + [a],
-                                  c.ambient_dim), a)
+    """Reference: every facet rebuilt from halfspaces by the two-pass double
+    description."""
+    return [(reference_cone_from_halfspaces(list(c.inequalities.entries),
+                                            list(c.equations.entries) + [a],
+                                            c.ambient_dim), a)
             for a in c.inequalities.entries]
 
 
@@ -417,8 +500,8 @@ class TestIntersect:
              [(1, 0, 0, 0), (-1, 1, 0, 0), (0, 0, -1, 0)], [], True)
     def test_keyed_intersection_matches_the_built_cone(
             self, vecs1, lins1, vecs2, lins2, from_generators):
-        """The key and dimension, from the primal pass alone, are those of
-        the cone that build() returns."""
+        """The key and dimension, known before build(), are those of the
+        cone that build() returns."""
         make = cone_from_generators if from_generators else cone_from_halfspaces
         c1 = make([v for v in vecs1 if any(v)], [l for l in lins1 if any(l)], 4)
         c2 = make([v for v in vecs2 if any(v)], [l for l in lins2 if any(l)], 4)

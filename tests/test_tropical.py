@@ -325,17 +325,21 @@ class TestConesBuiltOnce:
     """Tripwires on CLI commands: a fan's cones are never rebuilt, an
     intersection is built only when its key and dimension are needed, and
     balancing finds the cones around a facet by incidence. Counted are the
-    double description passes (one keys a cone, a second builds it), the
+    double description passes (one per cone, whether keyed or built), the
+    rank computations inside them (none: adjacency is combinatorial), the
     cones read from generators, and contains_cone calls."""
 
     @pytest.fixture
     def run(self, tmp_path, monkeypatch, capsys):
         import tropfan.cycles
         import tropfan.fans
+        import tropfan.linalg
         from tropfan.cli import main
 
         monkeypatch.chdir(tmp_path)
-        counts = {"dd": 0, "from_generators": 0, "contains_cone": 0}
+        counts = {"dd": 0, "rank_in_dd": 0, "from_generators": 0,
+                  "contains_cone": 0}
+        depth = [0]
 
         def counted(key, original):
             def wrapper(*args):
@@ -343,8 +347,23 @@ class TestConesBuiltOnce:
                 return original(*args)
             return wrapper
 
-        monkeypatch.setattr(tropfan.fans, "_dd",
-                            counted("dd", tropfan.fans._dd))
+        def dd(*args):
+            counts["dd"] += 1
+            depth[0] += 1
+            try:
+                return original_dd(*args)
+            finally:
+                depth[0] -= 1
+
+        def rank(rows):
+            counts["rank_in_dd"] += depth[0] > 0
+            return original_rank(rows)
+
+        original_dd = tropfan.fans._dd
+        original_rank = tropfan.linalg.rational_rank
+        monkeypatch.setattr(tropfan.fans, "_dd", dd)
+        for module in (tropfan.fans, tropfan.linalg):
+            monkeypatch.setattr(module, "rational_rank", rank)
         generators = counted("from_generators",
                              tropfan.fans.cone_from_generators)
         for module in (tropfan.fans, tropfan.cycles):
@@ -370,29 +389,34 @@ class TestConesBuiltOnce:
                 "--out", f"{label}.json")
 
     def test_hypersurface_builds_only_codimension_one_pairs(self, run):
-        # 28 vertex pairs keyed, 20 of them cones of the hypersurface
+        # 28 vertex pairs keyed, 20 of them built, as cones of the
+        # hypersurface, from their incidences
         assert run("hypersurface", A4, "--vars", "x,y,z,w") \
-            == {"dd": 48, "from_generators": 0, "contains_cone": 0}
+            == {"dd": 28, "rank_in_dd": 0, "from_generators": 0,
+                "contains_cone": 0}
 
     def test_stable_intersection_builds_each_piece_once(self, run):
         self.hypersurfaces(run, "A5", "B5")
-        # 41 input cones read, 187 pieces keyed, 87 distinct cells built
+        # 41 input cones read, 187 pieces keyed; the 87 distinct cells are
+        # built from the incidences of their keying pass
         assert run("stable-intersection", "A5.json", "B5.json", "--seed", "0",
                    "--format", "json", "--out", "A5B5.json") \
-            == {"dd": 2 * 41 + 187 + 87, "from_generators": 41,
+            == {"dd": 41 + 187, "rank_in_dd": 0, "from_generators": 41,
                 "contains_cone": 0}
-        # 87 cones read, none rebuilt, no containment scan
+        # 87 cones read, one pass each, none rebuilt, no containment scan
         assert run("is-balanced", "A5B5.json") \
-            == {"dd": 2 * 87, "from_generators": 87, "contains_cone": 0}
+            == {"dd": 87, "rank_in_dd": 0, "from_generators": 87,
+                "contains_cone": 0}
 
     def test_prevariety_builds_each_piece_once(self, tmp_path, run):
         (tmp_path / "A4B4.ideal").write_text(f"vars: x,y,z,w\n{A4}\n{B4}\n")
-        # the two hypersurfaces (48 and 39 passes), then 20 x 18 pieces
-        # keyed and 47 distinct ones built; the containment scans are those
-        # of fan_from_cones dropping pieces inside others
+        # the two hypersurfaces (28 and 21 vertex pairs keyed), then 20 x 18
+        # pieces keyed, of which 47 distinct ones are built with no further
+        # pass; the containment scans are those of fan_from_cones dropping
+        # pieces inside others
         assert run("prevariety", "A4B4.ideal", "--format", "json") \
-            == {"dd": 48 + 39 + 20 * 18 + 47, "from_generators": 0,
-                "contains_cone": 1712}
+            == {"dd": 28 + 21 + 20 * 18, "rank_in_dd": 0,
+                "from_generators": 0, "contains_cone": 1712}
 
 
 class TestUnknownConvention:
