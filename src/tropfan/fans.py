@@ -6,7 +6,8 @@ gets the other description from one exact double description pass, which
 tracks for every output ray the input rows it is tight on. The facets (from
 halfspaces) or the extreme rays (from generators) are the input rows whose
 incidence sets are proper and maximal, and the remaining space, equations or
-lineality, is an integer kernel; no second pass runs. A cone's faces come
+lineality, is an integer kernel; no second pass runs. An integer kernel is
+saturated, so its canonical basis is stored as it is, with no saturation. A cone's faces come
 by incidence too, from which rays each facet inequality is tight on. Every
 stored field is canonical so that structural equality is cone equality, and
 the (rays, lineality) key alone tells cones apart. facets_by_key gives each
@@ -30,6 +31,7 @@ from .linalg import (
     IntMatrix,
     _kernel_columns,
     dot,
+    integer_kernel_basis,
     primitive_vector,
     quotient_reps,
     rational_rank,
@@ -158,20 +160,24 @@ class Cone:
         return True
 
 
-def _v_description(ray_vecs, lin_vecs, n):
-    """The canonical rays (modulo the saturated lineality), the lineality and
-    the dimension of cone(rays) + span(lineality)."""
-    lineality = saturate_lattice(
-        IntMatrix.from_columns([tuple(v) for v in lin_vecs], n))
+def _saturated(vecs, n) -> IntMatrix:
+    """The canonical basis of the saturated lattice the vectors span."""
+    return saturate_lattice(IntMatrix.from_columns([tuple(v) for v in vecs], n))
+
+
+def _v_description(ray_vecs, lineality: IntMatrix, n):
+    """The canonical rays (modulo the lineality, given by its canonical
+    basis), the lineality and the dimension of cone(rays) + span(lineality)."""
     rays = sorted(set(quotient_reps(ray_vecs, lineality)))
     dim = rational_rank(list(rays) + [list(c) for c in lineality.columns()]) \
         if (rays or lineality.ncols) else 0
     return IntMatrix.from_columns(rays, n), lineality, dim
 
 
-def _assemble(rays, lineality, dim, ineq_vecs, eq_vecs, n) -> Cone:
-    eq_basis = saturate_lattice(
-        IntMatrix.from_columns([tuple(v) for v in eq_vecs], n))
+def _assemble(rays, lineality, dim, ineq_vecs, eq_basis: IntMatrix,
+              n) -> Cone:
+    """The canonical cone with these V-description fields, its inequalities
+    reduced modulo the equations, given by their canonical basis."""
     ineqs = sorted(set(quotient_reps(ineq_vecs, eq_basis)))
     return Cone(
         ambient_dim=n,
@@ -190,18 +196,20 @@ def halfspaces_by_key(ineq_rows, eq_rows, ambient_dim: int):
     the cone_key and the dimension, and the ray-inequality incidences.
     build() reads the rest off them, with no second pass: the facets are the
     inequalities whose sets of tight rays are proper and maximal, and the
-    equations span the integer kernel of the rays and the lineality.
+    equations are the canonical basis of the integer kernel of the rays and
+    the lineality, which is saturated already.
     """
     n = ambient_dim
     ineq_rows = list(ineq_rows)
     ray_vecs, lin_vecs, masks = _dd(ineq_rows, list(eq_rows), n)
-    rays, lineality, dim = _v_description(ray_vecs, lin_vecs, n)
+    rays, lineality, dim = _v_description(ray_vecs, _saturated(lin_vecs, n), n)
 
     def build():
         facet_vecs = [ineq_rows[j]
                       for j in _maximal_proper(masks, len(ineq_rows))]
-        eq_vecs = _kernel_columns(IntMatrix.from_rows(ray_vecs + lin_vecs, n))
-        return _assemble(rays, lineality, dim, facet_vecs, eq_vecs, n)
+        eq_basis = integer_kernel_basis(
+            IntMatrix.from_rows(ray_vecs + lin_vecs, n))
+        return _assemble(rays, lineality, dim, facet_vecs, eq_basis, n)
 
     return (rays.entries, lineality.entries), dim, build
 
@@ -217,15 +225,17 @@ def cone_from_generators(ray_cols, lineality_cols, ambient_dim: int) -> Cone:
     One double description pass of the dual gives the facets and the
     equations, and the generator-facet incidences. The extreme rays are the
     generators whose sets of tight facets are proper and maximal, and the
-    lineality spans the integer kernel of the facets and the equations.
+    lineality is the canonical basis of the integer kernel of the facets and
+    the equations.
     """
     n = ambient_dim
     gens = [tuple(r) for r in ray_cols]
     facet_vecs, eq_vecs, masks = _dd(gens, list(lineality_cols), n)
     ray_vecs = [gens[j] for j in _maximal_proper(masks, len(gens))]
-    lin_vecs = _kernel_columns(IntMatrix.from_rows(facet_vecs + eq_vecs, n))
-    return _assemble(*_v_description(ray_vecs, lin_vecs, n),
-                     facet_vecs, eq_vecs, n)
+    lineality = integer_kernel_basis(
+        IntMatrix.from_rows(facet_vecs + eq_vecs, n))
+    return _assemble(*_v_description(ray_vecs, lineality, n),
+                     facet_vecs, _saturated(eq_vecs, n), n)
 
 
 def intersection_by_key(c1: Cone, c2: Cone):

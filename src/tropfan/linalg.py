@@ -10,12 +10,18 @@ cross-multiplication with row gcds divided out, inversion through the Hermite
 witness, and a simplex tableau with one shared denominator (Edmonds' pivots).
 Rationals appear only in that scaling and in the solution vectors
 `solve_rational` returns. No floating point is used anywhere.
+
+IntMatrix.from_rows and from_columns check the shape and the integrality of
+outside data; the matrices derived here from checked ones are built from
+their int tuples unchecked. The Smith witnesses of a saturated basis, which
+quotient_reps and hnf_completion use, are memoized by the basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
 
 from .errors import DimMismatchError, NotFullRankError, ZeroVectorError
@@ -56,13 +62,6 @@ class IntMatrix:
     ncols: int
     entries: tuple
 
-    def __post_init__(self):
-        if len(self.entries) != self.nrows:
-            raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.ncols:
-                raise ValueError("column count mismatch")
-
     @classmethod
     def from_rows(cls, rows, ncols=None) -> "IntMatrix":
         rows = tuple(_int_vector(r) for r in rows)
@@ -70,6 +69,9 @@ class IntMatrix:
             if not rows:
                 raise ValueError("ncols required for a matrix with no rows")
             ncols = len(rows[0])
+        for r in rows:
+            if len(r) != ncols:
+                raise ValueError("row length mismatch")
         return cls(len(rows), ncols, rows)
 
     @classmethod
@@ -127,6 +129,13 @@ class IntMatrix:
         return all(all(x == 0 for x in r) for r in self.entries)
 
 
+def _from_int_columns(cols, nrows: int) -> IntMatrix:
+    """The matrix with these columns, which are int tuples of length nrows
+    already."""
+    return IntMatrix(nrows, len(cols),
+                     tuple(zip(*cols)) if cols else ((),) * nrows)
+
+
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
     if m.nrows != m.ncols:
@@ -177,8 +186,8 @@ def hermite_normal_form(m: IntMatrix):
     entries in a pivot row left of the pivot reduced into [0, pivot).
     """
     cols = [list(c) for c in m.columns()]
-    u = [list(c) for c in IntMatrix.identity(m.ncols).columns()]
     nc = m.ncols
+    u = [[1 if i == j else 0 for i in range(nc)] for j in range(nc)]
     c = 0
     for r in range(m.nrows):
         if c >= nc:
@@ -217,9 +226,7 @@ def hermite_normal_form(m: IntMatrix):
                     for i in range(nc):
                         u[j][i] -= q * u[c][i]
             c += 1
-    h = IntMatrix.from_columns([tuple(col) for col in cols], m.nrows)
-    uu = IntMatrix.from_columns([tuple(col) for col in u], nc)
-    return h, uu
+    return _from_int_columns(cols, m.nrows), _from_int_columns(u, nc)
 
 
 def smith_normal_form(m: IntMatrix):
@@ -228,8 +235,8 @@ def smith_normal_form(m: IntMatrix):
     """
     nr, nc = m.nrows, m.ncols
     a = [list(r) for r in m.entries]
-    p = [list(r) for r in IntMatrix.identity(nr).entries]
-    q = [list(c) for c in IntMatrix.identity(nc).columns()]  # q as columns
+    p = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    q = [[1 if i == j else 0 for i in range(nc)] for j in range(nc)]  # columns
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -299,10 +306,9 @@ def smith_normal_form(m: IntMatrix):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             p[i] = [-x for x in p[i]]
-    d = IntMatrix.from_rows([tuple(r) for r in a], nc)
-    pm = IntMatrix.from_rows([tuple(r) for r in p], nr)
-    qm = IntMatrix.from_columns([tuple(c) for c in q], nc)
-    return d, pm, qm
+    return (IntMatrix(nr, nc, tuple(map(tuple, a))),
+            IntMatrix(nr, nr, tuple(map(tuple, p))),
+            _from_int_columns(q, nc))
 
 
 def invariant_factors(m: IntMatrix) -> tuple:
@@ -410,20 +416,18 @@ def _kernel_columns(m: IntMatrix) -> list:
 def integer_kernel_basis(m: IntMatrix) -> IntMatrix:
     """Canonical basis (columns) of the saturated lattice {x in Z^n : Mx = 0}."""
     if m.nrows == 0:
-        return hermite_basis(IntMatrix.identity(m.ncols))
+        return IntMatrix.identity(m.ncols)
     ker = _kernel_columns(m)
     if not ker:
-        return IntMatrix.from_columns([], m.ncols)
-    return hermite_basis(IntMatrix.from_columns(ker, m.ncols))
+        return _from_int_columns([], m.ncols)
+    return hermite_basis(_from_int_columns(ker, m.ncols))
 
 
 def hermite_basis(m: IntMatrix) -> IntMatrix:
     """Canonical HNF basis (nonzero columns) of the lattice spanned by the
     columns of m."""
     h, _ = hermite_normal_form(m)
-    cols = [h.column(j) for j in range(h.ncols)
-            if any(x != 0 for x in h.column(j))]
-    return IntMatrix.from_columns(cols, m.nrows)
+    return _from_int_columns([c for c in h.columns() if any(c)], m.nrows)
 
 
 def saturate_lattice(m: IntMatrix) -> IntMatrix:
@@ -432,7 +436,7 @@ def saturate_lattice(m: IntMatrix) -> IntMatrix:
         return m
     # rows orthogonal to the column span (any basis), then their integer kernel
     orth = _kernel_columns(m.transpose())
-    return integer_kernel_basis(IntMatrix.from_rows(orth, m.nrows))
+    return integer_kernel_basis(IntMatrix(len(orth), m.nrows, tuple(orth)))
 
 
 @dataclass(frozen=True)
@@ -461,7 +465,7 @@ def lattice_index(l1: Lattice, l2: Lattice) -> int:
     if l1.ambient_dim != l2.ambient_dim:
         raise DimMismatchError("lattices live in different ambient spaces")
     n = l1.ambient_dim
-    joint = IntMatrix.from_columns(l1.basis.columns() + l2.basis.columns(), n)
+    joint = _from_int_columns(l1.basis.columns() + l2.basis.columns(), n)
     facs = invariant_factors(joint)
     if len(facs) < n:
         raise NotFullRankError("lattices do not jointly span the ambient space")
@@ -471,8 +475,13 @@ def lattice_index(l1: Lattice, l2: Lattice) -> int:
     return idx
 
 
+@lru_cache(maxsize=1024)
 def _unit_smith(basis: IntMatrix):
-    """Witnesses (P, Q) of the Smith form P B Q of a saturated basis B."""
+    """Witnesses (P, Q) of the Smith form P B Q of a saturated basis B.
+
+    Memoized by the basis: the cones of one fan share their lineality, and
+    quotient_reps and hnf_completion reduce modulo the same few lattices
+    many times."""
     dmat, p, q = smith_normal_form(basis)
     if any(dmat.entries[i][i] != 1 for i in range(basis.ncols)):
         raise NotFullRankError("basis does not generate a saturated lattice")
@@ -503,7 +512,7 @@ def hnf_completion(basis: IntMatrix) -> IntMatrix:
     p, _ = _unit_smith(basis)
     pinv = int_inverse(p)
     ext = [pinv.column(j) for j in range(d, n)]
-    v = IntMatrix.from_columns(basis.columns() + ext, n)
+    v = _from_int_columns(basis.columns() + ext, n)
     if abs(det(v)) != 1:
         raise NotFullRankError("completion failed to be unimodular")
     return v

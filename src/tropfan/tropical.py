@@ -5,7 +5,10 @@ Gröbner fan, keep every face whose initial ideal stays monomial-free under
 saturation, slice the homogenizing coordinate back out, and compute one
 multiplicity per maximal cell as the degree of the saturated initial ideal in
 quotient coordinates. Stable intersections use the fan displacement rule with
-an analytically eliminated perturbation and lattice-index weights.
+an analytically eliminated perturbation and lattice-index weights. Whether a
+pair of cones still meets after the displacement is decided first by rows:
+bit masks over the other fan's rays give, per cone row, the pairs it
+separates by a Farkas certificate, and the exact simplex decides the rest.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .groebner import (
 from .linalg import (
     IntMatrix,
     cone_feasible,
+    dot,
     hnf_completion,
     lattice_from_generators,
     lattice_index,
@@ -96,10 +100,10 @@ def tropical_hypersurface(f: Polynomial, convention: str = "min") -> TropicalCyc
     vertices = newton_polytope(f)
     pairs = []
     for i, vi in enumerate(vertices):
+        # the normal cones of the segments [vi, vj]: every support point is a
+        # convex combination of the vertices, so their rows suffice
+        rows = [tuple(u[k] - vi[k] for k in range(n)) for u in vertices]
         for vj in vertices[i + 1:]:
-            # the normal cone of the segment [vi, vj]: every support point
-            # is a convex combination of the vertices, so their rows suffice
-            rows = [tuple(u[k] - vi[k] for k in range(n)) for u in vertices]
             _, dim, build = halfspaces_by_key(
                 rows, [tuple(vi[k] - vj[k] for k in range(n))], n)
             if dim == n - 1:
@@ -267,11 +271,57 @@ def _span_matrix(cone: Cone):
         [list(c) for c in cone.lineality.columns()]
 
 
+def _separating_rows(fan: Fan, other: Fan, v, side: int) -> list:
+    """For each maximal cone of fan, the distinct bit masks over other's
+    rays of its rows y (facet rows, and equation rows of either sign) with
+    side * y.v < 0 that vanish on other's lineality. Bit k is set when
+    y.r > 0 for ray k of other."""
+    rays = other.rays.columns()
+    lin = other.lineality.columns()
+    out = []
+    for cone in fan_cones(fan):
+        eqs = cone.equations.entries
+        masks = set()
+        for y in cone.inequalities.entries + eqs + tuple(map(vec_neg, eqs)):
+            if side * dot(y, v) < 0 and not any(dot(y, l) for l in lin):
+                masks.add(sum(1 << k for k, r in enumerate(rays)
+                              if dot(y, r) > 0))
+        out.append(masks)
+    return out
+
+
+def _separated_pairs(fa: Fan, fb: Fan, v):
+    """A test separated(i, j), true only when v lies outside
+    cone_i(fa) - cone_j(fb), decided by rows alone.
+
+    A row y of cone i, nonnegative on it, with y.v < 0, zero on fb's
+    lineality and y.r <= 0 on every ray r of cone j is a Farkas certificate:
+    y is nonnegative on cone_i - cone_j and negative on v. So is -z for a row
+    z of cone j with z.v > 0, zero on fa's lineality and z.r <= 0 on every
+    ray of cone i. Each such row is kept as the mask of the other fan's rays
+    it is positive on, and certifies the pairs whose ray sets miss the mask.
+    """
+    rows_a = _separating_rows(fa, fb, v, 1)
+    rows_b = _separating_rows(fb, fa, v, -1)
+    bits_a = [sum(1 << k for k in idx) for idx in fa.maximal_cones]
+    bits_b = [sum(1 << k for k in idx) for idx in fb.maximal_cones]
+
+    def separated(i, j):
+        return (any(not m & bits_b[j] for m in rows_a[i])
+                or any(not m & bits_a[i] for m in rows_b[j]))
+
+    return separated
+
+
 def stable_intersection(a: TropicalCycle, b: TropicalCycle,
                         seed: int = 0) -> TropicalCycle:
     """Fan displacement rule: keep pairs of maximal cones whose spans fill
     the ambient space and that still meet after a generic shift, weight them
-    by lattice indices, and intersect."""
+    by lattice indices, and intersect.
+
+    A pair meets after the shift by v when v lies in cone_a - cone_b. Most
+    pairs that do not are rejected by a separating row (_separated_pairs);
+    the exact simplex (cone_feasible) decides every other pair."""
     if a.convention != b.convention:
         raise ConventionMismatchError("cycles use different conventions")
     if a.ambient_dim != b.ambient_dim:
@@ -279,23 +329,23 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
     n = a.ambient_dim
     if a.fan.is_empty() or b.fan.is_empty():
         return _empty_cycle(n, a.convention)
-    cones_a = list(zip(fan_cones(a.fan), a.multiplicities))
-    cones_b = list(zip(fan_cones(b.fan), b.multiplicities))
-    da = max(c.dim for c, _ in cones_a)
-    db = max(c.dim for c, _ in cones_b)
+    cones_a = fan_cones(a.fan)
+    cones_b = fan_cones(b.fan)
+    da = max(c.dim for c in cones_a)
+    db = max(c.dim for c in cones_b)
     expected_dim = da + db - n
     if expected_dim < 0:
         return _empty_cycle(n, a.convention)
     rng = random.Random(seed)
     deficient = []
     full = []
-    for ca, ma in cones_a:
-        for cb, mb in cones_b:
+    for i, ca in enumerate(cones_a):
+        for j, cb in enumerate(cones_b):
             # the spans fill Q^n exactly when their orthogonal complements,
             # spanned by the independent equation rows, meet only in 0
             eqs = ca.equations.entries + cb.equations.entries
             if rational_rank(eqs) == len(eqs):
-                full.append((ca, ma, cb, mb))
+                full.append((i, j))
             else:
                 deficient.append(_span_matrix(ca) + _span_matrix(cb))
     v = None
@@ -317,9 +367,14 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
                 n, span_lattice_basis(cone).columns())
         return lattices[cone]
 
+    separated = _separated_pairs(a.fan, b.fan, v)
     pairs = []
     built = {}
-    for ca, ma, cb, mb in full:
+    for i, j in full:
+        if separated(i, j):
+            continue
+        ca, ma = cones_a[i], a.multiplicities[i]
+        cb, mb = cones_b[j], b.multiplicities[j]
         rays_cols = ca.rays.columns() + [vec_neg(r) for r in cb.rays.columns()]
         lin_cols = ca.lineality.columns() + cb.lineality.columns()
         difference_rays = IntMatrix.from_columns(rays_cols, n)

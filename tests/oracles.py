@@ -1,27 +1,34 @@
 """Direct computations that cross-check the library's routes to the same
 answers. They are not part of the package: only the tests call them."""
 
+import random
 from fractions import Fraction
 
-from tropfan.cycles import span_lattice_basis
-from tropfan.errors import DimMismatchError, NotPureError
+from tropfan.cycles import span_lattice_basis, weighted_from_cones
+from tropfan.errors import DimMismatchError, GenericityError, NotPureError
 from tropfan.fans import (
     _assemble,
     _v_description,
     facets_by_key,
+    fan_cones,
+    intersection_by_key,
     relative_interior_point,
 )
 from tropfan.groebner import TermOrder, initial_ideal, reduced_groebner_basis
 from tropfan.linalg import (
     IntMatrix,
+    cone_feasible,
     dot,
     integer_kernel_basis,
+    lattice_from_generators,
+    lattice_index,
     primitive_vector,
     quotient_reps,
     rational_rank,
+    saturate_lattice,
     vec_neg,
 )
-from tropfan.tropical import _multiplicity_from_initial
+from tropfan.tropical import _empty_cycle, _multiplicity_from_initial
 
 
 def optimum_attained_twice(f, w, convention="min") -> bool:
@@ -98,6 +105,12 @@ def reference_dd(ineq_rows, eq_rows, n):
     return rays, lin
 
 
+def _saturate(vecs, n):
+    """The canonical basis of the saturated lattice the vectors span, by an
+    explicit saturation whatever basis the vectors are."""
+    return saturate_lattice(IntMatrix.from_columns([tuple(v) for v in vecs], n))
+
+
 def reference_cone_from_halfspaces(ineq_rows, eq_rows, n):
     """The canonical cone {x : eq_rows . x = 0, ineq_rows . x >= 0} by two
     passes: the primal one for the rays, then the dual one, from the rays,
@@ -105,8 +118,8 @@ def reference_cone_from_halfspaces(ineq_rows, eq_rows, n):
     ray_vecs, lin_vecs = reference_dd([tuple(a) for a in ineq_rows],
                                       [tuple(e) for e in eq_rows], n)
     facet_vecs, eq_vecs = reference_dd(ray_vecs, lin_vecs, n)
-    return _assemble(*_v_description(ray_vecs, lin_vecs, n),
-                     facet_vecs, eq_vecs, n)
+    return _assemble(*_v_description(ray_vecs, _saturate(lin_vecs, n), n),
+                     facet_vecs, _saturate(eq_vecs, n), n)
 
 
 def reference_cone_from_generators(ray_cols, lineality_cols, n):
@@ -116,8 +129,8 @@ def reference_cone_from_generators(ray_cols, lineality_cols, n):
     facet_vecs, eq_vecs = reference_dd([tuple(r) for r in ray_cols],
                                        [tuple(l) for l in lineality_cols], n)
     ray_vecs, lin_vecs = reference_dd(facet_vecs, eq_vecs, n)
-    return _assemble(*_v_description(ray_vecs, lin_vecs, n),
-                     facet_vecs, eq_vecs, n)
+    return _assemble(*_v_description(ray_vecs, _saturate(lin_vecs, n), n),
+                     facet_vecs, _saturate(eq_vecs, n), n)
 
 
 def reference_fan_cone(fan, index):
@@ -164,3 +177,68 @@ def quotient_normal_vector(sigma, tau):
         raise DimMismatchError("tau is not a codimension-one face of sigma")
     off_tau = next(r for r in rays if r not in on_tau)
     return quotient_reps([off_tau], span_lattice_basis(tau))[0]
+
+
+def displacement_difference(ca, cb):
+    """The generators (rays, lineality) of ca - cb as IntMatrix columns, the
+    cone the displacement must lie in for ca and cb to meet after the shift."""
+    n = ca.ambient_dim
+    rays = ca.rays.columns() + [vec_neg(r) for r in cb.rays.columns()]
+    lin = ca.lineality.columns() + cb.lineality.columns()
+    return IntMatrix.from_columns(rays, n), IntMatrix.from_columns(lin, n)
+
+
+def reference_stable_intersection(a, b, seed=0):
+    """The fan displacement rule with the exact simplex on every pair whose
+    spans fill the space, and no separating-row test before it."""
+    n = a.ambient_dim
+    if a.fan.is_empty() or b.fan.is_empty():
+        return _empty_cycle(n, a.convention)
+    cones_a = list(zip(fan_cones(a.fan), a.multiplicities))
+    cones_b = list(zip(fan_cones(b.fan), b.multiplicities))
+    expected_dim = (max(c.dim for c, _ in cones_a)
+                    + max(c.dim for c, _ in cones_b) - n)
+    if expected_dim < 0:
+        return _empty_cycle(n, a.convention)
+
+    def span(cone):
+        return [list(c) for c in cone.rays.columns() + cone.lineality.columns()]
+
+    rng = random.Random(seed)
+    deficient = []
+    full = []
+    for ca, ma in cones_a:
+        for cb, mb in cones_b:
+            eqs = ca.equations.entries + cb.equations.entries
+            if rational_rank(eqs) == len(eqs):
+                full.append((ca, ma, cb, mb))
+            else:
+                deficient.append(span(ca) + span(cb))
+    v = None
+    for _ in range(32):
+        cand = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(n))
+        if all(x == 0 for x in cand):
+            continue
+        if all(rational_rank(s + [list(cand)]) > rational_rank(s)
+               for s in deficient):
+            v = cand
+            break
+    if v is None:
+        raise GenericityError("no generic displacement vector found")
+    pairs = []
+    built = {}
+    for ca, ma, cb, mb in full:
+        if not cone_feasible(*displacement_difference(ca, cb), v):
+            continue
+        key, dim, build = intersection_by_key(ca, cb)
+        if dim < expected_dim:
+            continue
+        if key not in built:
+            built[key] = build()
+        weight = ma * mb * lattice_index(
+            lattice_from_generators(n, span_lattice_basis(ca).columns()),
+            lattice_from_generators(n, span_lattice_basis(cb).columns()))
+        pairs.append((built[key], weight))
+    if not pairs:
+        return _empty_cycle(n, a.convention)
+    return weighted_from_cones(n, pairs, a.convention, merge_duplicates=True)

@@ -4,9 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tropfan.linalg
+from tropfan.corpus import PRIME_CORPUS
 from tropfan.errors import DimMismatchError, NotFullRankError, ZeroVectorError
 from tropfan.linalg import (
     IntMatrix,
+    _kernel_columns,
+    _unit_smith,
     cone_feasible,
     det,
     hermite_basis,
@@ -173,6 +177,32 @@ class TestIntMatrix:
                 IntMatrix.from_rows([[1, bad]])
             with pytest.raises(ValueError):
                 IntMatrix.from_columns([(1, bad)])
+
+    def test_ragged_input_rejected(self):
+        # the shape is checked where a matrix is made from outside data
+        for call in (lambda: IntMatrix.from_rows([[1, 2], [3]]),
+                     lambda: IntMatrix.from_rows([[1, 2]], 3),
+                     lambda: IntMatrix.from_rows([[]], 1),
+                     lambda: IntMatrix.from_columns([(1, 2), (3,)]),
+                     lambda: IntMatrix.from_columns([(1, 2)], 3)):
+            with pytest.raises(ValueError, match="mismatch"):
+                call()
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_matrices, small_matrices)
+    def test_derived_matrices_are_well_formed(self, rows, other):
+        # normal forms, witnesses, transposes and products are built from
+        # their int tuples unchecked; the checked constructor agrees
+        m = IntMatrix.from_rows(rows)
+        o = IntMatrix.from_rows(other)
+        derived = [*hermite_normal_form(m), *smith_normal_form(m),
+                   m.transpose(), m.transpose() @ m, IntMatrix.identity(m.ncols),
+                   hermite_basis(m), integer_kernel_basis(m)]
+        if m.ncols == o.nrows:
+            derived.append(m @ o)
+        for d in derived:
+            assert IntMatrix.from_rows(d.entries, d.ncols) == d
+            assert IntMatrix.from_columns(d.columns(), d.nrows) == d
 
     def test_integral_rationals_become_ints(self):
         m = IntMatrix.from_rows([[Fraction(4, 2), -3]])
@@ -667,3 +697,63 @@ class TestQuotientReps:
     def test_saturation_matches_doubly_canonical_route(self, cols):
         m = IntMatrix.from_columns([tuple(c) for c in cols])
         assert saturate_lattice(m) == old_saturate_lattice(m)
+
+
+class TestKernelIsSaturated:
+    """An integer kernel is a saturated lattice, so its canonical basis is
+    what saturating any basis of it gives. Cones take their equations (from
+    halfspaces) and their lineality (from generators) as integer kernels on
+    this ground, with no saturation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                 max_size=5),
+        st.just(n))))
+    @example(([[2, 4, 6]], 3))
+    @example(([], 2))
+    @example(([[1, 0], [0, 1]], 2))
+    def test_kernel_basis_is_its_saturation(self, case):
+        rows, n = case
+        m = IntMatrix.from_rows(rows, n)
+        assert integer_kernel_basis(m) == saturate_lattice(
+            IntMatrix.from_columns(_kernel_columns(m), n))
+
+
+class TestSmithWitnessesOncePerLattice:
+    """quotient_reps and hnf_completion share one memoized Smith form per
+    basis."""
+
+    @pytest.fixture
+    def smith_calls(self, monkeypatch):
+        calls = [0]
+        original = tropfan.linalg.smith_normal_form
+
+        def counted(m):
+            calls[0] += 1
+            return original(m)
+
+        monkeypatch.setattr(tropfan.linalg, "smith_normal_form", counted)
+        _unit_smith.cache_clear()
+        yield calls
+        _unit_smith.cache_clear()
+
+    def test_one_smith_form_per_basis(self, smith_calls):
+        basis = saturate_lattice(IntMatrix.from_columns([(1, 1, 1)], 3))
+        first = quotient_reps([(2, 1, 0)], basis)
+        assert quotient_reps([(2, 1, 0)], basis) == first
+        hnf_completion(basis)
+        assert smith_calls[0] == 1
+
+    def test_failures_are_not_remembered(self, smith_calls):
+        for _ in range(2):
+            with pytest.raises(NotFullRankError, match="saturated"):
+                quotient_reps([(1, 1)], IntMatrix.from_columns([(2, 0)], 2))
+        assert smith_calls[0] == 2
+
+    def test_corpus_smith_forms(self, smith_calls):
+        # 206 Smith forms, one per call, before they were memoized
+        from tropfan.tropical import tropical_variety
+        for entry in PRIME_CORPUS:
+            tropical_variety(entry.ideal(), strategy="groebner")
+        assert smith_calls[0] == 70

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropfan.cycles import (
     TropicalCycle,
     cycle_dim,
+    cycle_to_dict,
     is_balanced,
     make_cycle,
     swap_convention,
@@ -26,8 +29,10 @@ from tropfan.fans import (
     support_contains,
 )
 from tropfan.groebner import TermOrder, reduced_groebner_basis
-from tropfan.polynomials import homogenize, ideal, parse_polynomial
+from tropfan.linalg import cone_feasible
+from tropfan.polynomials import Polynomial, homogenize, ideal, parse_polynomial
 from tropfan.tropical import (
+    _separated_pairs,
     is_tropical_basis,
     stable_intersection,
     tropical_evaluate,
@@ -37,9 +42,11 @@ from tropfan.tropical import (
 )
 
 from oracles import (
+    displacement_difference,
     multiplicity_at,
     optimum_attained_twice,
     reference_fan_cone,
+    reference_stable_intersection,
 )
 
 
@@ -327,7 +334,8 @@ class TestConesBuiltOnce:
     balancing finds the cones around a facet by incidence. Counted are the
     double description passes (one per cone, whether keyed or built), the
     rank computations inside them (none: adjacency is combinatorial), the
-    cones read from generators, and contains_cone calls."""
+    cones read from generators, and contains_cone calls. Kept apart, in
+    run.linalg, are the phase-1 simplex runs and the Hermite normal forms."""
 
     @pytest.fixture
     def run(self, tmp_path, monkeypatch, capsys):
@@ -341,9 +349,9 @@ class TestConesBuiltOnce:
                   "contains_cone": 0}
         depth = [0]
 
-        def counted(key, original):
+        def counted(key, original, into=counts):
             def wrapper(*args):
-                counts[key] += 1
+                into[key] += 1
                 return original(*args)
             return wrapper
 
@@ -371,11 +379,19 @@ class TestConesBuiltOnce:
         monkeypatch.setattr(tropfan.fans.Cone, "contains_cone",
                             counted("contains_cone",
                                     tropfan.fans.Cone.contains_cone))
+        linalg = {"simplex": 0, "hnf": 0}
+        for key, name in (("simplex", "nonneg_solution_exists"),
+                          ("hnf", "hermite_normal_form")):
+            monkeypatch.setattr(tropfan.linalg, name, counted(
+                key, getattr(tropfan.linalg, name), linalg))
 
         def command(*argv):
             counts.update(dict.fromkeys(counts, 0))
+            linalg.update(dict.fromkeys(linalg, 0))
+            tropfan.linalg._unit_smith.cache_clear()  # as in a fresh process
             assert main(list(argv)) == 0
             capsys.readouterr()
+            command.linalg = dict(linalg)
             return dict(counts)
 
         return command
@@ -407,6 +423,20 @@ class TestConesBuiltOnce:
         assert run("is-balanced", "A5B5.json") \
             == {"dd": 87, "rank_in_dd": 0, "from_generators": 87,
                 "contains_cone": 0}
+
+    def test_stable_intersection_simplex_runs(self, run):
+        # the pairs whose spans fill the space go to the simplex unless a
+        # facet or equation row separates the displacement from them (418
+        # and 356 runs when every such pair went); the cones take their
+        # equations and lineality as integer kernels, unsaturated (863 and
+        # 522 Hermite normal forms when they were saturated again)
+        self.hypersurfaces(run, "A5", "B5", "A4", "B4")
+        run("stable-intersection", "A5.json", "B5.json", "--seed", "0",
+            "--format", "json")
+        assert run.linalg == {"simplex": 274, "hnf": 689}
+        run("stable-intersection", "A4.json", "B4.json", "--seed", "0",
+            "--format", "json")
+        assert run.linalg == {"simplex": 138, "hnf": 454}
 
     def test_prevariety_builds_each_piece_once(self, tmp_path, run):
         (tmp_path / "A4B4.ideal").write_text(f"vars: x,y,z,w\n{A4}\n{B4}\n")
@@ -625,6 +655,70 @@ class TestStableIntersection:
         mn = stable_intersection(a, b)
         mx = stable_intersection(swap_convention(a), swap_convention(b))
         assert mx == swap_convention(mn)
+
+
+@st.composite
+def hypersurface_pairs(draw):
+    """Two tropical hypersurfaces in 2 to 4 variables. Either polynomial may
+    be homogeneous, so that its fan has the lineality (1, ..., 1)."""
+    n = draw(st.integers(2, 4))
+    variables = tuple("xyzw"[:n])
+
+    def hypersurface():
+        homogeneous = draw(st.booleans())
+        exps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * (n - homogeneous)),
+                             min_size=2, max_size=5, unique=True))
+        if homogeneous:
+            d = max(map(sum, exps))
+            exps = [e + (d - sum(e),) for e in exps]
+        coeffs = draw(st.lists(st.integers(1, 3), min_size=len(exps),
+                               max_size=len(exps)))
+        return tropical_hypersurface(Polynomial(variables,
+                                                dict(zip(exps, coeffs))))
+
+    return hypersurface(), hypersurface()
+
+
+class TestSeparatingRows:
+    """The separating-row test rejects a displacement pair only with a
+    Farkas certificate, so stable_intersection agrees with the loop that runs
+    the simplex on every pair whose spans fill the space."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(hypersurface_pairs(), st.integers(0, 10 ** 6))
+    def test_matches_simplex_on_every_pair(self, ab, seed):
+        a, b = ab
+        assert cycle_to_dict(stable_intersection(a, b, seed=seed)) \
+            == cycle_to_dict(reference_stable_intersection(a, b, seed=seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(hypersurface_pairs(), st.lists(st.integers(-3, 3), min_size=4,
+                                          max_size=4))
+    def test_rejected_pairs_are_infeasible(self, ab, v):
+        # small displacements, so that rows vanishing on v occur too
+        a, b = ab
+        v = tuple(v[:a.ambient_dim])
+        separated = _separated_pairs(a.fan, b.fan, v)
+        for i, ca in enumerate(fan_cones(a.fan)):
+            for j, cb in enumerate(fan_cones(b.fan)):
+                if separated(i, j):
+                    assert not cone_feasible(*displacement_difference(ca, cb),
+                                             v)
+
+    def test_rejects_most_infeasible_pairs_of_a5_b5(self):
+        a = tropical_hypersurface(P(A5, tuple("abcde")))
+        b = tropical_hypersurface(P(B5, tuple("abcde")))
+        v = (5, -3, 2, 7, -11)
+        separated = _separated_pairs(a.fan, b.fan, v)
+        verdicts = [(separated(i, j),
+                     cone_feasible(*displacement_difference(ca, cb), v))
+                    for i, ca in enumerate(fan_cones(a.fan))
+                    for j, cb in enumerate(fan_cones(b.fan))]
+        assert not any(rejected and feasible for rejected, feasible in verdicts)
+        # of the 420 pairs, 237 do not meet after the shift; rows reject 145
+        assert len(verdicts) == 420
+        assert sum(not f for _, f in verdicts) == 237
+        assert sum(r for r, _ in verdicts) == 145
 
 
 class TestVarietySupportOracle:
