@@ -5,26 +5,33 @@ inequalities plus equations. A cone built from halfspaces or from generators
 gets the other description from one exact double description pass, which
 tracks for every output ray the input rows it is tight on. The facets (from
 halfspaces) or the extreme rays (from generators) are the input rows whose
-incidence sets are proper and maximal, and the remaining space, equations or
-lineality, is an integer kernel; no second pass runs. An integer kernel is
-saturated, so its canonical basis is stored as it is, with no saturation. A cone's faces come
-by incidence too, from which rays each facet inequality is tight on. Every
-stored field is canonical so that structural equality is cone equality, and
-the (rays, lineality) key alone tells cones apart. facets_by_key gives each
-facet's key from the incidences and builds the facet only on demand, so the
-Gröbner walk, the face walks and balancing build no facet they discard.
-Intersections are keyed the same way: intersection_by_key runs the pass,
-which fixes the key and the dimension, and builds the cone on demand, so
-callers skip the facet work for pieces they discard or have built already.
-Fans share one ray matrix and one lineality space; maximal cones are index
-sets into the shared rays, and a fan keeps the canonical cones it was
-assembled from, so none is built again.
+incidence sets are proper and maximal, and the remaining spaces, equations
+and lineality, are integer kernels; no second pass runs. An integer kernel is
+saturated, so its canonical basis is stored as it is, with no saturation.
+Every stored field is canonical so that structural equality is cone
+equality, and the (rays, lineality) key alone tells cones apart.
+
+A cone's faces come by incidence. face_lattice is the one walk of a face
+lattice: a face is the bit mask of the cone's rays it contains, its facets
+are the maximal proper sets among that mask and each inequality's tight-ray
+mask, and its key is read off the mask, so the walk builds nothing; faces
+and all_faces build what it meets, and facets_by_key gives one level of it,
+each facet keyed by the same masks and built only on demand. A face is built
+from its rays with no double description: its equations are the integer
+kernel of its rays and the lineality, and its inequalities the rows of the
+cone cutting out its facets. Intersections are keyed the same way:
+intersection_by_key runs the pass, which fixes the key and the dimension,
+and builds the cone on demand, so callers skip the facet work for pieces
+they discard or have built already. Fans share one ray matrix and one
+lineality space; maximal cones are index sets into the shared rays, and a
+fan keeps the canonical cones it was assembled from, so none is built again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 from .errors import BadCodimError, DimMismatchError
 from .linalg import (
@@ -160,11 +167,6 @@ class Cone:
         return True
 
 
-def _saturated(vecs, n) -> IntMatrix:
-    """The canonical basis of the saturated lattice the vectors span."""
-    return saturate_lattice(IntMatrix.from_columns([tuple(v) for v in vecs], n))
-
-
 def _v_description(ray_vecs, lineality: IntMatrix, n):
     """The canonical rays (modulo the lineality, given by its canonical
     basis), the lineality and the dimension of cone(rays) + span(lineality)."""
@@ -202,7 +204,8 @@ def halfspaces_by_key(ineq_rows, eq_rows, ambient_dim: int):
     n = ambient_dim
     ineq_rows = list(ineq_rows)
     ray_vecs, lin_vecs, masks = _dd(ineq_rows, list(eq_rows), n)
-    rays, lineality, dim = _v_description(ray_vecs, _saturated(lin_vecs, n), n)
+    rays, lineality, dim = _v_description(
+        ray_vecs, saturate_lattice(IntMatrix.from_columns(lin_vecs, n)), n)
 
     def build():
         facet_vecs = [ineq_rows[j]
@@ -224,9 +227,10 @@ def cone_from_generators(ray_cols, lineality_cols, ambient_dim: int) -> Cone:
 
     One double description pass of the dual gives the facets and the
     equations, and the generator-facet incidences. The extreme rays are the
-    generators whose sets of tight facets are proper and maximal, and the
+    generators whose sets of tight facets are proper and maximal. The
     lineality is the canonical basis of the integer kernel of the facets and
-    the equations.
+    the equations, and the equations that of the extreme rays and the
+    lineality: both are saturated already.
     """
     n = ambient_dim
     gens = [tuple(r) for r in ray_cols]
@@ -234,8 +238,10 @@ def cone_from_generators(ray_cols, lineality_cols, ambient_dim: int) -> Cone:
     ray_vecs = [gens[j] for j in _maximal_proper(masks, len(gens))]
     lineality = integer_kernel_basis(
         IntMatrix.from_rows(facet_vecs + eq_vecs, n))
+    eq_basis = integer_kernel_basis(
+        IntMatrix.from_rows(ray_vecs + lineality.columns(), n))
     return _assemble(*_v_description(ray_vecs, lineality, n),
-                     facet_vecs, _saturated(eq_vecs, n), n)
+                     facet_vecs, eq_basis, n)
 
 
 def intersection_by_key(c1: Cone, c2: Cone):
@@ -258,53 +264,84 @@ def negate_cone(c: Cone) -> Cone:
                                 c.lineality.columns(), c.ambient_dim)
 
 
+def _tight_masks(c: Cone) -> list:
+    """For each inequality of the cone, the bit mask of its rays (bit j for
+    ray column j) that the inequality is tight on."""
+    rays = c.rays.columns()
+    return [sum(1 << j for j, r in enumerate(rays) if dot(a, r) == 0)
+            for a in c.inequalities.entries]
+
+
+def _facets_of(mask, tight) -> dict:
+    """The facets of the face whose tight rays are mask, as a map from each
+    facet's ray mask to the index of an inequality cutting it out.
+
+    Every proper face of the face lies on some inequality not tight on the
+    whole face, so the facets are the maximal proper sets among the
+    mask & tight[i], each a face as an intersection of faces.
+    """
+    cuts = {}
+    for i, t in enumerate(tight):
+        m = mask & t
+        if m != mask:
+            cuts.setdefault(m, i)
+    return {m: i for m, i in cuts.items()
+            if not any(o != m and o & m == m for o in cuts)}
+
+
+def _in_mask(rays, mask) -> list:
+    """The rays whose bits are set in mask, in order."""
+    return [r for j, r in enumerate(rays) if mask >> j & 1]
+
+
+def _face_key(c: Cone, face_rays):
+    """The cone_key of the face of c with these rays, a subset of c's: they
+    stay canonical and sorted, and the lineality is c's."""
+    return (tuple(zip(*face_rays)) if face_rays else ((),) * c.ambient_dim,
+            c.lineality.entries)
+
+
+def _face_cone(c: Cone, face_rays, facet_rows, dim: int) -> Cone:
+    """The canonical face of c with these rays, given one inequality of c
+    cutting out each of its facets. No double description runs: the
+    equations are the integer kernel of the face's rays and the lineality,
+    and each facet row, reduced modulo them, is the face's inequality for
+    that facet."""
+    n = c.ambient_dim
+    eq_basis = integer_kernel_basis(
+        IntMatrix.from_rows(face_rays + c.lineality.columns(), n))
+    return Cone(
+        ambient_dim=n,
+        rays=IntMatrix.from_columns(face_rays, n),
+        lineality=c.lineality,
+        inequalities=IntMatrix.from_rows(
+            sorted(set(quotient_reps(facet_rows, eq_basis))), n),
+        equations=eq_basis.transpose(),
+        dim=dim,
+    )
+
+
 def facets_by_key(c: Cone):
     """Triples (key, inward_normal, build) for every facet of the cone, one
     per inequality a, in order.
 
     A facet of a canonical cone is fixed by its ray-facet incidences, so its
-    key costs no lattice work: the rays tight on a (still canonical and
-    sorted, since the lineality is unchanged) and the cone's lineality, in
-    the cone_key form. build() derives the whole canonical facet, with no
-    double description: a joins the equations, and its own facets are the
-    ridges, the inequalities b whose rays tight on both a and b span, with
-    the lineality, a space of dimension dim - 2.
+    key costs no lattice work: the rays tight on a and the cone's lineality,
+    in the cone_key form. build() derives the whole canonical facet by
+    incidence (_face_cone), with no double description: its own facets, the
+    ridges, are the maximal sets of rays tight on a and on one more
+    inequality b.
     """
-    n = c.ambient_dim
     rays = c.rays.columns()
-    lin = c.lineality.columns()
     ineqs = c.inequalities.entries
-    tight = [tuple(j for j, r in enumerate(rays) if dot(a, r) == 0)
-             for a in ineqs]
-    rank_of = {}
+    tight = _tight_masks(c)
 
-    def is_ridge(on_both):
-        if on_both not in rank_of:
-            rank_of[on_both] = rational_rank([rays[j] for j in on_both] + lin)
-        return rank_of[on_both] == c.dim - 2
+    def build(t):
+        rows = [ineqs[i] for i in _facets_of(t, tight).values()]
+        return _face_cone(c, _in_mask(rays, t), rows, c.dim - 1)
 
-    def build(i, facet_rays):
-        on_a = set(tight[i])
-        ridges = [b for k, b in enumerate(ineqs) if k != i
-                  and is_ridge(tuple(j for j in tight[k] if j in on_a))]
-        eq_basis = saturate_lattice(
-            IntMatrix.from_columns(list(c.equations.entries) + [ineqs[i]], n))
-        return Cone(
-            ambient_dim=n,
-            rays=facet_rays,
-            lineality=c.lineality,
-            inequalities=IntMatrix.from_rows(
-                sorted(set(quotient_reps(ridges, eq_basis))), n),
-            equations=eq_basis.transpose(),
-            dim=c.dim - 1,
-        )
-
-    out = []
-    for i, a in enumerate(ineqs):
-        facet_rays = IntMatrix.from_columns([rays[j] for j in tight[i]], n)
-        out.append(((facet_rays.entries, c.lineality.entries), a,
-                    partial(build, i, facet_rays)))
-    return out
+    return [(_face_key(c, _in_mask(rays, t)), a, partial(build, t))
+            for a, t in zip(ineqs, tight)]
 
 
 def facets_with_normals(c: Cone):
@@ -312,41 +349,83 @@ def facets_with_normals(c: Cone):
     return [(build(), a) for _, a, build in facets_by_key(c)]
 
 
+class Face(NamedTuple):
+    """A face met by face_lattice: its cone_key, its dimension, the keys of
+    its facets, and build(), which makes the canonical face on demand."""
+
+    key: tuple
+    dim: int
+    facets: tuple
+    build: Callable[[], Cone]
+
+    @property
+    def point(self):
+        """The sum of the rays, as relative_interior_point gives it."""
+        return tuple(sum(row) for row in self.key[0])
+
+
+def face_lattice(c: Cone, seen=None) -> list:
+    """Every face of the cone, all codimensions, as Face records sorted by
+    key, with nothing built.
+
+    A face is the set of rays it contains, kept as a bit mask over c's rays;
+    its facets are the maximal proper sets among its mask and the tight-ray
+    mask of each inequality of c (_facets_of), one dimension lower. The walk
+    goes down from the whole cone one dimension at a time. A `seen` map
+    (face key -> Face) shared across calls walks the face lattices of many
+    cones once: a face already in it, and with it all of its faces, is
+    neither met again nor returned.
+    """
+    if seen is None:
+        seen = {}
+    if cone_key(c) in seen:
+        return []
+    rays = c.rays.columns()
+    ineqs = c.inequalities.entries
+    tight = _tight_masks(c)
+    top = (1 << len(rays)) - 1
+    keys = {top: cone_key(c)}
+
+    def whole():
+        return c
+
+    level = [top]
+    dim = c.dim
+    new = []
+    while level:
+        below = []
+        for mask in level:
+            facets = _facets_of(mask, tight)
+            for m in facets:
+                if m not in keys:
+                    keys[m] = _face_key(c, _in_mask(rays, m))
+                    if keys[m] not in seen:
+                        below.append(m)
+            if mask == top:
+                build = whole
+            else:
+                build = partial(_face_cone, c, _in_mask(rays, mask),
+                                [ineqs[i] for i in facets.values()], dim)
+            face = Face(keys[mask], dim, tuple(keys[m] for m in facets), build)
+            seen[face.key] = face
+            new.append(face)
+        level = below
+        dim -= 1
+    return sorted(new, key=lambda f: f.key)
+
+
 def faces(c: Cone, codim: int) -> list:
     """All faces of the given codimension, canonically deduplicated."""
     if codim < 0 or codim > c.dim:
         raise BadCodimError(f"codimension {codim} out of range for a "
                             f"{c.dim}-dimensional cone")
-    return [f for f in all_faces(c) if f.dim == c.dim - codim]
+    return [f.build() for f in face_lattice(c) if f.dim == c.dim - codim]
 
 
 def all_faces(c: Cone, seen=None) -> list:
-    """Every face of the cone, all codimensions, deduplicated and sorted.
-
-    A `seen` map (face key -> face) shared across calls walks the face
-    lattices of many cones once: a face already in it, and with it all of its
-    faces, is neither derived again nor returned. Each facet's key is looked
-    up before the facet is built, so a face is built once however many faces
-    cover it.
-    """
-    if seen is None:
-        seen = {}
-    key = cone_key(c)
-    if key in seen:
-        return []
-    seen[key] = c
-    new = [c]
-    frontier = [c]
-    while frontier:
-        nxt = []
-        for cone in frontier:
-            for k, _, build in facets_by_key(cone):
-                if k not in seen:
-                    seen[k] = f = build()
-                    nxt.append(f)
-        new.extend(nxt)
-        frontier = nxt
-    return sorted(new, key=cone_key)
+    """Every face of the cone, all codimensions, built, deduplicated and
+    sorted; `seen` is face_lattice's."""
+    return [f.build() for f in face_lattice(c, seen)]
 
 
 def cone_key(c: Cone):

@@ -1,14 +1,19 @@
 """Tropical hypersurfaces, prevarieties, varieties, and stable intersection.
 
 The variety pipeline is the exhaustive one: homogenize, enumerate the whole
-Gröbner fan, keep every face whose initial ideal stays monomial-free under
-saturation, slice the homogenizing coordinate back out, and compute one
-multiplicity per maximal cell as the degree of the saturated initial ideal in
-quotient coordinates. Stable intersections use the fan displacement rule with
-an analytically eliminated perturbation and lattice-index weights. Whether a
-pair of cones still meets after the displacement is decided first by rows:
-bit masks over the other fan's rays give, per cone row, the pairs it
-separates by a Farkas certificate, and the exact simplex decides the rest.
+Gröbner fan, and walk its face lattice by ray masks, building no face. The
+variety is a closed subfan of the Gröbner fan, so faces are decided by
+ascending dimension, and only a face whose facets are all kept is tested: it
+is kept when its initial ideal stays monomial-free under saturation. The
+maximal kept faces, those that are no kept face's facet, are the only ones
+built; slice the homogenizing coordinate back out of each, and compute one
+multiplicity per maximal cell as the degree of the saturated initial ideal
+in quotient coordinates. Stable intersections use the fan displacement rule
+with an analytically eliminated perturbation and lattice-index weights.
+Whether a pair of cones still meets after the displacement is decided first
+by rows: bit masks over the other fan's rays give, per cone row, the pairs
+it separates by a Farkas certificate, and the exact simplex decides the
+rest.
 """
 
 from __future__ import annotations
@@ -36,13 +41,11 @@ from .cycles import (
 from .fans import (
     Cone,
     Fan,
-    all_faces,
     common_refinement,
-    cone_key,
+    face_lattice,
     fan_cones,
     halfspaces_by_key,
     intersection_by_key,
-    relative_interior_point,
     slice_first_coordinate,
     support_contains,
 )
@@ -59,10 +62,10 @@ from .groebner import (
 )
 from .linalg import (
     IntMatrix,
+    Lattice,
     cone_feasible,
     dot,
     hnf_completion,
-    lattice_from_generators,
     lattice_index,
     rational_rank,
     vec_neg,
@@ -206,32 +209,43 @@ def tropical_variety(spec: IdealSpec, convention: str = "min",
 
 def _kept_faces(fan_data):
     """The monomial-free faces of a Gröbner fan, given as (basis, cone)
-    pairs: a map from face keys to (face, initial ideal). The face lattices
-    are walked once for the whole fan; each face is tested with the basis of
-    the first Gröbner cone that reaches it."""
-    kept = {}
+    pairs: a list of (Face, initial ideal) in walk order (the Gröbner cones
+    in fan order, each one's new faces sorted by key).
+
+    The face lattices are walked once for the whole fan by ray masks
+    (face_lattice), building no face. Trop(I) of a homogeneous ideal is a
+    closed subfan of the Gröbner fan, so a face with a facet outside it lies
+    outside it too. Membership is decided by ascending dimension: a face
+    whose facets were all kept is tested, by saturating its initial ideal
+    under the basis of the first Gröbner cone that reached it at the sum of
+    its rays; any other face is rejected untested.
+    """
+    walked = []
     seen = {}
     for gb, cone in fan_data:
-        for face in all_faces(cone, seen):
-            w = relative_interior_point(face)
-            inw = initial_ideal(gb, w)
+        walked.extend((face, gb) for face in face_lattice(cone, seen))
+    kept = {}
+    for face, gb in sorted(walked, key=lambda t: t[0].dim):
+        if all(k in kept for k in face.facets):
+            inw = initial_ideal(gb, face.point)
             if is_monomial_free(inw):
-                kept[cone_key(face)] = (face, inw)
-    return kept
+                kept[face.key] = inw
+    return [(face, kept[face.key]) for face, _ in walked if face.key in kept]
 
 
 def _groebner_variety(spec: IdealSpec):
+    """The exhaustive pipeline on the kept faces. A kept face lies in a
+    larger kept one exactly when it is a facet of a kept face (every face
+    between them is in the closed subfan), so the maximal cells are the kept
+    faces no kept face lists among its facets. Only they are built."""
     kept = _kept_faces(groebner_fan(homogenize(spec)))
-    faces_list = [face for face, _ in kept.values()]
-    maximal = []
-    for i, (face, inw) in enumerate(kept.values()):
-        if not any(other is not face and other.contains_cone(face)
-                   for other in faces_list):
-            maximal.append((face, inw))
+    covered = {k for face, _ in kept for k in face.facets}
     pairs = []
-    for face, inw in maximal:
-        mult = _multiplicity_from_initial(inw, face)
-        pairs.append((slice_first_coordinate(face), mult))
+    for face, inw in kept:
+        if face.key not in covered:
+            sigma = face.build()
+            mult = _multiplicity_from_initial(inw, sigma)
+            pairs.append((slice_first_coordinate(sigma), mult))
     return weighted_from_cones(len(spec.variables), pairs, "min",
                                merge_duplicates=False)
 
@@ -363,8 +377,7 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
 
     def span_lattice(cone):
         if cone not in lattices:
-            lattices[cone] = lattice_from_generators(
-                n, span_lattice_basis(cone).columns())
+            lattices[cone] = Lattice(n, span_lattice_basis(cone))
         return lattices[cone]
 
     separated = _separated_pairs(a.fan, b.fan, v)

@@ -9,12 +9,18 @@ from tropfan.errors import DimMismatchError, GenericityError, NotPureError
 from tropfan.fans import (
     _assemble,
     _v_description,
+    cone_key,
     facets_by_key,
     fan_cones,
     intersection_by_key,
     relative_interior_point,
 )
-from tropfan.groebner import TermOrder, initial_ideal, reduced_groebner_basis
+from tropfan.groebner import (
+    TermOrder,
+    initial_ideal,
+    is_monomial_free,
+    reduced_groebner_basis,
+)
 from tropfan.linalg import (
     IntMatrix,
     cone_feasible,
@@ -242,3 +248,33 @@ def reference_stable_intersection(a, b, seed=0):
     if not pairs:
         return _empty_cycle(n, a.convention)
     return weighted_from_cones(n, pairs, a.convention, merge_duplicates=True)
+
+
+def reference_kept_faces(fan_data):
+    """The monomial-free faces of a Gröbner fan, given as (basis, cone)
+    pairs, with no pruning: every face is built, by building each facet of
+    each face met, and tested with the basis of the first Gröbner cone that
+    reaches it. A list of (face, initial ideal) in walk order: the Gröbner
+    cones in fan order, each one's new faces sorted by key."""
+    kept = []
+    seen = set()
+    for gb, cone in fan_data:
+        if cone_key(cone) in seen:
+            continue
+        seen.add(cone_key(cone))
+        new = [cone]
+        frontier = [cone]
+        while frontier:
+            below = []
+            for c in frontier:
+                for key, _, build in facets_by_key(c):
+                    if key not in seen:
+                        seen.add(key)
+                        below.append(build())
+            new += below
+            frontier = below
+        for face in sorted(new, key=cone_key):
+            inw = initial_ideal(gb, relative_interior_point(face))
+            if is_monomial_free(inw):
+                kept.append((face, inw))
+    return kept

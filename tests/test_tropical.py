@@ -12,6 +12,7 @@ from tropfan.cycles import (
     is_balanced,
     make_cycle,
     swap_convention,
+    weighted_from_cones,
 )
 from tropfan.errors import (
     ConventionMismatchError,
@@ -26,6 +27,7 @@ from tropfan.fans import (
     fan_cones,
     fan_dim,
     fan_from_cones,
+    relative_interior_point,
     support_contains,
 )
 from tropfan.groebner import TermOrder, reduced_groebner_basis
@@ -46,6 +48,7 @@ from oracles import (
     multiplicity_at,
     optimum_attained_twice,
     reference_fan_cone,
+    reference_kept_faces,
     reference_stable_intersection,
 )
 
@@ -216,13 +219,17 @@ class TestVariety:
 
 
 class TestFaceWalk:
-    """Tripwires: the face walk over a whole Gröbner fan keys the facets of
-    each distinct face once and builds each face that is not a Gröbner cone
-    once, by incidence; it runs no double description and reduces modulo
-    lattices with no unimodular completion or inverse."""
+    """Tripwires: the face walk over a whole Gröbner fan keys every face by
+    ray masks and builds none (55 facets keyed and 39 built on space_conic,
+    81 and 71 on linear5, when faces were built by incidence), and it
+    saturates only the faces whose facets were all kept (55 and 81
+    saturations, one per face, before that pruning); it runs no double
+    description and reduces modulo lattices with no unimodular completion
+    or inverse."""
 
     def walk(self, spec, monkeypatch, facet_counts):
         import tropfan.fans
+        import tropfan.groebner
         import tropfan.linalg
         import tropfan.tropical
         from tropfan.groebner import groebner_fan
@@ -231,7 +238,8 @@ class TestFaceWalk:
         facet_counts.update(keyed=0, built=0)
         homes = {"cone_from_halfspaces": tropfan.fans,
                  "int_inverse": tropfan.linalg,
-                 "hnf_completion": tropfan.linalg}
+                 "hnf_completion": tropfan.linalg,
+                 "saturate": tropfan.groebner}
         calls = dict.fromkeys(homes, 0)
         for name, home in homes.items():
             original = getattr(home, name)
@@ -242,12 +250,15 @@ class TestFaceWalk:
 
             # every module that bound the function, the defining one
             # included: hnf_completion looks int_inverse up in tropfan.linalg
-            for module in (tropfan.linalg, tropfan.fans, tropfan.tropical):
+            for module in (tropfan.linalg, tropfan.fans, tropfan.groebner,
+                           tropfan.tropical):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         kept = tropfan.tropical._kept_faces(fan_data)
-        assert calls == dict.fromkeys(homes, 0)
-        return len(fan_data), dict(facet_counts), len(kept)
+        saturations = calls.pop("saturate")
+        assert calls == {"cone_from_halfspaces": 0, "int_inverse": 0,
+                         "hnf_completion": 0}
+        return len(fan_data), dict(facet_counts), saturations, len(kept)
 
     def test_space_conic_derives_each_face_once(self, monkeypatch,
                                                 facet_counts):
@@ -255,13 +266,52 @@ class TestFaceWalk:
 
         entry = next(e for e in PRIME_CORPUS if e.name == "space_conic")
         assert self.walk(entry.ideal(), monkeypatch, facet_counts) \
-            == (16, {"keyed": 55, "built": 39}, 5)
+            == (16, {"keyed": 0, "built": 0}, 13, 5)
 
     def test_linear5_derives_each_face_once(self, monkeypatch, facet_counts):
         vs = tuple("abcde")
         spec = ideal(vs, (P("a+b+c+d+e", vs), P("a+2*b+3*c+5*d+7*e", vs)))
         assert self.walk(spec, monkeypatch, facet_counts) \
-            == (10, {"keyed": 81, "built": 71}, 16)
+            == (10, {"keyed": 0, "built": 0}, 21, 16)
+
+
+# (name, variables, generators): the heavier probes of the goldens
+VARIETY_PROBES = (
+    ("linear5", "abcde", ("a+b+c+d+e", "a+2*b+3*c+5*d+7*e")),
+    ("curve3", "xyz", ("x+y+z+1", "x*y*z-1")),
+    ("curve4", "xyzw", ("x+y+z+w+1", "x*y*z*w-1")),
+    ("twisted_cubic", "xyz", ("y-x^2", "z-x^3", "x*z-y^2")),
+)
+
+
+def _variety_cases():
+    from tropfan.corpus import PRIME_CORPUS
+    return ([(e.name, e.variables, e.generators) for e in PRIME_CORPUS]
+            + list(VARIETY_PROBES))
+
+
+class TestPrunedFaceWalk:
+    """The pruned mask walk keeps the faces that testing every face keeps:
+    the same keys in the same order, with the same initial ideals."""
+
+    @pytest.mark.parametrize("case", _variety_cases(), ids=lambda c: c[0])
+    def test_matches_testing_every_face(self, case):
+        from tropfan.fans import cone_key
+        from tropfan.groebner import groebner_fan
+        from tropfan.tropical import _kept_faces
+
+        _, variables, generators = case
+        vs = tuple(variables)
+        spec = ideal(vs, tuple(P(g, vs) for g in generators))
+        fan_data = groebner_fan(homogenize(spec))
+        got = _kept_faces(fan_data)
+        want = reference_kept_faces(fan_data)
+        assert [face.key for face, _ in got] \
+            == [cone_key(face) for face, _ in want]
+        assert [inw.generators for _, inw in got] \
+            == [inw.generators for _, inw in want]
+        for face, _ in got:
+            assert face.point == relative_interior_point(face.build())
 
 
 # hypersurfaces in four and five variables whose cycles the CLI intersects
@@ -423,20 +473,26 @@ class TestConesBuiltOnce:
         assert run("is-balanced", "A5B5.json") \
             == {"dd": 87, "rank_in_dd": 0, "from_generators": 87,
                 "contains_cone": 0}
+        # the cones read and the facets built take their equations as integer
+        # kernels of their generators (905 Hermite normal forms when they
+        # saturated equation vectors)
+        assert run.linalg["hnf"] == 724
 
     def test_stable_intersection_simplex_runs(self, run):
         # the pairs whose spans fill the space go to the simplex unless a
         # facet or equation row separates the displacement from them (418
         # and 356 runs when every such pair went); the cones take their
         # equations and lineality as integer kernels, unsaturated (863 and
-        # 522 Hermite normal forms when they were saturated again)
+        # 522 Hermite normal forms when they were saturated again, 689 and
+        # 454 when cones read from generators saturated their equation
+        # vectors and the span lattices were put in Hermite form again)
         self.hypersurfaces(run, "A5", "B5", "A4", "B4")
         run("stable-intersection", "A5.json", "B5.json", "--seed", "0",
             "--format", "json")
-        assert run.linalg == {"simplex": 274, "hnf": 689}
+        assert run.linalg == {"simplex": 274, "hnf": 607}
         run("stable-intersection", "A4.json", "B4.json", "--seed", "0",
             "--format", "json")
-        assert run.linalg == {"simplex": 138, "hnf": 454}
+        assert run.linalg == {"simplex": 138, "hnf": 382}
 
     def test_prevariety_builds_each_piece_once(self, tmp_path, run):
         (tmp_path / "A4B4.ideal").write_text(f"vars: x,y,z,w\n{A4}\n{B4}\n")
@@ -821,3 +877,94 @@ class TestVarietyBalancing:
             spec = ideal(vs, tuple(P(t, vs) for t in texts))
             c = tropical_variety(spec, strategy="groebner")
             assert is_balanced(c), texts
+
+
+# the Plücker coordinates p_ij (i < j) of G(2,5), in lexicographic order
+PLUCKER_PAIRS = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+PLUCKER_VARS = tuple(f"p{i}{j}" for i, j in PLUCKER_PAIRS)
+
+
+def plucker_ideal(perm=tuple(range(10))):
+    """The five three-term Plücker relations of G(2,5), with coordinate k
+    moved to coordinate perm[k]."""
+    def p(i, j):
+        return PLUCKER_VARS[perm[PLUCKER_PAIRS.index((i, j))]]
+
+    rels = [f"{p(i, j)}*{p(k, l)}-{p(i, k)}*{p(j, l)}+{p(i, l)}*{p(j, k)}"
+            for i in range(1, 6) for j in range(i + 1, 6)
+            for k in range(j + 1, 6) for l in range(k + 1, 6)]
+    return ideal(PLUCKER_VARS, tuple(P(r, PLUCKER_VARS) for r in rels))
+
+
+def plucker_permutation(sigma):
+    """The permutation of the coordinates that sigma, a map on {1..5},
+    induces: p_ij goes to p_sigma(i)sigma(j), up to a sign the tropical
+    variety does not see."""
+    return [PLUCKER_PAIRS.index(tuple(sorted((sigma[i], sigma[j]))))
+            for i, j in PLUCKER_PAIRS]
+
+
+def permuted_cycle(cycle, perm):
+    """The cycle with coordinate k of every vector moved to perm[k]."""
+    def move(v):
+        out = [0] * len(v)
+        for k, x in enumerate(v):
+            out[perm[k]] = x
+        return tuple(out)
+
+    fan = cycle.fan
+    lin = [move(l) for l in fan.lineality.columns()]
+    pairs = [(cone_from_generators([move(fan.rays.column(j)) for j in idx],
+                                   lin, fan.ambient_dim), m)
+             for idx, m in zip(fan.maximal_cones, cycle.multiplicities)]
+    return weighted_from_cones(fan.ambient_dim, pairs, cycle.convention)
+
+
+# a transposition and a 5-cycle, which generate S_5
+S5_GENERATORS = ({1: 2, 2: 1, 3: 3, 4: 4, 5: 5},
+                 {1: 2, 2: 3, 3: 4, 4: 5, 5: 1})
+
+
+class TestGrassmannian25:
+    """Known answer: the tropical Grassmannian G(2,5) is the space of
+    phylogenetic trees on five leaves (Speyer and Sturmfels, "The tropical
+    Grassmannian", 2004). Modulo a five-dimensional lineality it is the cone
+    over the Petersen graph: 10 rays, 15 two-ray cones of weight 1."""
+
+    @pytest.fixture(scope="class")
+    def cycle(self):
+        return tropical_variety(plucker_ideal(), strategy="groebner")
+
+    def test_petersen_graph(self, cycle):
+        fan = cycle.fan
+        assert fan.rays.ncols == 10
+        assert fan.n_maximal() == 15
+        assert cycle.multiplicities == (1,) * 15
+        assert fan.lineality.ncols == 5
+        assert cycle.pure and cycle_dim(cycle) == 7
+        assert all(len(c) == 2 for c in fan.maximal_cones)
+        neighbours = {v: set() for v in range(10)}
+        for u, v in fan.maximal_cones:
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+        assert all(len(n) == 3 for n in neighbours.values())
+        # no triangle: adjacent rays share no neighbour; no 4-cycle: two
+        # rays share at most one
+        for u in range(10):
+            for v in range(u + 1, 10):
+                common = neighbours[u] & neighbours[v]
+                assert len(common) <= (0 if v in neighbours[u] else 1)
+        assert is_balanced(cycle)
+
+    @pytest.mark.parametrize("sigma", S5_GENERATORS)
+    def test_symmetric_under_s5(self, cycle, sigma):
+        image = permuted_cycle(cycle, plucker_permutation(sigma))
+        assert cycle_to_dict(image) == cycle_to_dict(cycle)
+
+    def test_permuted_coordinates(self, cycle):
+        # swapping p12 and p45 alone is no symmetry of the ideal: the walk
+        # meets another Gröbner fan, whose variety is the permuted cycle
+        perm = (9,) + tuple(range(1, 9)) + (0,)
+        assert cycle_to_dict(tropical_variety(
+            plucker_ideal(perm), strategy="groebner")) \
+            == cycle_to_dict(permuted_cycle(cycle, perm))
