@@ -282,8 +282,12 @@ def main(argv=None) -> int:
             elapsed = time.monotonic() - started
             print(f"-- {elapsed:.6f} seconds elapsed", file=sys.stderr)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(output)
     return 0

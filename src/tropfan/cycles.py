@@ -4,6 +4,8 @@ A TropicalCycle is a weighted fan tagged with the min or max convention. It
 may be non-pure (a variety with components of different dimensions); its
 `pure` property says so, and the operations that need purity check it.
 Construction never checks balancing; is_balanced is the separate verifier.
+It walks facet keys, not built facets, and reads each lattice normal off the
+image of a ray under one integer kernel per facet, with no quotient lattice.
 The JSON schema here is the on-disk interchange format of the CLI.
 """
 
@@ -27,7 +29,13 @@ from .fans import (
     is_pure,
     negate_cone,
 )
-from .linalg import IntMatrix, dot, integer_kernel_basis, quotient_reps
+from .linalg import (
+    IntMatrix,
+    _kernel_columns,
+    dot,
+    integer_kernel_basis,
+    primitive_vector,
+)
 
 
 def check_convention(convention) -> None:
@@ -149,27 +157,31 @@ def is_balanced(cycle) -> bool:
 
     The maximal cones of a fan meet in common faces, so the cones around a
     facet tau are those that list tau among their facets: each cone's facet
-    keys give its incidences, and the first ray of the cone off tau gives
-    its normal vector modulo span tau. Each tau is built once.
+    keys give its incidences, and the first ray of the cone off tau spans
+    its image in Z^n / L_tau, for L_tau the lattice of span tau. The rows of
+    one integer kernel E of tau's rays and the lineality map Z^n / L_tau
+    isomorphically onto Z^k (they span a saturated lattice), so the normal
+    vector of a cone is the primitive E . r of its off-facet ray r, and tau
+    is balanced when the weighted sum of those is zero. No facet is built.
     """
     if not cycle.pure:
         raise NotPureError("balancing is defined for pure cycles only")
     fan = cycle.fan
-    around = {}     # facet key -> (build, [(weight, ray off the facet)])
+    sums = {}       # facet key -> (E, weighted sum of the normal vectors)
     for c, m in zip(fan_cones(fan), cycle.multiplicities):
-        rays = c.rays.columns()
-        for key, a, build in facets_by_key(c):
-            off = next(r for r in rays if dot(a, r) != 0)
-            around.setdefault(key, (build, []))[1].append((m, off))
-    for build, incident in around.values():
-        tau = build()
-        normals = quotient_reps([r for _, r in incident],
-                                span_lattice_basis(tau))
-        total = [sum(m * v[k] for (m, _), v in zip(incident, normals))
-                 for k in range(fan.ambient_dim)]
-        if any(dot(row, total) != 0 for row in tau.equations.entries):
-            return False
-    return True
+        rays, lin = c.generators()
+        for key, a, _ in facets_by_key(c):
+            if key not in sums:
+                tight = [r for r in rays if not dot(a, r)]
+                e = _kernel_columns(IntMatrix(len(tight) + len(lin),
+                                              fan.ambient_dim,
+                                              tuple(tight + lin)))
+                sums[key] = (e, [0] * len(e))
+            e, total = sums[key]
+            off = next(r for r in rays if dot(a, r))
+            normal = primitive_vector([dot(row, off) for row in e])
+            total[:] = [t + m * x for t, x in zip(total, normal)]
+    return not any(any(total) for _, total in sums.values())
 
 
 def cycle_to_dict(cycle) -> dict:

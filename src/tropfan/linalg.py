@@ -7,14 +7,18 @@ solving, and a phase-1 simplex used to decide cone membership. Rational input
 is scaled to integers row by row (`clear_denominators`); elimination, inversion
 and the simplex then run in integer arithmetic only: elimination by
 cross-multiplication with row gcds divided out, inversion through the Hermite
-witness, and a simplex tableau with one shared denominator (Edmonds' pivots).
-Rationals appear only in that scaling and in the solution vectors
-`solve_rational` returns. No floating point is used anywhere.
+witness, and a simplex tableau with one shared denominator (Edmonds' pivots)
+whose reduced costs are one more row of it. Rationals appear only in that
+scaling and in the solution vectors `solve_rational` returns. No floating
+point is used anywhere.
 
 IntMatrix.from_rows and from_columns check the shape and the integrality of
 outside data; the matrices derived here from checked ones are built from
-their int tuples unchecked. The Smith witnesses of a saturated basis, which
-quotient_reps and hnf_completion use, are memoized by the basis.
+their int tuples unchecked. One column Hermite elimination serves both
+hermite_normal_form, which stacks the witness under the columns, and
+hermite_basis and lattice_index, which need no witness. The Smith witnesses
+of a saturated basis, which quotient_reps and hnf_completion use, are
+memoized by the basis together with the rows quotient_reps multiplies by.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import DimMismatchError, NotFullRankError, ZeroVectorError
 
@@ -30,11 +35,7 @@ Vec = tuple  # exact entries: ints, or rationals where a docstring says so
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vec_neg(a):
@@ -163,19 +164,53 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def vec_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 def primitive_vector(v) -> Vec:
     """Divide an integer vector by the gcd of its entries."""
-    g = vec_gcd(v)
+    g = gcd(*v)
     if g == 0:
         raise ZeroVectorError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
+
+
+def _hermite_columns(cols, nrows: int) -> list:
+    """Column Hermite elimination of the lists cols, pivoting on their first
+    nrows entries; entries past those (a witness stacked under each column)
+    undergo the same column operations. Returns the new columns."""
+    nc = len(cols)
+    c = 0
+    for r in range(nrows):
+        if c >= nc:
+            break
+        # gcd-chase the entries of row r across columns >= c
+        while True:
+            live = [j for j in range(c, nc) if cols[j][r]]
+            if not live:
+                break
+            j0 = min(live, key=lambda j: abs(cols[j][r]))
+            if j0 != c:
+                cols[c], cols[j0] = cols[j0], cols[c]
+            pcol = cols[c]
+            p = pcol[r]
+            done = True
+            for j in range(c + 1, nc):
+                if cols[j][r]:
+                    q = cols[j][r] // p
+                    col = cols[j] = [x - q * y for x, y in zip(cols[j], pcol)]
+                    if col[r]:
+                        done = False
+            if done:
+                break
+        if cols[c][r]:
+            if cols[c][r] < 0:
+                cols[c] = [-x for x in cols[c]]
+            pcol = cols[c]
+            p = pcol[r]
+            for j in range(c):
+                q = cols[j][r] // p
+                if q:
+                    cols[j] = [x - q * y for x, y in zip(cols[j], pcol)]
+            c += 1
+    return cols
 
 
 def hermite_normal_form(m: IntMatrix):
@@ -185,48 +220,13 @@ def hermite_normal_form(m: IntMatrix):
     pivot rows strictly increase with the column index, pivots positive, and
     entries in a pivot row left of the pivot reduced into [0, pivot).
     """
-    cols = [list(c) for c in m.columns()]
-    nc = m.ncols
-    u = [[1 if i == j else 0 for i in range(nc)] for j in range(nc)]
-    c = 0
-    for r in range(m.nrows):
-        if c >= nc:
-            break
-        # gcd-chase the entries of row r across columns >= c
-        while True:
-            live = [j for j in range(c, nc) if cols[j][r] != 0]
-            if not live:
-                break
-            j0 = min(live, key=lambda j: (abs(cols[j][r]), j))
-            if j0 != c:
-                cols[c], cols[j0] = cols[j0], cols[c]
-                u[c], u[j0] = u[j0], u[c]
-            done = True
-            for j in range(c + 1, nc):
-                if cols[j][r] != 0:
-                    q = cols[j][r] // cols[c][r]
-                    for i in range(m.nrows):
-                        cols[j][i] -= q * cols[c][i]
-                    for i in range(nc):
-                        u[j][i] -= q * u[c][i]
-                    if cols[j][r] != 0:
-                        done = False
-            if done:
-                break
-        if c < nc and cols[c][r] != 0:
-            if cols[c][r] < 0:
-                cols[c] = [-x for x in cols[c]]
-                u[c] = [-x for x in u[c]]
-            p = cols[c][r]
-            for j in range(c):
-                q = cols[j][r] // p
-                if q:
-                    for i in range(m.nrows):
-                        cols[j][i] -= q * cols[c][i]
-                    for i in range(nc):
-                        u[j][i] -= q * u[c][i]
-            c += 1
-    return _from_int_columns(cols, m.nrows), _from_int_columns(u, nc)
+    nr, nc = m.nrows, m.ncols
+    # each column of M stacked on the matching column of the identity
+    cols = _hermite_columns(
+        [list(col) + [1 if i == j else 0 for i in range(nc)]
+         for j, col in enumerate(m.columns())], nr)
+    return (_from_int_columns([col[:nr] for col in cols], nr),
+            _from_int_columns([col[nr:] for col in cols], nc))
 
 
 def smith_normal_form(m: IntMatrix):
@@ -309,13 +309,6 @@ def smith_normal_form(m: IntMatrix):
     return (IntMatrix(nr, nc, tuple(map(tuple, a))),
             IntMatrix(nr, nr, tuple(map(tuple, p))),
             _from_int_columns(q, nc))
-
-
-def invariant_factors(m: IntMatrix) -> tuple:
-    d, _, _ = smith_normal_form(m)
-    k = min(m.nrows, m.ncols)
-    facs = [d.entries[i][i] for i in range(k)]
-    return tuple(f for f in facs if f != 0)
 
 
 def clear_denominators(row) -> list:
@@ -426,8 +419,8 @@ def integer_kernel_basis(m: IntMatrix) -> IntMatrix:
 def hermite_basis(m: IntMatrix) -> IntMatrix:
     """Canonical HNF basis (nonzero columns) of the lattice spanned by the
     columns of m."""
-    h, _ = hermite_normal_form(m)
-    return _from_int_columns([c for c in h.columns() if any(c)], m.nrows)
+    cols = _hermite_columns([list(c) for c in m.columns()], m.nrows)
+    return _from_int_columns([tuple(c) for c in cols if any(c)], m.nrows)
 
 
 def saturate_lattice(m: IntMatrix) -> IntMatrix:
@@ -461,23 +454,22 @@ def lattice_from_generators(ambient_dim: int, columns) -> Lattice:
 
 
 def lattice_index(l1: Lattice, l2: Lattice) -> int:
-    """Index [Z^n : L1 + L2], defined when the two lattices jointly span Q^n."""
+    """Index [Z^n : L1 + L2], defined when the two lattices jointly span Q^n:
+    the product of the pivots of the Hermite basis of L1 + L2."""
     if l1.ambient_dim != l2.ambient_dim:
         raise DimMismatchError("lattices live in different ambient spaces")
     n = l1.ambient_dim
-    joint = _from_int_columns(l1.basis.columns() + l2.basis.columns(), n)
-    facs = invariant_factors(joint)
-    if len(facs) < n:
+    joint = hermite_basis(
+        _from_int_columns(l1.basis.columns() + l2.basis.columns(), n))
+    if joint.ncols < n:
         raise NotFullRankError("lattices do not jointly span the ambient space")
-    idx = 1
-    for f in facs:
-        idx *= f
-    return idx
+    return prod(joint.entries[i][i] for i in range(n))
 
 
 @lru_cache(maxsize=1024)
 def _unit_smith(basis: IntMatrix):
-    """Witnesses (P, Q) of the Smith form P B Q of a saturated basis B.
+    """Witnesses of the Smith form P B Q of a saturated basis B with d
+    columns: P, its first d rows, and the rows of B Q.
 
     Memoized by the basis: the cones of one fan share their lineality, and
     quotient_reps and hnf_completion reduce modulo the same few lattices
@@ -485,20 +477,22 @@ def _unit_smith(basis: IntMatrix):
     dmat, p, q = smith_normal_form(basis)
     if any(dmat.entries[i][i] != 1 for i in range(basis.ncols)):
         raise NotFullRankError("basis does not generate a saturated lattice")
-    return p, q
+    return p, p.entries[:basis.ncols], (basis @ q).entries
 
 
 def quotient_reps(vectors, basis: IntMatrix) -> list:
     """Canonical primitive representatives of vectors modulo the saturated
     lattice of the basis columns B: v - B Q (P v)[:d] for the Smith form
     P B Q, as V^-1 = diag(Q, I) P for the completion V = [B | P^-1 ...]."""
-    d = basis.ncols
-    if d == 0:
+    if basis.ncols == 0:
         return [primitive_vector(v) for v in vectors]
-    p, q = _unit_smith(basis)
-    bq = basis @ q
-    return [primitive_vector(vec_sub(v, bq.mul_vec(p.mul_vec(v)[:d])))
-            for v in vectors]
+    _, p_top, bq = _unit_smith(basis)
+    out = []
+    for v in vectors:
+        coords = [dot(row, v) for row in p_top]
+        out.append(primitive_vector(
+            [x - dot(row, coords) for x, row in zip(v, bq)]))
+    return out
 
 
 def hnf_completion(basis: IntMatrix) -> IntMatrix:
@@ -509,7 +503,7 @@ def hnf_completion(basis: IntMatrix) -> IntMatrix:
     invariant factors to be 1 (true exactly for saturated lattices).
     """
     n, d = basis.nrows, basis.ncols
-    p, _ = _unit_smith(basis)
+    p = _unit_smith(basis)[0]
     pinv = int_inverse(p)
     ext = [pinv.column(j) for j in range(d, n)]
     v = _from_int_columns(basis.columns() + ext, n)
@@ -546,21 +540,17 @@ def nonneg_solution_exists(a_rows, b) -> bool:
            + [den if j == i else 0 for j in range(m)]
            + [den // r[n] * r[n + 1]]
            for i, r in enumerate(scaled)]
+    # row m: the reduced costs of the phase-1 objective (cost 1 on the
+    # artificials) times den, zero on the basis, and minus the objective;
+    # a pivot updates it as any other row
+    tab.append([-sum(r[j] for r in tab) for j in range(n)] + [0] * m
+               + [-sum(r[total] for r in tab)])
+    cost = tab[m]
     basis = [n + i for i in range(m)]
     while True:
-        # reduced costs times den for the phase-1 objective (cost 1 on
-        # artificials)
-        art = [i for i in range(m) if basis[i] >= n]
-        entering = None
-        for j in range(total):
-            if j in basis:
-                continue
-            red = (den if j >= n else 0) - sum(tab[i][j] for i in art)
-            if red < 0:
-                entering = j
-                break
+        entering = next((j for j in range(total) if cost[j] < 0), None)
         if entering is None:
-            return sum(tab[i][total] for i in art) == 0
+            return cost[total] == 0
         leaving = None
         for i in range(m):
             if tab[i][entering] > 0:
@@ -576,11 +566,12 @@ def nonneg_solution_exists(a_rows, b) -> bool:
             raise AssertionError("unbounded phase-1 simplex")
         prow = tab[leaving]
         pv = prow[entering]
-        for i in range(m):
+        for i in range(m + 1):
             if i != leaving:
                 row = tab[i]
                 f = row[entering]
                 tab[i] = [(pv * x - f * y) // den for x, y in zip(row, prow)]
+        cost = tab[m]
         den = pv
         basis[leaving] = entering
 

@@ -63,6 +63,7 @@ from .groebner import (
 from .linalg import (
     IntMatrix,
     Lattice,
+    _from_int_columns,
     cone_feasible,
     dot,
     hnf_completion,
@@ -390,9 +391,8 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
         cb, mb = cones_b[j], b.multiplicities[j]
         rays_cols = ca.rays.columns() + [vec_neg(r) for r in cb.rays.columns()]
         lin_cols = ca.lineality.columns() + cb.lineality.columns()
-        difference_rays = IntMatrix.from_columns(rays_cols, n)
-        difference_lin = IntMatrix.from_columns(lin_cols, n)
-        if not cone_feasible(difference_rays, difference_lin, v):
+        if not cone_feasible(_from_int_columns(rays_cols, n),
+                             _from_int_columns(lin_cols, n), v):
             continue
         key, dim, build = intersection_by_key(ca, cb)
         if dim < expected_dim:

@@ -3,9 +3,15 @@ answers. They are not part of the package: only the tests call them."""
 
 import random
 from fractions import Fraction
+from math import prod
 
 from tropfan.cycles import span_lattice_basis, weighted_from_cones
-from tropfan.errors import DimMismatchError, GenericityError, NotPureError
+from tropfan.errors import (
+    DimMismatchError,
+    GenericityError,
+    NotFullRankError,
+    NotPureError,
+)
 from tropfan.fans import (
     _assemble,
     _v_description,
@@ -23,6 +29,7 @@ from tropfan.groebner import (
 )
 from tropfan.linalg import (
     IntMatrix,
+    clear_denominators,
     cone_feasible,
     dot,
     integer_kernel_basis,
@@ -32,6 +39,7 @@ from tropfan.linalg import (
     quotient_reps,
     rational_rank,
     saturate_lattice,
+    smith_normal_form,
     vec_neg,
 )
 from tropfan.tropical import _empty_cycle, _multiplicity_from_initial
@@ -278,3 +286,140 @@ def reference_kept_faces(fan_data):
             if is_monomial_free(inw):
                 kept.append((face, inw))
     return kept
+
+
+def reference_hermite_normal_form(m):
+    """Column Hermite normal form (H, U) with H = M U, the witness U kept
+    apart from the columns and every column operation done entry by entry
+    on both (the earlier implementation)."""
+    cols = [list(c) for c in m.columns()]
+    nc = m.ncols
+    u = [[1 if i == j else 0 for i in range(nc)] for j in range(nc)]
+    c = 0
+    for r in range(m.nrows):
+        if c >= nc:
+            break
+        while True:
+            live = [j for j in range(c, nc) if cols[j][r] != 0]
+            if not live:
+                break
+            j0 = min(live, key=lambda j: (abs(cols[j][r]), j))
+            if j0 != c:
+                cols[c], cols[j0] = cols[j0], cols[c]
+                u[c], u[j0] = u[j0], u[c]
+            done = True
+            for j in range(c + 1, nc):
+                if cols[j][r] != 0:
+                    q = cols[j][r] // cols[c][r]
+                    for i in range(m.nrows):
+                        cols[j][i] -= q * cols[c][i]
+                    for i in range(nc):
+                        u[j][i] -= q * u[c][i]
+                    if cols[j][r] != 0:
+                        done = False
+            if done:
+                break
+        if c < nc and cols[c][r] != 0:
+            if cols[c][r] < 0:
+                cols[c] = [-x for x in cols[c]]
+                u[c] = [-x for x in u[c]]
+            p = cols[c][r]
+            for j in range(c):
+                q = cols[j][r] // p
+                if q:
+                    for i in range(m.nrows):
+                        cols[j][i] -= q * cols[c][i]
+                    for i in range(nc):
+                        u[j][i] -= q * u[c][i]
+            c += 1
+    return (IntMatrix.from_columns(cols, m.nrows),
+            IntMatrix.from_columns(u, nc))
+
+
+def reference_quotient_reps(vectors, basis):
+    """Representatives v - (B Q)(P v)[:d] modulo the saturated lattice of
+    the basis columns B, from a fresh Smith form P B Q and two
+    matrix-vector products per vector (the earlier implementation)."""
+    d = basis.ncols
+    if d == 0:
+        return [primitive_vector(v) for v in vectors]
+    dmat, p, q = smith_normal_form(basis)
+    if any(dmat.entries[i][i] != 1 for i in range(d)):
+        raise NotFullRankError("basis does not generate a saturated lattice")
+    bq = basis @ q
+    return [primitive_vector(tuple(
+        x - y for x, y in zip(v, bq.mul_vec(p.mul_vec(v)[:d]))))
+        for v in vectors]
+
+
+def invariant_factors(m) -> tuple:
+    """The nonzero diagonal entries of the Smith form of m."""
+    d, _, _ = smith_normal_form(m)
+    facs = [d.entries[i][i] for i in range(min(m.nrows, m.ncols))]
+    return tuple(f for f in facs if f != 0)
+
+
+def reference_lattice_index(l1, l2):
+    """[Z^n : L1 + L2] as the product of the invariant factors of the joint
+    basis (the earlier implementation)."""
+    n = l1.ambient_dim
+    joint = IntMatrix.from_columns(l1.basis.columns() + l2.basis.columns(), n)
+    facs = invariant_factors(joint)
+    if len(facs) < n:
+        raise NotFullRankError("lattices do not jointly span the ambient space")
+    return prod(facs)
+
+
+def reference_nonneg_solution_exists(a_rows, b) -> bool:
+    """Phase-1 simplex with Bland's rule on an integer tableau with one
+    shared denominator, the reduced costs recomputed from the artificial
+    rows before every pivot (the earlier implementation)."""
+    m = len(a_rows)
+    if m == 0:
+        return True
+    n = len(a_rows[0])
+    total = n + m
+    scaled = []
+    for i in range(m):
+        sign = -1 if b[i] < 0 else 1
+        scaled.append(clear_denominators([sign * x for x in a_rows[i]]
+                                         + [1, sign * b[i]]))
+    den = prod(r[n] for r in scaled)
+    tab = [[den // r[n] * x for x in r[:n]]
+           + [den if j == i else 0 for j in range(m)]
+           + [den // r[n] * r[n + 1]]
+           for i, r in enumerate(scaled)]
+    basis = [n + i for i in range(m)]
+    while True:
+        art = [i for i in range(m) if basis[i] >= n]
+        entering = None
+        for j in range(total):
+            if j in basis:
+                continue
+            red = (den if j >= n else 0) - sum(tab[i][j] for i in art)
+            if red < 0:
+                entering = j
+                break
+        if entering is None:
+            return sum(tab[i][total] for i in art) == 0
+        leaving = None
+        for i in range(m):
+            if tab[i][entering] > 0:
+                if leaving is None:
+                    leaving = i
+                    continue
+                lhs = tab[i][total] * tab[leaving][entering]
+                rhs = tab[leaving][total] * tab[i][entering]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving = i
+        if leaving is None:
+            raise AssertionError("unbounded phase-1 simplex")
+        prow = tab[leaving]
+        pv = prow[entering]
+        for i in range(m):
+            if i != leaving:
+                row = tab[i]
+                f = row[entering]
+                tab[i] = [(pv * x - f * y) // den for x, y in zip(row, prow)]
+        den = pv
+        basis[leaving] = entering

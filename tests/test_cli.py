@@ -380,6 +380,19 @@ class TestIdealFiles:
         code, _, err = run(capsys, ["variety", "/nonexistent.ideal"])
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."],
+                             ids=["missing_directory", "directory"])
+    def test_unwritable_out_exit_two(self, capsys, tmp_path, monkeypatch,
+                                     target):
+        # a directory that does not exist, and a path that is a directory
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, ["hypersurface", "x+y+1", "--vars",
+                                      "x,y", "--out", target])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
+
     def test_time_flag_on_stderr(self, capsys, tmp_path):
         path = tmp_path / "line.ideal"
         path.write_text("vars: x,y\nx+y+1\n")

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,13 +31,16 @@ from tropfan.errors import (
 from tropfan.fans import (
     cone_from_generators,
     faces,
+    facets_by_key,
     fan_cones,
     fan_from_cones,
 )
 from tropfan.linalg import (
     IntMatrix,
     dot,
+    hermite_basis,
     int_inverse,
+    saturate_lattice,
     smith_normal_form,
     solve_rational,
     vec_neg,
@@ -434,3 +438,83 @@ class TestBalancingByIncidence:
         monkeypatch.setattr(Cone, "contains_cone", counted)
         assert is_balanced(cycle)
         assert calls == []
+
+
+def non_primitive_incidences(cycle):
+    """How many (cone, facet) incidences have an off-facet ray that is not
+    the lattice normal: the facet's rays, the lineality and that ray span a
+    lattice that is not saturated."""
+    n = cycle.ambient_dim
+    count = 0
+    for c in fan_cones(cycle.fan):
+        rays, lin = c.generators()
+        for _, a, _ in facets_by_key(c):
+            tight = [r for r in rays if dot(a, r) == 0]
+            off = next(r for r in rays if dot(a, r) != 0)
+            gens = IntMatrix.from_columns(tight + lin + [off], n)
+            count += hermite_basis(gens) != saturate_lattice(gens)
+    return count
+
+
+# the tropical surface of 1 + x + y + x*y*z^3: the Newton polytope is a
+# simplex of normalized volume 3, and the two rays of each cone span a
+# sublattice of index 3 in the lattice of its plane
+INDEX3_RAYS = [(-3, -3, 1), (0, 0, 1), (0, 3, -1), (3, 0, -1)]
+
+# four terms in four variables whose tropical hypersurface has a lineality
+# line and no incidence at which the off-facet ray is the lattice normal
+LINEALITY_SUPPORT = [(0, 0, 0, 0), (1, 3, 3, 1), (2, 1, 0, 2), (3, 1, 3, 0)]
+
+supports4 = st.lists(st.tuples(*[st.integers(0, 3)] * 4),
+                     min_size=4, max_size=4, unique=True)
+
+
+class TestBalancingByEquationImages:
+    """is_balanced maps Z^n / L_tau onto Z^k by one integer kernel of tau's
+    rays and the lineality, and reduces each off-facet ray's image to its
+    primitive vector. These cycles have facets whose lattice normal is not
+    the off-facet ray itself; the oracle reduces modulo span tau instead."""
+
+    def test_facet_lattices_of_index_three(self):
+        fan, _ = fan_from_cones(3, [cone_from_generators(list(pair), [], 3)
+                                    for pair in combinations(INDEX3_RAYS, 2)])
+        unit = make_cycle(fan, [1] * 6)
+        # every one of the 6 cones meets 2 facets, none of them primitively
+        assert non_primitive_incidences(unit) == 12
+        assert is_balanced(unit)
+        verdicts = set()
+        for weights in product((1, 2), repeat=6):
+            cycle = make_cycle(fan, weights)
+            verdicts.add(is_balanced(cycle))
+            assert is_balanced(cycle) == reference_is_balanced(cycle), weights
+        assert verdicts == {True, False}
+
+    def test_surface_cycle_is_the_hypersurface(self):
+        f = Polynomial(("x", "y", "z"),
+                       {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1,
+                        (1, 1, 3): 1})
+        cycle = tropical_hypersurface(f)
+        assert sorted(cycle.fan.rays.columns()) == sorted(INDEX3_RAYS)
+        assert cycle.multiplicities == (1,) * 6
+
+    def test_lineality_example(self):
+        cycle = tropical_hypersurface(Polynomial(
+            ("x", "y", "z", "w"), {e: 1 for e in LINEALITY_SUPPORT}))
+        assert cycle.fan.lineality.ncols == 1
+        assert cycle.fan.n_maximal() == 6
+        assert non_primitive_incidences(cycle) == 12
+
+    @settings(max_examples=40, deadline=None)
+    @given(supports4, st.lists(st.integers(1, 3), min_size=6, max_size=6))
+    @example(LINEALITY_SUPPORT, [1] * 6)
+    @example(LINEALITY_SUPPORT, [2] + [1] * 5)
+    def test_matches_reference_with_lineality(self, support, weights):
+        # four terms in four variables: three-dimensional cones around a
+        # lineality space, at most 6 of them; about half of such supports
+        # have a facet whose lattice normal is not its off-facet ray
+        cycle = tropical_hypersurface(
+            Polynomial(("x", "y", "z", "w"), {e: 1 for e in support}))
+        assert is_balanced(cycle)
+        reweighted = make_cycle(cycle.fan, weights[:cycle.fan.n_maximal()])
+        for c in (cycle, reweighted):
+            assert is_balanced(c) == reference_is_balanced(c)

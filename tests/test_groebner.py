@@ -34,7 +34,7 @@ from tropfan.groebner import (
     saturate,
     vector_space_dimension,
 )
-from tropfan.linalg import vec_neg, vec_sub
+from tropfan.linalg import vec_neg
 from tropfan.polynomials import (
     Polynomial,
     homogenize,
@@ -79,8 +79,10 @@ def reference_s_polynomial(f, g, order):
     lf, cf = leading_term(f, order)
     lg, cg = leading_term(g, order)
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    mf = Polynomial(f.variables, {vec_sub(lcm, lf): 1 / cf})
-    mg = Polynomial(g.variables, {vec_sub(lcm, lg): 1 / cg})
+    mf = Polynomial(f.variables,
+                    {tuple(a - b for a, b in zip(lcm, lf)): 1 / cf})
+    mg = Polynomial(g.variables,
+                    {tuple(a - b for a, b in zip(lcm, lg)): 1 / cg})
     return mf * f - mg * g
 
 

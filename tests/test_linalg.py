@@ -18,7 +18,6 @@ from tropfan.linalg import (
     hnf_completion,
     int_inverse,
     integer_kernel_basis,
-    invariant_factors,
     lattice_from_generators,
     lattice_index,
     nonneg_solution_exists,
@@ -28,6 +27,14 @@ from tropfan.linalg import (
     saturate_lattice,
     smith_normal_form,
     solve_rational,
+)
+
+from oracles import (
+    invariant_factors,
+    reference_hermite_normal_form,
+    reference_lattice_index,
+    reference_nonneg_solution_exists,
+    reference_quotient_reps,
 )
 
 
@@ -108,7 +115,7 @@ def reference_solve_rational(a_rows, b):
     return tuple(x)
 
 
-def reference_nonneg_solution_exists(a_rows, b) -> bool:
+def fraction_nonneg_solution_exists(a_rows, b) -> bool:
     """Phase-1 simplex with Bland's rule on a Fraction tableau (the earlier
     implementation)."""
     m = len(a_rows)
@@ -534,7 +541,7 @@ class TestAgainstFractionReferences:
     def test_nonneg_feasibility(self, system):
         a, b = system
         assert nonneg_solution_exists(a, b) == \
-            reference_nonneg_solution_exists(a, b)
+            fraction_nonneg_solution_exists(a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(rational_systems(st.integers(-3, 3)),
@@ -544,7 +551,7 @@ class TestAgainstFractionReferences:
         a, _ = system
         b = [sum(c * v for c, v in zip(row, x)) for row in a]
         assert nonneg_solution_exists(a, b)
-        assert reference_nonneg_solution_exists(a, b)
+        assert fraction_nonneg_solution_exists(a, b)
 
 
 def elementary(n, i, j, k):
@@ -598,7 +605,7 @@ class TestIntInverse:
         assert int_inverse(IntMatrix.identity(0)).entries == ()
 
 
-def reference_quotient_reps(vectors, basis):
+def completion_quotient_reps(vectors, basis):
     """Quotient representatives through the unimodular completion
     V = hnf_completion(basis) and its inverse: zero the basis coordinates of
     V^-1 v and map back (the earlier implementation, kept as an oracle)."""
@@ -657,7 +664,7 @@ class TestQuotientReps:
         shift = basis.mul_vec(tuple(coeffs[:basis.ncols]))
         for vec in vectors + [shift]:
             moved = tuple(x + y for x, y in zip(vec, shift))
-            want = rep_or_zero(reference_quotient_reps, tuple(vec), basis)
+            want = rep_or_zero(completion_quotient_reps, tuple(vec), basis)
             assert rep_or_zero(quotient_reps, tuple(vec), basis) == want
             assert rep_or_zero(quotient_reps, moved, basis) == want
         if all(c == 0 for c in coeffs[:basis.ncols]):
@@ -682,7 +689,7 @@ class TestQuotientReps:
         # the class of (2, 1, 0) modulo (1, 1, 1), primitive
         rep = quotient_reps([(2, 1, 0)], basis)[0]
         assert rational_rank([rep, (2, 1, 0), (1, 1, 1)]) == 2
-        assert rep == reference_quotient_reps([(2, 1, 0)], basis)[0]
+        assert rep == completion_quotient_reps([(2, 1, 0)], basis)[0]
 
     @pytest.mark.parametrize("route", [
         lambda b: quotient_reps([(1, 1)], b), hnf_completion])
@@ -758,3 +765,82 @@ class TestSmithWitnessesOncePerLattice:
         for entry in PRIME_CORPUS:
             tropical_variety(entry.ideal(), strategy="groebner")
         assert smith_calls[0] == 61
+
+
+class TestKernelsMatchReferences:
+    """The lattice kernels return exactly what the earlier implementations
+    in oracles.py return: the same integers, the same verdicts and the same
+    errors."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(small_matrices)
+    @example([[0, 0], [0, 0]])
+    @example([[2, 4, 6], [3, 6, 9]])
+    def test_hermite_normal_form(self, rows):
+        m = IntMatrix.from_rows(rows)
+        assert hermite_normal_form(m) == reference_hermite_normal_form(m)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                 max_size=5),
+        st.just(n))))
+    @example(([], 3))
+    @example(([[2, 4, 6], [1, 2, 3]], 3))
+    def test_hermite_basis_is_the_nonzero_columns(self, case):
+        cols, n = case
+        m = IntMatrix.from_columns([tuple(c) for c in cols], n)
+        h, _ = hermite_normal_form(m)
+        assert hermite_basis(m) == IntMatrix.from_columns(
+            [c for c in h.columns() if any(c)], n)
+
+    @settings(max_examples=120, deadline=None)
+    @given(saturated_cases)
+    @example(([(1, 2, 3, 4)], [(0, 0, 0, 1)], [1, 1, 1, 1], 4))
+    @example(([(2, 3, 0), (1, 1, 1)], [(1, 0, 0)], [0, 0, 0], 3))
+    def test_quotient_reps(self, case):
+        cols, vectors, coeffs, n = case
+        basis = saturate_lattice(IntMatrix.from_columns(
+            [tuple(c) for c in cols], n))
+        shift = basis.mul_vec(tuple(coeffs[:basis.ncols]))
+        for vec in vectors + [shift]:
+            assert rep_or_zero(quotient_reps, tuple(vec), basis) == \
+                rep_or_zero(reference_quotient_reps, tuple(vec), basis)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(rational_systems(st.integers(-3, 3)),
+                     rational_systems(small_rationals),
+                     st.integers(3, 6).flatmap(lambda m: st.tuples(
+                         st.lists(st.lists(st.integers(-2, 2), min_size=8,
+                                           max_size=8),
+                                  min_size=m, max_size=m),
+                         st.lists(st.integers(-4, 4), min_size=m,
+                                  max_size=m)))))
+    def test_nonneg_solution_exists(self, system):
+        # up to 6 rows and 8 columns, so runs take several pivots
+        a, b = system
+        assert nonneg_solution_exists(a, b) == \
+            reference_nonneg_solution_exists(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                 max_size=n),
+        st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                 max_size=n),
+        st.just(n))))
+    @example(([(1, 1)], [(1, -1)], 2))
+    @example(([(2, 0, 0)], [(0, 3, 0), (0, 0, 5)], 3))
+    @example(([(1, 1)], [(2, 2)], 2))
+    def test_lattice_index(self, case):
+        cols1, cols2, n = case
+        l1 = lattice_from_generators(n, [tuple(c) for c in cols1])
+        l2 = lattice_from_generators(n, [tuple(c) for c in cols2])
+
+        def index(route):
+            try:
+                return route(l1, l2)
+            except NotFullRankError:
+                return "not full rank"
+
+        assert index(lattice_index) == index(reference_lattice_index)

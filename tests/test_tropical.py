@@ -48,6 +48,7 @@ from oracles import (
     multiplicity_at,
     optimum_attained_twice,
     reference_fan_cone,
+    reference_is_balanced,
     reference_kept_faces,
     reference_stable_intersection,
 )
@@ -473,10 +474,45 @@ class TestConesBuiltOnce:
         assert run("is-balanced", "A5B5.json") \
             == {"dd": 87, "rank_in_dd": 0, "from_generators": 87,
                 "contains_cone": 0}
-        # the cones read and the facets built take their equations as integer
-        # kernels of their generators (905 Hermite normal forms when they
-        # saturated equation vectors)
-        assert run.linalg["hnf"] == 724
+        # the cones read take their equations as integer kernels of their
+        # generators, and balancing maps each facet's neighbours through one
+        # kernel (905 Hermite normal forms when they saturated equation
+        # vectors, 724 while balancing built its facets and every Hermite
+        # basis computed a witness)
+        assert run.linalg["hnf"] == 355
+
+    def test_balancing_builds_no_facet_and_no_smith_form(
+            self, run, facet_counts, monkeypatch):
+        import tropfan.cli
+        import tropfan.linalg
+
+        self.hypersurfaces(run, "A5", "B5")
+        run("stable-intersection", "A5.json", "B5.json", "--seed", "0",
+            "--format", "json", "--out", "A5B5.json")
+        smith = [0]
+        inside = [False]
+        original_smith = tropfan.linalg.smith_normal_form
+        original_balanced = tropfan.cli.is_balanced
+
+        def counted_smith(m):
+            smith[0] += inside[0]
+            return original_smith(m)
+
+        def balanced(cycle):
+            inside[0] = True
+            try:
+                return original_balanced(cycle)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(tropfan.linalg, "smith_normal_form", counted_smith)
+        monkeypatch.setattr(tropfan.cli, "is_balanced", balanced)
+        facet_counts.update(keyed=0, built=0)
+        run("is-balanced", "A5B5.json")
+        # the facets of the 87 cones are keyed and none is built; reading
+        # the cones runs Smith forms, balancing them none
+        assert facet_counts == {"keyed": 87, "built": 0}
+        assert smith == [0]
 
     def test_stable_intersection_simplex_runs(self, run):
         # the pairs whose spans fill the space go to the simplex unless a
@@ -485,14 +521,15 @@ class TestConesBuiltOnce:
         # equations and lineality as integer kernels, unsaturated (863 and
         # 522 Hermite normal forms when they were saturated again, 689 and
         # 454 when cones read from generators saturated their equation
-        # vectors and the span lattices were put in Hermite form again)
+        # vectors and the span lattices were put in Hermite form again, 607
+        # and 382 while every Hermite basis computed a witness)
         self.hypersurfaces(run, "A5", "B5", "A4", "B4")
         run("stable-intersection", "A5.json", "B5.json", "--seed", "0",
             "--format", "json")
-        assert run.linalg == {"simplex": 274, "hnf": 607}
+        assert run.linalg == {"simplex": 274, "hnf": 438}
         run("stable-intersection", "A4.json", "B4.json", "--seed", "0",
             "--format", "json")
-        assert run.linalg == {"simplex": 138, "hnf": 382}
+        assert run.linalg == {"simplex": 138, "hnf": 276}
 
     def test_prevariety_builds_each_piece_once(self, tmp_path, run):
         (tmp_path / "A4B4.ideal").write_text(f"vars: x,y,z,w\n{A4}\n{B4}\n")
@@ -503,6 +540,29 @@ class TestConesBuiltOnce:
         assert run("prevariety", "A4B4.ideal", "--format", "json") \
             == {"dd": 28 + 21 + 20 * 18, "rank_in_dd": 0,
                 "from_generators": 0, "contains_cone": 1712}
+
+
+class TestBalancingA5B5:
+    """is_balanced against the oracle that scans every cone, on the curve
+    A5 . B5 in Q^5 (87 cones, weights 1 to 6) with its weights changed."""
+
+    def test_bumped_weights(self):
+        vs = ("a", "b", "c", "d", "e")
+        cycle = stable_intersection(
+            tropical_hypersurface(parse_polynomial(A5, vs)),
+            tropical_hypersurface(parse_polynomial(B5, vs)), seed=0)
+        mults = list(cycle.multiplicities)
+        assert (len(mults), set(mults)) == (87, {1, 2, 3, 4, 6})
+        # the cycle, its double, and one weight raised on every eighth cone
+        variants = [mults, [2 * m for m in mults]]
+        for i in range(0, len(mults), 8):
+            variants.append(mults[:i] + [mults[i] + 1] + mults[i + 1:])
+        verdicts = []
+        for weights in variants:
+            c = make_cycle(cycle.fan, weights)
+            verdicts.append(is_balanced(c))
+            assert verdicts[-1] == reference_is_balanced(c)
+        assert verdicts == [True, True] + [False] * (len(variants) - 2)
 
 
 class TestUnknownConvention:
