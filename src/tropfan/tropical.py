@@ -12,8 +12,11 @@ in quotient coordinates. Stable intersections use the fan displacement rule
 with an analytically eliminated perturbation and lattice-index weights.
 Whether a pair of cones still meets after the displacement is decided first
 by rows: bit masks over the other fan's rays give, per cone row, the pairs
-it separates by a Farkas certificate, and the exact simplex decides the
-rest.
+it separates by a Farkas certificate. Every other pair is keyed, and one
+whose intersection has the expected dimension is decided locally at that
+intersection, by the signs of a few integer dot products: no linear program
+runs. A displacement that lands on the boundary of a pair's difference cone
+(a wall) is not generic, and the next one is drawn.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 from .errors import (
     ConventionMismatchError,
@@ -63,8 +67,7 @@ from .groebner import (
 from .linalg import (
     IntMatrix,
     Lattice,
-    _from_int_columns,
-    cone_feasible,
+    _row_echelon,
     dot,
     hnf_completion,
     lattice_index,
@@ -328,6 +331,37 @@ def _separated_pairs(fa: Fan, fb: Fan, v):
     return separated
 
 
+def _displacement_verdict(ca: Cone, cb: Cone, piece_rays, v):
+    """Does v lie in ca - cb? True or False, or None when it lies on the
+    boundary (a wall), for a pair whose equation rows are independent and
+    whose intersection tau, with key rays piece_rays, has the expected
+    dimension.
+
+    Then span ca and span cb meet in span tau and together fill Q^n, so
+    v = x - y with x in span ca and y in span cb, unique modulo span tau.
+    v lies in ca - cb exactly when x lies in ca + span tau and y in
+    cb + span tau, which the inequalities vanishing at the sum p of tau's
+    rays cut out. x comes from one reduced integer echelon form of
+    [E_a | 0; E_b | E_b v], scaled by the lcm of its pivots, so every sign
+    below is exact.
+    """
+    n = ca.ambient_dim
+    rows = [list(e) + [0] for e in ca.equations.entries] \
+        + [list(e) + [dot(e, v)] for e in cb.equations.entries]
+    pivots = _row_echelon(rows, reduced=True)
+    scale = lcm(*(rows[r][j] for r, j in enumerate(pivots)))
+    x = [0] * n
+    for r, j in enumerate(pivots):
+        x[j] = rows[r][n] * (scale // rows[r][j])
+    y = [xi - scale * vi for xi, vi in zip(x, v)]
+    p = tuple(map(sum, piece_rays))
+    values = [dot(a, x) for a in ca.inequalities.entries if not dot(a, p)] \
+        + [dot(b, y) for b in cb.inequalities.entries if not dot(b, p)]
+    if any(s < 0 for s in values):
+        return False
+    return None if 0 in values else True
+
+
 def stable_intersection(a: TropicalCycle, b: TropicalCycle,
                         seed: int = 0) -> TropicalCycle:
     """Fan displacement rule: keep pairs of maximal cones whose spans fill
@@ -336,7 +370,11 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
 
     A pair meets after the shift by v when v lies in cone_a - cone_b. Most
     pairs that do not are rejected by a separating row (_separated_pairs);
-    the exact simplex (cone_feasible) decides every other pair."""
+    every other pair is keyed (each once, whatever the number of draws), and
+    one whose intersection has the expected dimension is decided by the
+    local sign test of _displacement_verdict. A shift that the sign test
+    finds on a wall, or that lies in the span of a pair whose spans do not
+    fill the space, is not generic: the next one is drawn."""
     if a.convention != b.convention:
         raise ConventionMismatchError("cycles use different conventions")
     if a.ambient_dim != b.ambient_dim:
@@ -363,16 +401,42 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
                 full.append((i, j))
             else:
                 deficient.append(_span_matrix(ca) + _span_matrix(cb))
-    v = None
+    keyed = {}
+
+    def meeting_pairs(v):
+        """The pairs of full that meet after the shift by v, or None when v
+        lies on a wall of one of them."""
+        separated = _separated_pairs(a.fan, b.fan, v)
+        out = []
+        for i, j in full:
+            if separated(i, j):
+                continue
+            if (i, j) not in keyed:
+                keyed[i, j] = intersection_by_key(cones_a[i], cones_b[j])
+            (piece_rays, _), dim, _ = keyed[i, j]
+            if dim < expected_dim:
+                # boundary scrap: it lies in faces of full-dimensional pieces
+                # and carries no weight of its own
+                continue
+            verdict = _displacement_verdict(cones_a[i], cones_b[j],
+                                            piece_rays, v)
+            if verdict is None:
+                return None
+            if verdict:
+                out.append((i, j))
+        return out
+
+    met = None
     for _ in range(32):
         cand = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(n))
         if all(x == 0 for x in cand):
             continue
         if all(rational_rank(span + [list(cand)]) > rational_rank(span)
                for span in deficient):
-            v = cand
-            break
-    if v is None:
+            met = meeting_pairs(cand)
+            if met is not None:
+                break
+    if met is None:
         raise GenericityError("no generic displacement vector found")
     lattices = {}
 
@@ -381,27 +445,14 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
             lattices[cone] = Lattice(n, span_lattice_basis(cone))
         return lattices[cone]
 
-    separated = _separated_pairs(a.fan, b.fan, v)
     pairs = []
     built = {}
-    for i, j in full:
-        if separated(i, j):
-            continue
-        ca, ma = cones_a[i], a.multiplicities[i]
-        cb, mb = cones_b[j], b.multiplicities[j]
-        rays_cols = ca.rays.columns() + [vec_neg(r) for r in cb.rays.columns()]
-        lin_cols = ca.lineality.columns() + cb.lineality.columns()
-        if not cone_feasible(_from_int_columns(rays_cols, n),
-                             _from_int_columns(lin_cols, n), v):
-            continue
-        key, dim, build = intersection_by_key(ca, cb)
-        if dim < expected_dim:
-            # boundary scrap: it lies in faces of full-dimensional pieces and
-            # carries no weight of its own
-            continue
+    for i, j in met:
+        key, _, build = keyed[i, j]
         if key not in built:
             built[key] = build()
-        weight = ma * mb * lattice_index(span_lattice(ca), span_lattice(cb))
+        weight = a.multiplicities[i] * b.multiplicities[j] * lattice_index(
+            span_lattice(cones_a[i]), span_lattice(cones_b[j]))
         pairs.append((built[key], weight))
     if not pairs:
         return _empty_cycle(n, a.convention)

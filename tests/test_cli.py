@@ -259,6 +259,24 @@ class TestStableIntersectionCommand:
             outputs.add(out)
         assert len(outputs) == 1
 
+    def test_displacement_on_a_wall_is_redrawn(self, capsys, tmp_path):
+        # seed 990257 draws (-928225, -928225) first, on the ray (-1, -1) of
+        # the first line: a wall, so the next draw is used and the weight
+        # is the Bezout number 2, as at seed 0
+        paths = []
+        for label, poly in (("L1", "x+y+1"), ("L2", "x*y+x+1")):
+            paths.append(str(tmp_path / f"{label}.json"))
+            assert main(["hypersurface", poly, "--vars", "x,y", "--format",
+                         "json", "--out", paths[-1]]) == 0
+        outputs = []
+        for seed in ("990257", "0"):
+            code, out, _ = run(capsys, ["stable-intersection", *paths,
+                                        "--format", "json", "--seed", seed])
+            assert code == 0
+            outputs.append(out)
+        assert json.loads(outputs[0])["multiplicities"] == [2]
+        assert outputs[0] == outputs[1]
+
     def test_env_seed(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "line.json"
         path.write_text(json.dumps(line_cycle_dict()))

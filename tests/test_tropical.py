@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -27,13 +29,15 @@ from tropfan.fans import (
     fan_cones,
     fan_dim,
     fan_from_cones,
+    intersection_by_key,
     relative_interior_point,
     support_contains,
 )
 from tropfan.groebner import TermOrder, reduced_groebner_basis
-from tropfan.linalg import cone_feasible
+from tropfan.linalg import cone_feasible, rational_rank
 from tropfan.polynomials import Polynomial, homogenize, ideal, parse_polynomial
 from tropfan.tropical import (
+    _displacement_verdict,
     _separated_pairs,
     is_tropical_basis,
     stable_intersection,
@@ -320,6 +324,7 @@ A4 = "x*y+z*w+x*z+y*w+x^2+w^2+y^2*z+1"
 B4 = "x^2*y+y^2*z+z^2*w+w^2*x+x*y*z+y*z*w+1"
 A5 = "a*b+c*d+e*a+b*c+d*e+a^2+e^2+1"
 B5 = "a^2*b+b^2*c+c^2*d+d^2*e+e^2*a+a*b*c*d*e+1"
+C4 = "x^3+y^3+z^3+w^3+x*y*z*w+x*y+z*w+1"
 XYZW = ("x", "y", "z", "w")
 
 
@@ -464,11 +469,13 @@ class TestConesBuiltOnce:
 
     def test_stable_intersection_builds_each_piece_once(self, run):
         self.hypersurfaces(run, "A5", "B5")
-        # 41 input cones read, 187 pieces keyed; the 87 distinct cells are
-        # built from the incidences of their keying pass
+        # 41 input cones read, and the 274 pairs no row separates keyed, as
+        # the sign test needs their intersections (187 keyed when only the
+        # pairs the simplex accepted were); the 87 distinct cells are built
+        # from the incidences of their keying pass
         assert run("stable-intersection", "A5.json", "B5.json", "--seed", "0",
                    "--format", "json", "--out", "A5B5.json") \
-            == {"dd": 41 + 187, "rank_in_dd": 0, "from_generators": 41,
+            == {"dd": 41 + 274, "rank_in_dd": 0, "from_generators": 41,
                 "contains_cone": 0}
         # 87 cones read, one pass each, none rebuilt, no containment scan
         assert run("is-balanced", "A5B5.json") \
@@ -515,21 +522,24 @@ class TestConesBuiltOnce:
         assert smith == [0]
 
     def test_stable_intersection_simplex_runs(self, run):
-        # the pairs whose spans fill the space go to the simplex unless a
-        # facet or equation row separates the displacement from them (418
-        # and 356 runs when every such pair went); the cones take their
-        # equations and lineality as integer kernels, unsaturated (863 and
-        # 522 Hermite normal forms when they were saturated again, 689 and
-        # 454 when cones read from generators saturated their equation
-        # vectors and the span lattices were put in Hermite form again, 607
-        # and 382 while every Hermite basis computed a witness)
+        # no pair goes to the simplex: the sign test decides each pair that
+        # no row separates (274 and 138 runs when the simplex decided them,
+        # 418 and 356 before the separating rows). The cones take their
+        # equations and lineality as integer kernels, unsaturated; the
+        # Hermite normal forms are those of reading the cones and of the
+        # kernels in the keying passes, which now run on every pair the
+        # simplex decided (863 and 522 when the kernels were saturated
+        # again, 689 and 454 when cones read from generators saturated their
+        # equation vectors and the span lattices were put in Hermite form
+        # again, 607 and 382 while every Hermite basis computed a witness,
+        # 438 and 276 while only the pairs the simplex accepted were keyed)
         self.hypersurfaces(run, "A5", "B5", "A4", "B4")
         run("stable-intersection", "A5.json", "B5.json", "--seed", "0",
             "--format", "json")
-        assert run.linalg == {"simplex": 274, "hnf": 438}
+        assert run.linalg == {"simplex": 0, "hnf": 525}
         run("stable-intersection", "A4.json", "B4.json", "--seed", "0",
             "--format", "json")
-        assert run.linalg == {"simplex": 138, "hnf": 276}
+        assert run.linalg == {"simplex": 0, "hnf": 320}
 
     def test_prevariety_builds_each_piece_once(self, tmp_path, run):
         (tmp_path / "A4B4.ideal").write_text(f"vars: x,y,z,w\n{A4}\n{B4}\n")
@@ -797,8 +807,9 @@ def hypersurface_pairs(draw):
 
 class TestSeparatingRows:
     """The separating-row test rejects a displacement pair only with a
-    Farkas certificate, so stable_intersection agrees with the loop that runs
-    the simplex on every pair whose spans fill the space."""
+    Farkas certificate, and the sign test decides every other pair exactly,
+    so stable_intersection agrees with the loop that runs the simplex on
+    every pair whose spans fill the space."""
 
     @settings(max_examples=40, deadline=None)
     @given(hypersurface_pairs(), st.integers(0, 10 ** 6))
@@ -835,6 +846,152 @@ class TestSeparatingRows:
         assert len(verdicts) == 420
         assert sum(not f for _, f in verdicts) == 237
         assert sum(r for r, _ in verdicts) == 145
+
+
+def verdicts(a, b, v):
+    """(sign-test verdict, simplex verdict) for every pair of maximal
+    cones of a and b that the sign test applies to: equation rows
+    independent, and an intersection of the expected dimension."""
+    cones_a, cones_b = fan_cones(a.fan), fan_cones(b.fan)
+    expected = (max(c.dim for c in cones_a) + max(c.dim for c in cones_b)
+                - a.ambient_dim)
+    out = []
+    for ca in cones_a:
+        for cb in cones_b:
+            eqs = ca.equations.entries + cb.equations.entries
+            if rational_rank(eqs) < len(eqs):
+                continue
+            (piece_rays, _), dim, _ = intersection_by_key(ca, cb)
+            if dim < expected:
+                continue
+            out.append((_displacement_verdict(ca, cb, piece_rays, v),
+                        cone_feasible(*displacement_difference(ca, cb), v)))
+    return out
+
+
+def agrees(verdict, feasible):
+    """A wall (None) lies on the boundary of the difference cone, so in it;
+    True and False are verdicts on membership itself."""
+    return feasible if verdict is None else verdict == feasible
+
+
+@st.composite
+def curve_hypersurface_pairs(draw):
+    """A curve in 3 or 4 variables, the stable intersection of n - 1 drawn
+    hypersurfaces, and one more drawn hypersurface: a surface when n = 3."""
+    n = draw(st.integers(3, 4))
+    variables = tuple("xyzw"[:n])
+
+    def hypersurface():
+        exps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n),
+                             min_size=2, max_size=4, unique=True))
+        coeffs = draw(st.lists(st.integers(1, 3), min_size=len(exps),
+                               max_size=len(exps)))
+        return tropical_hypersurface(Polynomial(variables,
+                                                dict(zip(exps, coeffs))))
+
+    curve = reduce(stable_intersection,
+                   [hypersurface() for _ in range(n - 1)])
+    return curve, hypersurface()
+
+
+class TestSignTest:
+    """The local sign test against the simplex. On a pair whose equation
+    rows are independent and whose intersection has the expected dimension,
+    True and False are the simplex's verdicts on v in cone_a - cone_b, and a
+    wall (None) lies on the boundary of that cone, so inside it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hypersurface_pairs(), st.lists(st.integers(-3, 3), min_size=4,
+                                          max_size=4))
+    def test_verdicts_match_simplex(self, ab, v):
+        # small displacements, so that walls occur
+        a, b = ab
+        for verdict, feasible in verdicts(a, b, tuple(v[:a.ambient_dim])):
+            assert agrees(verdict, feasible)
+
+    @pytest.mark.parametrize("texts, vs", [
+        (("x+y+1", "x*y+x+1"), XY),
+        (("x+y+z+1", "x*y+y*z+z+1"), XYZ),
+    ], ids=["plane", "space"])
+    def test_every_small_displacement(self, texts, vs):
+        a, b = (tropical_hypersurface(P(t, vs)) for t in texts)
+        seen = set()
+        for v in itertools.product((-1, 0, 1), repeat=len(vs)):
+            for verdict, feasible in verdicts(a, b, v):
+                assert agrees(verdict, feasible)
+                seen.add(verdict)
+        # walls occur, such as v = (-1, -1) on the ray (-1, -1) of the line
+        assert seen == {True, False, None}
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_a4_b4_times_c4(self, seed):
+        # the surface A4 . B4 in Q^4 times a third hypersurface: a curve
+        vs = XYZW
+        surface = stable_intersection(tropical_hypersurface(P(A4, vs)),
+                                      tropical_hypersurface(P(B4, vs)))
+        c4 = tropical_hypersurface(P(C4, vs))
+        got = stable_intersection(surface, c4, seed=seed)
+        assert cycle_dim(got) == 1
+        assert cycle_to_dict(got) \
+            == cycle_to_dict(reference_stable_intersection(surface, c4, seed))
+
+    @settings(max_examples=25, deadline=None)
+    @given(curve_hypersurface_pairs(), st.integers(0, 10 ** 6))
+    def test_curve_times_hypersurface_matches_simplex(self, pair, seed):
+        curve, surface = pair
+        for a, b in ((curve, surface), (surface, curve)):
+            assert cycle_to_dict(stable_intersection(a, b, seed=seed)) \
+                == cycle_to_dict(reference_stable_intersection(a, b, seed))
+
+
+class TestDisplacementOnAWall:
+    """Seed 990257 draws v = (-928225, -928225) first. It is parallel to the
+    ray (-1, -1) of Trop(x + y + 1), in no span of a pair whose spans do not
+    fill the plane, and on the boundary of cone_a - cone_b for the pairs at
+    that ray; counting them gave weight 4. The sign test finds the wall and
+    the next draw is used, which gives the Bezout number 2, as seed 0 does."""
+
+    def test_first_draw_is_on_a_wall(self):
+        rng = random.Random(990257)
+        v = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(2))
+        assert v == (-928225, -928225)
+        line = tropical_hypersurface(P("x+y+1", XY))
+        other = tropical_hypersurface(P("x*y+x+1", XY))
+        walls = [f for verdict, f in verdicts(line, other, v)
+                 if verdict is None]
+        assert walls and all(walls)
+
+    def test_wall_is_redrawn(self):
+        line = tropical_hypersurface(P("x+y+1", XY))
+        other = tropical_hypersurface(P("x*y+x+1", XY))
+        got = stable_intersection(line, other, seed=990257)
+        assert got.multiplicities == (2,)
+        assert cycle_to_dict(got) \
+            == cycle_to_dict(stable_intersection(line, other, seed=0))
+
+
+class TestLinearSpaceOracle:
+    """Known answer: the hypersurfaces of generic linear forms meet
+    transversally, so their stable intersection is the tropical variety of
+    the linear space they cut out (Maclagan and Sturmfels, Introduction to
+    Tropical Geometry, Section 3.6), which the Gröbner pipeline computes."""
+
+    @pytest.mark.parametrize("variables, forms", [
+        ("xyz", ("x+y+z+1", "x+2*y+3*z+5")),
+        ("xyzw", ("x+y+z+w", "x+2*y+3*w")),
+        ("abcde", ("a+b+c+d+e", "a+2*b+3*c+5*d+7*e")),
+        ("xyzw", ("x+y+z+w+1", "x+2*y+3*z+5*w+7")),
+    ], ids=["plane_pair3", "linear_pair4", "linear5", "affine_pair4"])
+    def test_stable_intersection_is_the_variety(self, variables, forms):
+        vs = tuple(variables)
+        polys = [P(f, vs) for f in forms]
+        want = cycle_to_dict(tropical_variety(ideal(vs, tuple(polys)),
+                                              strategy="groebner"))
+        hypersurfaces = [tropical_hypersurface(f) for f in polys]
+        for seed in (0, 1, 7, 990257):
+            assert cycle_to_dict(stable_intersection(*hypersurfaces,
+                                                     seed=seed)) == want
 
 
 class TestVarietySupportOracle:
