@@ -254,8 +254,13 @@ def cycle_from_dict(data, require_weights: bool = True):
                 not all(_is_int(i) and 0 <= i < len(ray_cols)
                         for i in cone_idx):
             raise CycleSchemaError("bad ray index set", "maximal_cones")
-        cones.append(cone_from_generators([ray_cols[i] for i in cone_idx],
-                                          lin_cols, ambient))
+        cone = cone_from_generators([ray_cols[i] for i in cone_idx],
+                                    lin_cols, ambient)
+        # the commands that read cycle files read the facets of every cone
+        # (balancing, a stable intersection's separating rows), so they are
+        # derived here, as part of reading the file
+        cone.inequalities
+        cones.append(cone)
     weights = None
     if "multiplicities" in data and data["multiplicities"] is not None:
         weights = data["multiplicities"]

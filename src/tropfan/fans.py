@@ -1,15 +1,27 @@
 """Rational polyhedral cones and fans.
 
-Cones carry both descriptions: extreme rays plus a lineality basis, and facet
-inequalities plus equations. A cone built from halfspaces or from generators
-gets the other description from one exact double description pass, which
-tracks for every output ray the input rows it is tight on. The facets (from
-halfspaces) or the extreme rays (from generators) are the input rows whose
-incidence sets are proper and maximal, and the remaining spaces, equations
-and lineality, are integer kernels; no second pass runs. An integer kernel is
-saturated, so its canonical basis is stored as it is, with no saturation.
-Every stored field is canonical so that structural equality is cone
-equality, and the (rays, lineality) key alone tells cones apart.
+A cone is fixed by its canonical V-description: extreme rays plus a
+lineality basis, and its dimension. Its H-description, facet inequalities
+plus equations, is derived on first read and cached, so a cone that no
+caller asks for facets costs no lattice work beyond its rays. The equations
+are the canonical basis of the integer kernel of the generators (a kernel is
+saturated, so it needs no saturation), and the inequalities are the facet
+rows that built the cone, reduced modulo the equations. Every field is
+canonical, so equality, hashing and the (rays, lineality) key all use the
+V-description alone.
+
+A cone built from halfspaces or from generators takes one exact double
+description pass, started from a rational basis of the equations' kernel
+read off one reduced integer echelon form, which tracks for every output
+ray the input rows it is tight on. The facets (from halfspaces) or the
+extreme rays (from generators) are the input rows whose incidence sets are
+proper and maximal, and the remaining space, lineality or equations, is an
+integer kernel; no second pass runs. A caller that keeps only cones
+full-dimensional in the kernel of their equations (the pieces of a stable
+intersection, the edge cones of a hypersurface) asks cone_from_halfspaces
+or intersect for such a cone: the pass then stops, and returns None, at the
+first inserted row that drops the dimension, and a cone that reaches the end
+has the kernel's dimension, with no rank computed.
 
 A cone's faces come by incidence. face_lattice is the one walk of a face
 lattice: a face is the bit mask of the cone's rays it contains, its facets
@@ -17,12 +29,8 @@ are the maximal proper sets among that mask and each inequality's tight-ray
 mask, and its key is read off the mask, so the walk builds nothing; faces
 and all_faces build what it meets, and facets_by_key gives one level of it,
 each facet keyed by the same masks and built only on demand. A face is built
-from its rays with no double description: its equations are the integer
-kernel of its rays and the lineality, and its inequalities the rows of the
-cone cutting out its facets. Intersections are keyed the same way:
-intersection_by_key runs the pass, which fixes the key and the dimension,
-and builds the cone on demand, so callers skip the facet work for pieces
-they discard or have built already. Fans share one ray matrix and one
+from its rays with no double description, and its inequalities are the rows
+of the cone cutting out its facets. Fans share one ray matrix and one
 lineality space; maximal cones are index sets into the shared rays, and a
 fan keeps the canonical cones it was assembled from, so none is built again.
 """
@@ -30,13 +38,13 @@ fan keeps the canonical cones it was assembled from, so none is built again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .errors import BadCodimError, DimMismatchError
 from .linalg import (
     IntMatrix,
-    _kernel_columns,
+    _echelon_kernel,
     dot,
     integer_kernel_basis,
     primitive_vector,
@@ -47,20 +55,24 @@ from .linalg import (
 )
 
 
-def _dd(ineq_rows, eq_rows, n):
+def _dd(ineq_rows, lin, full=False):
     """Double description: minimal V-representation of
-    {x : E x = 0, A x >= 0}, with its incidences.
+    {x in span(lin) : A x >= 0}, with its incidences.
 
-    Returns (rays, lineality_vectors, masks). The rays are primitive and
+    lin is a basis over Q of the kernel of the equations, not canonical. The
+    result is (rays, lineality_vectors, masks): the rays are primitive and
     extreme modulo the lineality space, and bit j of masks[i] is set when
-    rays[i] is tight on ineq_rows[j]. The lineality starts as a basis, not
-    canonical, of the integer kernel of E. Inequalities are inserted
+    rays[i] is tight on ineq_rows[j]. Inequalities are inserted
     incrementally, and each ray carries the mask of the rows inserted so far
     that it is tight on. Two rays are adjacent when no third ray is tight on
     every row both are tight on (the combinatorial test of Fukuda and Prodon,
     "Double description method revisited", 1996), so no rank is computed.
+
+    The dimension drops at a row a, zero on the current lineality, that is
+    <= 0 on every current ray and < 0 on one: the cone then lies in the
+    hyperplane a.x = 0 and the cone before it did not. With full, the pass
+    returns None there, so it finishes only on a cone of dimension len(lin).
     """
-    lin = _kernel_columns(IntMatrix.from_rows(list(eq_rows), n))
     rays = []
     masks = []
     done = 0
@@ -90,6 +102,8 @@ def _dd(ineq_rows, eq_rows, n):
             dots = [dot(a, r) for r in rays]
             pos = [i for i, s in enumerate(dots) if s > 0]
             neg = [i for i, s in enumerate(dots) if s < 0]
+            if full and neg and not pos:
+                return None
             new_rays = [r for r, s in zip(rays, dots) if s >= 0]
             new_masks = [m | bit if s == 0 else m
                          for m, s in zip(masks, dots) if s >= 0]
@@ -108,37 +122,57 @@ def _dd(ineq_rows, eq_rows, n):
     return rays, lin, masks
 
 
-def _maximal_proper(masks, count):
-    """The indices j < count whose incidence sets {i : bit j of masks[i]}
-    are proper and maximal under inclusion.
+def _maximal_proper(rows, masks):
+    """The rows inserted by a double description pass whose incidence sets
+    {i : bit j of masks[i]} (row j) are proper and maximal under inclusion.
 
-    For the rays and masks of a cone's double description these are the
-    input inequalities that define its facets; for the facets and masks of
-    the dual pass, the input generators that are extreme rays. Equal sets
-    are all kept: they name the same face.
+    For the rays and masks of a cone's pass these are the input inequalities
+    that define its facets; for the facets and masks of the dual pass, the
+    input generators that are extreme rays. Equal sets are all kept: they
+    name the same face.
     """
     full = (1 << len(masks)) - 1
     sets = [sum(1 << i for i, m in enumerate(masks) if m >> j & 1)
-            for j in range(count)]
+            for j in range(len(rows))]
     proper = {s for s in sets if s != full}
     top = {s for s in proper if not any(t != s and t & s == s for t in proper)}
-    return [j for j, s in enumerate(sets) if s in top]
+    return [r for r, s in zip(rows, sets) if s in top]
 
 
 @dataclass(frozen=True)
 class Cone:
-    """A rational polyhedral cone with canonical dual descriptions.
+    """A rational polyhedral cone, fixed by its canonical V-description.
 
-    rays and lineality hold generator columns; inequalities (rows a with
-    a.x >= 0) and equations (rows with a.x = 0) cut out the same set.
+    rays and lineality hold generator columns, and they alone decide
+    equality and hashing. inequalities (rows a with a.x >= 0) and equations
+    (rows with a.x = 0) cut out the same set; they are derived on first read
+    and cached. facet_rows() gives rows, from the construction, that cut out
+    the facets modulo the equations.
     """
 
     ambient_dim: int
     rays: IntMatrix
     lineality: IntMatrix
-    inequalities: IntMatrix
-    equations: IntMatrix
     dim: int
+    facet_rows: Callable[[], list] = field(compare=False, repr=False)
+
+    @cached_property
+    def _equation_basis(self) -> IntMatrix:
+        """The canonical basis (columns) of the integer kernel of the
+        generators: saturated already."""
+        gens = self.rays.columns() + self.lineality.columns()
+        return integer_kernel_basis(
+            IntMatrix(len(gens), self.ambient_dim, tuple(gens)))
+
+    @cached_property
+    def equations(self) -> IntMatrix:
+        return self._equation_basis.transpose()
+
+    @cached_property
+    def inequalities(self) -> IntMatrix:
+        rows = sorted(set(quotient_reps(self.facet_rows(),
+                                        self._equation_basis)))
+        return IntMatrix(len(rows), self.ambient_dim, tuple(rows))
 
     def contains(self, point) -> bool:
         if len(point) != self.ambient_dim:
@@ -167,59 +201,40 @@ class Cone:
         return True
 
 
-def _v_description(ray_vecs, lineality: IntMatrix, n):
+def _v_description(ray_vecs, lineality: IntMatrix, n, dim=None):
     """The canonical rays (modulo the lineality, given by its canonical
-    basis), the lineality and the dimension of cone(rays) + span(lineality)."""
+    basis), the lineality and the dimension of cone(rays) + span(lineality);
+    a known dimension is taken as it is."""
     rays = sorted(set(quotient_reps(ray_vecs, lineality)))
-    dim = rational_rank(list(rays) + [list(c) for c in lineality.columns()]) \
-        if (rays or lineality.ncols) else 0
+    if dim is None:
+        dim = rational_rank(list(rays) + [list(c) for c in lineality.columns()]) \
+            if (rays or lineality.ncols) else 0
     return IntMatrix.from_columns(rays, n), lineality, dim
 
 
-def _assemble(rays, lineality, dim, ineq_vecs, eq_basis: IntMatrix,
-              n) -> Cone:
-    """The canonical cone with these V-description fields, its inequalities
-    reduced modulo the equations, given by their canonical basis."""
-    ineqs = sorted(set(quotient_reps(ineq_vecs, eq_basis)))
-    return Cone(
-        ambient_dim=n,
-        rays=rays,
-        lineality=lineality,
-        inequalities=IntMatrix.from_rows(ineqs, n),
-        equations=eq_basis.transpose(),
-        dim=dim,
-    )
+def cone_from_halfspaces(ineq_rows, eq_rows, ambient_dim: int,
+                         full: bool = False) -> Cone | None:
+    """The canonical cone {x : eq_rows . x = 0, ineq_rows . x >= 0}; with
+    full, None unless it is full-dimensional in the kernel of eq_rows.
 
-
-def halfspaces_by_key(ineq_rows, eq_rows, ambient_dim: int):
-    """(key, dim, build) for the cone {x : eq_rows . x = 0, ineq_rows . x >= 0}.
-
-    One double description pass gives the canonical rays and lineality, so
-    the cone_key and the dimension, and the ray-inequality incidences.
-    build() reads the rest off them, with no second pass: the facets are the
-    inequalities whose sets of tight rays are proper and maximal, and the
-    equations are the canonical basis of the integer kernel of the rays and
-    the lineality, which is saturated already.
+    One double description pass from a rational basis of that kernel gives
+    the canonical rays and lineality, and the ray-inequality incidences,
+    with no second pass. With full, the pass stops at the first dimension
+    drop, and a cone that reaches the end has the kernel's dimension;
+    otherwise the dimension is a rank. The facets, read on first use, are
+    the inequalities whose sets of tight rays are proper and maximal.
     """
     n = ambient_dim
     ineq_rows = list(ineq_rows)
-    ray_vecs, lin_vecs, masks = _dd(ineq_rows, list(eq_rows), n)
-    rays, lineality, dim = _v_description(
-        ray_vecs, saturate_lattice(IntMatrix.from_columns(lin_vecs, n)), n)
-
-    def build():
-        facet_vecs = [ineq_rows[j]
-                      for j in _maximal_proper(masks, len(ineq_rows))]
-        eq_basis = integer_kernel_basis(
-            IntMatrix.from_rows(ray_vecs + lin_vecs, n))
-        return _assemble(rays, lineality, dim, facet_vecs, eq_basis, n)
-
-    return (rays.entries, lineality.entries), dim, build
-
-
-def cone_from_halfspaces(ineq_rows, eq_rows, ambient_dim: int) -> Cone:
-    """Build the canonical cone {x : eq_rows . x = 0, ineq_rows . x >= 0}."""
-    return halfspaces_by_key(ineq_rows, eq_rows, ambient_dim)[2]()
+    kernel = _echelon_kernel(IntMatrix.from_rows(list(eq_rows), n))
+    passed = _dd(ineq_rows, kernel, full=full)
+    if passed is None:
+        return None
+    ray_vecs, lin_vecs, masks = passed
+    lineality = saturate_lattice(IntMatrix.from_columns(lin_vecs, n))
+    dim = len(kernel) if full else None
+    return Cone(n, *_v_description(ray_vecs, lineality, n, dim),
+                facet_rows=partial(_maximal_proper, ineq_rows, masks))
 
 
 def cone_from_generators(ray_cols, lineality_cols, ambient_dim: int) -> Cone:
@@ -227,36 +242,31 @@ def cone_from_generators(ray_cols, lineality_cols, ambient_dim: int) -> Cone:
 
     One double description pass of the dual gives the facets and the
     equations, and the generator-facet incidences. The extreme rays are the
-    generators whose sets of tight facets are proper and maximal. The
+    generators whose sets of tight facets are proper and maximal, and the
     lineality is the canonical basis of the integer kernel of the facets and
-    the equations, and the equations that of the extreme rays and the
-    lineality: both are saturated already.
+    the equations, which is saturated already. The facets found are the
+    cone's facet rows.
     """
     n = ambient_dim
     gens = [tuple(r) for r in ray_cols]
-    facet_vecs, eq_vecs, masks = _dd(gens, list(lineality_cols), n)
-    ray_vecs = [gens[j] for j in _maximal_proper(masks, len(gens))]
+    facet_vecs, eq_vecs, masks = _dd(
+        gens, _echelon_kernel(IntMatrix.from_rows(list(lineality_cols), n)))
     lineality = integer_kernel_basis(
         IntMatrix.from_rows(facet_vecs + eq_vecs, n))
-    eq_basis = integer_kernel_basis(
-        IntMatrix.from_rows(ray_vecs + lineality.columns(), n))
-    return _assemble(*_v_description(ray_vecs, lineality, n),
-                     facet_vecs, eq_basis, n)
+    return Cone(n, *_v_description(_maximal_proper(gens, masks), lineality, n),
+                facet_rows=partial(list, facet_vecs))
 
 
-def intersection_by_key(c1: Cone, c2: Cone):
-    """(key, dim, build) of the intersection of two cones, as
-    halfspaces_by_key gives them."""
+def intersect(c1: Cone, c2: Cone, full: bool = False) -> Cone | None:
+    """The intersection of two cones, as cone_from_halfspaces gives it from
+    their joint rows: with full, None unless it is full-dimensional in the
+    kernel of their joint equations."""
     if c1.ambient_dim != c2.ambient_dim:
         raise DimMismatchError("cones live in different ambient spaces")
-    return halfspaces_by_key(
-        list(c1.inequalities.entries) + list(c2.inequalities.entries),
-        list(c1.equations.entries) + list(c2.equations.entries),
-        c1.ambient_dim)
-
-
-def intersect(c1: Cone, c2: Cone) -> Cone:
-    return intersection_by_key(c1, c2)[2]()
+    return cone_from_halfspaces(
+        c1.inequalities.entries + c2.inequalities.entries,
+        c1.equations.entries + c2.equations.entries,
+        c1.ambient_dim, full=full)
 
 
 def negate_cone(c: Cone) -> Cone:
@@ -303,22 +313,12 @@ def _face_key(c: Cone, face_rays):
 
 def _face_cone(c: Cone, face_rays, facet_rows, dim: int) -> Cone:
     """The canonical face of c with these rays, given one inequality of c
-    cutting out each of its facets. No double description runs: the
-    equations are the integer kernel of the face's rays and the lineality,
-    and each facet row, reduced modulo them, is the face's inequality for
-    that facet."""
-    n = c.ambient_dim
-    eq_basis = integer_kernel_basis(
-        IntMatrix.from_rows(face_rays + c.lineality.columns(), n))
-    return Cone(
-        ambient_dim=n,
-        rays=IntMatrix.from_columns(face_rays, n),
-        lineality=c.lineality,
-        inequalities=IntMatrix.from_rows(
-            sorted(set(quotient_reps(facet_rows, eq_basis))), n),
-        equations=eq_basis.transpose(),
-        dim=dim,
-    )
+    cutting out each of its facets. No double description runs: the face's
+    equations are the integer kernel of its rays and the lineality, and each
+    facet row, reduced modulo them, is the face's inequality for that
+    facet."""
+    return Cone(c.ambient_dim, IntMatrix.from_columns(face_rays, c.ambient_dim),
+                c.lineality, dim, facet_rows=partial(list, facet_rows))
 
 
 def facets_by_key(c: Cone):
@@ -533,16 +533,16 @@ def fan_from_cones(ambient_dim: int, cones, drop_contained: bool = True):
 
 
 def common_refinement(f1: Fan, f2: Fan) -> Fan:
-    """The fan of inclusion-maximal pairwise intersections. Each distinct
-    intersection is built once, however many pairs of cones meet in it."""
+    """The fan of inclusion-maximal pairwise intersections. Each pair takes
+    one double description pass; a piece met by several pairs is kept once,
+    by its key."""
     if f1.ambient_dim != f2.ambient_dim:
         raise DimMismatchError("fans live in different ambient spaces")
     pieces = {}
     for c1 in fan_cones(f1):
         for c2 in fan_cones(f2):
-            key, _, build = intersection_by_key(c1, c2)
-            if key not in pieces:
-                pieces[key] = build()
+            piece = intersect(c1, c2)
+            pieces.setdefault(cone_key(piece), piece)
     fan, _ = fan_from_cones(f1.ambient_dim, list(pieces.values()),
                             drop_contained=True)
     return fan
@@ -569,7 +569,8 @@ def is_pure(fan: Fan) -> bool:
 
 
 def slice_first_coordinate(c: Cone) -> Cone:
-    """Intersect with {x0 = 0} and drop coordinate 0."""
+    """Intersect with {x0 = 0} and drop coordinate 0. The slice's own
+    H-description is left to first use."""
     ineqs = [r[1:] for r in c.inequalities.entries]
     eqs = [r[1:] for r in c.equations.entries]
     return cone_from_halfspaces(ineqs, eqs, c.ambient_dim - 1)

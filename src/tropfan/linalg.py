@@ -167,6 +167,8 @@ def det(m: IntMatrix) -> int:
 def primitive_vector(v) -> Vec:
     """Divide an integer vector by the gcd of its entries."""
     g = gcd(*v)
+    if g == 1:
+        return tuple(v)
     if g == 0:
         raise ZeroVectorError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
@@ -398,6 +400,24 @@ def int_inverse(m: IntMatrix) -> IntMatrix:
             raise NotFullRankError("matrix is singular")
         raise NotFullRankError("matrix is not unimodular")
     return u
+
+
+def _echelon_kernel(m: IntMatrix) -> list:
+    """A basis over Q, not of the lattice, of the kernel of m, read off one
+    reduced integer echelon form: for each free column f, the primitive
+    vector with x_f = L and x_p = -(row entry at f) L / pivot at each pivot
+    column p, for L the lcm of the pivots."""
+    rows = [list(r) for r in m.entries]
+    pivots = _row_echelon(rows, reduced=True)
+    scale = lcm(*(rows[r][j] for r, j in enumerate(pivots)))
+    out = []
+    for f in sorted(set(range(m.ncols)) - set(pivots)):
+        x = [0] * m.ncols
+        x[f] = scale
+        for r, j in enumerate(pivots):
+            x[j] = -rows[r][f] * (scale // rows[r][j])
+        out.append(primitive_vector(x))
+    return out
 
 
 def _kernel_columns(m: IntMatrix) -> list:

@@ -12,7 +12,8 @@ in quotient coordinates. Stable intersections use the fan displacement rule
 with an analytically eliminated perturbation and lattice-index weights.
 Whether a pair of cones still meets after the displacement is decided first
 by rows: bit masks over the other fan's rays give, per cone row, the pairs
-it separates by a Farkas certificate. Every other pair is keyed, and one
+it separates by a Farkas certificate. Every other pair is intersected by a
+double description pass that stops at the first dimension drop, and one
 whose intersection has the expected dimension is decided locally at that
 intersection, by the signs of a few integer dot products: no linear program
 runs. A displacement that lands on the boundary of a pair's difference cone
@@ -46,10 +47,11 @@ from .fans import (
     Cone,
     Fan,
     common_refinement,
+    cone_from_halfspaces,
     face_lattice,
     fan_cones,
-    halfspaces_by_key,
-    intersection_by_key,
+    intersect,
+    relative_interior_point,
     slice_first_coordinate,
     support_contains,
 )
@@ -96,7 +98,12 @@ def tropical_evaluate(f: Polynomial, w, convention: str = "min") -> Fraction:
 
 def tropical_hypersurface(f: Polynomial, convention: str = "min") -> TropicalCycle:
     """The codimension-one skeleton of the Newton polytope's normal fan,
-    weighted by lattice lengths of the dual edges."""
+    weighted by lattice lengths of the dual edges.
+
+    A vertex pair spans an edge exactly when its normal cone is
+    full-dimensional in the hyperplane of its one equation, so each pair is
+    one double description pass that stops at the first dimension drop; the
+    edge cones are handed over with their facets underived."""
     check_convention(convention)
     if f.is_zero():
         raise ZeroPolynomialError("cannot tropicalize the zero polynomial")
@@ -111,10 +118,10 @@ def tropical_hypersurface(f: Polynomial, convention: str = "min") -> TropicalCyc
         # convex combination of the vertices, so their rows suffice
         rows = [tuple(u[k] - vi[k] for k in range(n)) for u in vertices]
         for vj in vertices[i + 1:]:
-            _, dim, build = halfspaces_by_key(
-                rows, [tuple(vi[k] - vj[k] for k in range(n))], n)
-            if dim == n - 1:
-                pairs.append((build(), edge_lattice_length(vi, vj)))
+            cone = cone_from_halfspaces(
+                rows, [tuple(vi[k] - vj[k] for k in range(n))], n, full=True)
+            if cone is not None:
+                pairs.append((cone, edge_lattice_length(vi, vj)))
     cycle = weighted_from_cones(n, pairs, "min", merge_duplicates=False)
     if convention == "max":
         cycle = swap_convention(cycle)
@@ -276,9 +283,7 @@ def is_tropical_basis(polys) -> bool:
               for _, cone in groebner_fan(spec_h)]
     for sigma in fan_cones(prevariety):
         for gamma in sliced:
-            (piece_rays, _), _, _ = intersection_by_key(sigma, gamma)
-            # the sum of the piece's rays, as relative_interior_point gives it
-            w = tuple(sum(row) for row in piece_rays)
+            w = relative_interior_point(intersect(sigma, gamma))
             if not support_contains(variety.fan, w):
                 return False
     return True
@@ -331,11 +336,10 @@ def _separated_pairs(fa: Fan, fb: Fan, v):
     return separated
 
 
-def _displacement_verdict(ca: Cone, cb: Cone, piece_rays, v):
+def _displacement_verdict(ca: Cone, cb: Cone, tau: Cone, v):
     """Does v lie in ca - cb? True or False, or None when it lies on the
     boundary (a wall), for a pair whose equation rows are independent and
-    whose intersection tau, with key rays piece_rays, has the expected
-    dimension.
+    whose intersection tau has the expected dimension.
 
     Then span ca and span cb meet in span tau and together fill Q^n, so
     v = x - y with x in span ca and y in span cb, unique modulo span tau.
@@ -354,7 +358,7 @@ def _displacement_verdict(ca: Cone, cb: Cone, piece_rays, v):
     for r, j in enumerate(pivots):
         x[j] = rows[r][n] * (scale // rows[r][j])
     y = [xi - scale * vi for xi, vi in zip(x, v)]
-    p = tuple(map(sum, piece_rays))
+    p = relative_interior_point(tau)
     values = [dot(a, x) for a in ca.inequalities.entries if not dot(a, p)] \
         + [dot(b, y) for b in cb.inequalities.entries if not dot(b, p)]
     if any(s < 0 for s in values):
@@ -369,12 +373,14 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
     by lattice indices, and intersect.
 
     A pair meets after the shift by v when v lies in cone_a - cone_b. Most
-    pairs that do not are rejected by a separating row (_separated_pairs);
-    every other pair is keyed (each once, whatever the number of draws), and
-    one whose intersection has the expected dimension is decided by the
-    local sign test of _displacement_verdict. A shift that the sign test
-    finds on a wall, or that lies in the span of a pair whose spans do not
-    fill the space, is not generic: the next one is drawn."""
+    pairs that do not are rejected by a separating row (_separated_pairs).
+    Every other pair is intersected once, whatever the number of draws, by
+    a pass that stops as soon as the piece falls below the dimension of the
+    joint span: only a piece of the expected dimension carries weight. Such
+    a pair is decided by the local sign test of _displacement_verdict. A
+    shift that the sign test finds on a wall, or that lies in the span of a
+    pair whose spans do not fill the space, is not generic: the next one is
+    drawn. The pieces are handed over with their facets underived."""
     if a.convention != b.convention:
         raise ConventionMismatchError("cycles use different conventions")
     if a.ambient_dim != b.ambient_dim:
@@ -398,10 +404,14 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
             # spanned by the independent equation rows, meet only in 0
             eqs = ca.equations.entries + cb.equations.entries
             if rational_rank(eqs) == len(eqs):
-                full.append((i, j))
+                # the joint span has dimension ca.dim + cb.dim - n; a pair
+                # whose span is smaller meets in boundary scrap, which lies
+                # in faces of full-dimensional pieces and carries no weight
+                if ca.dim + cb.dim - n == expected_dim:
+                    full.append((i, j))
             else:
                 deficient.append(_span_matrix(ca) + _span_matrix(cb))
-    keyed = {}
+    pieces = {}
 
     def meeting_pairs(v):
         """The pairs of full that meet after the shift by v, or None when v
@@ -411,15 +421,13 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
         for i, j in full:
             if separated(i, j):
                 continue
-            if (i, j) not in keyed:
-                keyed[i, j] = intersection_by_key(cones_a[i], cones_b[j])
-            (piece_rays, _), dim, _ = keyed[i, j]
-            if dim < expected_dim:
-                # boundary scrap: it lies in faces of full-dimensional pieces
-                # and carries no weight of its own
+            if (i, j) not in pieces:
+                pieces[i, j] = intersect(cones_a[i], cones_b[j], full=True)
+            if pieces[i, j] is None:
+                # boundary scrap, as above
                 continue
             verdict = _displacement_verdict(cones_a[i], cones_b[j],
-                                            piece_rays, v)
+                                            pieces[i, j], v)
             if verdict is None:
                 return None
             if verdict:
@@ -446,14 +454,10 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
         return lattices[cone]
 
     pairs = []
-    built = {}
     for i, j in met:
-        key, _, build = keyed[i, j]
-        if key not in built:
-            built[key] = build()
         weight = a.multiplicities[i] * b.multiplicities[j] * lattice_index(
             span_lattice(cones_a[i]), span_lattice(cones_b[j]))
-        pairs.append((built[key], weight))
+        pairs.append((pieces[i, j], weight))
     if not pairs:
         return _empty_cycle(n, a.convention)
     result = weighted_from_cones(n, pairs, a.convention, merge_duplicates=True)

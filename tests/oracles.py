@@ -13,12 +13,12 @@ from tropfan.errors import (
     NotPureError,
 )
 from tropfan.fans import (
-    _assemble,
+    Cone,
     _v_description,
     cone_key,
     facets_by_key,
     fan_cones,
-    intersection_by_key,
+    intersect,
     relative_interior_point,
 )
 from tropfan.groebner import (
@@ -125,6 +125,20 @@ def _saturate(vecs, n):
     return saturate_lattice(IntMatrix.from_columns([tuple(v) for v in vecs], n))
 
 
+def _two_pass_cone(ray_vecs, lin_vecs, facet_vecs, eq_vecs, n):
+    """The canonical cone from both descriptions of a two-pass reference.
+    Its inequalities and equations are set from the reference's own facets
+    and saturated equations, in the fields a cone caches them in, so that a
+    comparison with the library's cone checks the library's derivation."""
+    eq_basis = _saturate(eq_vecs, n)
+    ineqs = sorted(set(quotient_reps(facet_vecs, eq_basis)))
+    cone = Cone(n, *_v_description(ray_vecs, _saturate(lin_vecs, n), n),
+                facet_rows=lambda: facet_vecs)
+    vars(cone).update(inequalities=IntMatrix.from_rows(ineqs, n),
+                      equations=eq_basis.transpose())
+    return cone
+
+
 def reference_cone_from_halfspaces(ineq_rows, eq_rows, n):
     """The canonical cone {x : eq_rows . x = 0, ineq_rows . x >= 0} by two
     passes: the primal one for the rays, then the dual one, from the rays,
@@ -132,8 +146,7 @@ def reference_cone_from_halfspaces(ineq_rows, eq_rows, n):
     ray_vecs, lin_vecs = reference_dd([tuple(a) for a in ineq_rows],
                                       [tuple(e) for e in eq_rows], n)
     facet_vecs, eq_vecs = reference_dd(ray_vecs, lin_vecs, n)
-    return _assemble(*_v_description(ray_vecs, _saturate(lin_vecs, n), n),
-                     facet_vecs, _saturate(eq_vecs, n), n)
+    return _two_pass_cone(ray_vecs, lin_vecs, facet_vecs, eq_vecs, n)
 
 
 def reference_cone_from_generators(ray_cols, lineality_cols, n):
@@ -143,8 +156,7 @@ def reference_cone_from_generators(ray_cols, lineality_cols, n):
     facet_vecs, eq_vecs = reference_dd([tuple(r) for r in ray_cols],
                                        [tuple(l) for l in lineality_cols], n)
     ray_vecs, lin_vecs = reference_dd(facet_vecs, eq_vecs, n)
-    return _assemble(*_v_description(ray_vecs, _saturate(lin_vecs, n), n),
-                     facet_vecs, _saturate(eq_vecs, n), n)
+    return _two_pass_cone(ray_vecs, lin_vecs, facet_vecs, eq_vecs, n)
 
 
 def reference_fan_cone(fan, index):
@@ -240,19 +252,16 @@ def reference_stable_intersection(a, b, seed=0):
     if v is None:
         raise GenericityError("no generic displacement vector found")
     pairs = []
-    built = {}
     for ca, ma, cb, mb in full:
         if not cone_feasible(*displacement_difference(ca, cb), v):
             continue
-        key, dim, build = intersection_by_key(ca, cb)
-        if dim < expected_dim:
+        piece = intersect(ca, cb)
+        if piece.dim < expected_dim:
             continue
-        if key not in built:
-            built[key] = build()
         weight = ma * mb * lattice_index(
             lattice_from_generators(n, span_lattice_basis(ca).columns()),
             lattice_from_generators(n, span_lattice_basis(cb).columns()))
-        pairs.append((built[key], weight))
+        pairs.append((piece, weight))
     if not pairs:
         return _empty_cycle(n, a.convention)
     return weighted_from_cones(n, pairs, a.convention, merge_duplicates=True)

@@ -22,14 +22,13 @@ from tropfan.fans import (
     fan_dim,
     fan_from_cones,
     intersect,
-    intersection_by_key,
     is_pure,
     relative_interior_point,
     slice_first_coordinate,
     support_contains,
     validate_fan,
 )
-from tropfan.linalg import dot
+from tropfan.linalg import IntMatrix, _echelon_kernel, dot, rational_rank
 
 from oracles import (
     reference_cone_from_generators,
@@ -82,10 +81,10 @@ class TestDualDescription:
             c = cone_from_generators(ray_list, lin_list, 2)
             again = cone_from_generators(
                 c.rays.columns(), c.lineality.columns(), 2)
-            assert again == c
+            assert_same_cone(again, c)
             via_h = cone_from_halfspaces(
                 list(c.inequalities.entries), list(c.equations.entries), 2)
-            assert via_h == c
+            assert_same_cone(via_h, c)
 
     def test_empty_input_is_origin(self):
         c = cone_from_generators([], [], 3)
@@ -120,7 +119,7 @@ class TestDoubleDescriptionFuzz:
         lins = [l for l in lin_list if any(l)]
         c = cone_from_generators(rays, lins, 3)
         again = cone_from_generators(c.rays.columns(), c.lineality.columns(), 3)
-        assert again == c
+        assert_same_cone(again, c)
         ray_m = IntMatrix.from_columns(rays, 3)
         lin_m = IntMatrix.from_columns(lins, 3)
         rng = random.Random(hash((tuple(rays), tuple(lins))) & 0xFFFF)
@@ -136,7 +135,7 @@ class TestDoubleDescriptionFuzz:
         c = cone_from_halfspaces(ineqs, eqs, 3)
         again = cone_from_halfspaces(list(c.inequalities.entries),
                                      list(c.equations.entries), 3)
-        assert again == c
+        assert_same_cone(again, c)
         # every input constraint really holds on the computed generators
         gens = c.rays.columns()
         lins = c.lineality.columns()
@@ -170,12 +169,20 @@ def redundant_rows(draw):
 
 
 def assert_same_cone(got, want):
+    """Field by field: equality of cones reads only the V-description, and
+    the H-description is derived on first read."""
     assert got.ambient_dim == want.ambient_dim
     assert got.rays == want.rays
     assert got.lineality == want.lineality
     assert got.inequalities == want.inequalities
     assert got.equations == want.equations
     assert got.dim == want.dim
+
+
+def assert_same_cones(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_cone(g, w)
 
 
 class TestOnePassMatchesTwoPasses:
@@ -216,7 +223,8 @@ class TestOnePassMatchesTwoPasses:
               [(0, 0, 1, 1)]))
     def test_every_mask_bit_is_a_tight_row(self, case):
         n, ineqs, eqs = case
-        rays, lin, masks = _dd(ineqs, eqs, n)
+        rays, lin, masks = _dd(ineqs,
+                               _echelon_kernel(IntMatrix.from_rows(eqs, n)))
         assert len(masks) == len(rays)
         for ray, mask in zip(rays, masks):
             assert mask >> len(ineqs) == 0
@@ -279,10 +287,11 @@ def assert_faces_match_dd(c):
     every = []
     for k in range(c.dim + 1):
         layer = faces(c, k)
-        assert layer == dd_faces(c, k)
+        assert_same_cones(layer, dd_faces(c, k))
         every += layer
-    assert all_faces(c) == sorted(every, key=lambda f: (f.rays.entries,
-                                                        f.lineality.entries))
+    assert_same_cones(all_faces(c),
+                      sorted(every, key=lambda f: (f.rays.entries,
+                                                   f.lineality.entries)))
 
 
 small_vecs4 = st.lists(
@@ -445,7 +454,8 @@ class TestFanAssembly:
         fan, kept = fan_from_cones(2, [c2, c3, c1])
         assert kept == [0, 2]
         assert fan.cones == (c2, c1)
-        assert fan_cones(fan) == [reference_fan_cone(fan, i) for i in (0, 1)]
+        assert_same_cones(fan_cones(fan),
+                          [reference_fan_cone(fan, i) for i in (0, 1)])
         assert fan_cone(fan, 0) is c2
         # the cones are fixed by the other fields, so equality ignores them
         bare = Fan(fan.ambient_dim, fan.rays, fan.lineality,
@@ -491,7 +501,7 @@ class TestIntersect:
         a = cone_from_generators([], [(1, 0), (0, 1)], 2)
         b = cone_from_generators([(1, 1)], [(1, -1)], 2)
         meet = intersect(a, b)
-        assert meet == b
+        assert_same_cone(meet, b)
 
     @settings(max_examples=80, deadline=None)
     @given(small_vecs4, small_lins4, small_vecs4, small_lins4, st.booleans())
@@ -500,13 +510,86 @@ class TestIntersect:
              [(1, 0, 0, 0), (-1, 1, 0, 0), (0, 0, -1, 0)], [], True)
     def test_keyed_intersection_matches_the_built_cone(
             self, vecs1, lins1, vecs2, lins2, from_generators):
-        """The key and dimension, known before build(), are those of the
-        cone that build() returns."""
+        """The key and dimension, fixed by the pass, are those of the cone
+        the two-pass reference builds from the joint rows, and so is the
+        H-description derived from the pass's incidences on first read."""
         make = cone_from_generators if from_generators else cone_from_halfspaces
         c1 = make([v for v in vecs1 if any(v)], [l for l in lins1 if any(l)], 4)
         c2 = make([v for v in vecs2 if any(v)], [l for l in lins2 if any(l)], 4)
-        key, dim, build = intersection_by_key(c1, c2)
-        piece = build()
-        assert key == cone_key(piece)
-        assert dim == piece.dim
+        piece = intersect(c1, c2)
+        want = reference_cone_from_halfspaces(
+            c1.inequalities.entries + c2.inequalities.entries,
+            c1.equations.entries + c2.equations.entries, 4)
+        assert cone_key(piece) == cone_key(want)
+        assert piece.dim == want.dim
+        assert_same_cone(piece, want)
         assert piece == intersect(c1, c2)
+
+
+def assert_early_stop_agrees(ineqs, eqs, n):
+    """Asked for a cone full-dimensional in the kernel of eqs, the pass gives
+    None exactly when the whole pass ends below the kernel's dimension, and
+    otherwise the same cone, key, dimension and derived H-description."""
+    whole = cone_from_halfspaces(ineqs, eqs, n)
+    early = cone_from_halfspaces(ineqs, eqs, n, full=True)
+    if whole.dim < n - rational_rank(list(eqs)):
+        assert early is None
+        return False
+    assert_same_cone(early, whole)
+    return True
+
+
+newton_supports = st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 3)] * n), min_size=2, max_size=6, unique=True))
+
+
+class TestEarlyStop:
+    """The pass that stops at the first dimension drop agrees with the whole
+    pass, on the intersections of cone pairs and on the normal cones of
+    Newton polytope vertex pairs, the two places that ask for it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_vecs4, small_lins4, small_vecs4, small_lins4, st.booleans())
+    # two 3-dimensional cones that meet in a ray of each: below the kernel
+    @example([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], [],
+             [(1, 0, 0, 0), (-1, 1, 0, 0), (0, 0, -1, 0)], [], True)
+    # two quadrants of one plane that overlap: full in the kernel
+    @example([(1, 0, 0, 0), (0, 1, 0, 0)], [], [(1, 1, 0, 0), (0, 1, 0, 0)],
+             [], True)
+    def test_cone_pairs(self, vecs1, lins1, vecs2, lins2, from_generators):
+        make = cone_from_generators if from_generators else cone_from_halfspaces
+        c1 = make([v for v in vecs1 if any(v)], [l for l in lins1 if any(l)], 4)
+        c2 = make([v for v in vecs2 if any(v)], [l for l in lins2 if any(l)], 4)
+        ineqs = c1.inequalities.entries + c2.inequalities.entries
+        eqs = c1.equations.entries + c2.equations.entries
+        kept = assert_early_stop_agrees(ineqs, eqs, 4)
+        early = intersect(c1, c2, full=True)
+        assert (early is not None) == kept
+        if kept:
+            assert_same_cone(early, intersect(c1, c2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(newton_supports)
+    @example([(0, 0), (1, 0), (0, 1), (1, 1)])
+    def test_newton_vertex_pairs(self, support):
+        from tropfan.polynomials import Polynomial, newton_polytope
+
+        n = len(support[0])
+        f = Polynomial(tuple("xyzw"[:n]), {e: 1 for e in support})
+        vertices = newton_polytope(f)
+        for i, vi in enumerate(vertices):
+            rows = [tuple(u[k] - vi[k] for k in range(n)) for u in vertices]
+            for vj in vertices[i + 1:]:
+                assert_early_stop_agrees(
+                    rows, [tuple(vi[k] - vj[k] for k in range(n))], n)
+
+    def test_both_outcomes_occur_on_a_square(self):
+        # the unit square's diagonals span no edge, its sides do
+        square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        kept = []
+        for i, vi in enumerate(square):
+            rows = [tuple(u[k] - vi[k] for k in range(2)) for u in square]
+            for vj in square[i + 1:]:
+                kept.append(assert_early_stop_agrees(
+                    rows, [tuple(vi[k] - vj[k] for k in range(2))], 2))
+        assert kept == [True, False, True, True, False, True]

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +29,7 @@ from tropfan.fans import (
     fan_cones,
     fan_dim,
     fan_from_cones,
-    intersection_by_key,
+    intersect,
     relative_interior_point,
     support_contains,
 )
@@ -329,9 +329,14 @@ XYZW = ("x", "y", "z", "w")
 
 
 def assert_fan_keeps_its_cones(fan):
+    """Each kept cone equals the reference's, and so does the H-description
+    it derives on first read (equality reads the V-description only)."""
     assert len(fan.cones) == fan.n_maximal()
     for i, cone in enumerate(fan_cones(fan)):
-        assert cone == reference_fan_cone(fan, i)
+        want = reference_fan_cone(fan, i)
+        assert cone == want
+        assert cone.inequalities == want.inequalities
+        assert cone.equations == want.equations
 
 
 class TestFansKeepTheirCones:
@@ -391,7 +396,11 @@ class TestConesBuiltOnce:
     double description passes (one per cone, whether keyed or built), the
     rank computations inside them (none: adjacency is combinatorial), the
     cones read from generators, and contains_cone calls. Kept apart, in
-    run.linalg, are the phase-1 simplex runs and the Hermite normal forms."""
+    run.linalg, are the phase-1 simplex runs and the Hermite normal forms;
+    in run.full, the passes asked for a full-dimensional cone that stop at a
+    dimension drop and those that finish; and in run.derived, the cones
+    whose equations (an integer kernel) and inequalities (reduced modulo the
+    equations) are derived on first read."""
 
     @pytest.fixture
     def run(self, tmp_path, monkeypatch, capsys):
@@ -411,13 +420,18 @@ class TestConesBuiltOnce:
                 return original(*args)
             return wrapper
 
-        def dd(*args):
+        full = {"stopped": 0, "finished": 0}
+
+        def dd(*args, **kwargs):
             counts["dd"] += 1
             depth[0] += 1
             try:
-                return original_dd(*args)
+                out = original_dd(*args, **kwargs)
             finally:
                 depth[0] -= 1
+            if kwargs.get("full"):
+                full["stopped" if out is None else "finished"] += 1
+            return out
 
         def rank(rows):
             counts["rank_in_dd"] += depth[0] > 0
@@ -435,6 +449,17 @@ class TestConesBuiltOnce:
         monkeypatch.setattr(tropfan.fans.Cone, "contains_cone",
                             counted("contains_cone",
                                     tropfan.fans.Cone.contains_cone))
+        derived = {"equations": 0, "inequalities": 0}
+        for key, name in (("equations", "_equation_basis"),
+                          ("inequalities", "inequalities")):
+            def derive(cone, _key=key,
+                       _func=tropfan.fans.Cone.__dict__[name].func):
+                derived[_key] += 1
+                return _func(cone)
+
+            prop = cached_property(derive)
+            prop.__set_name__(tropfan.fans.Cone, name)
+            monkeypatch.setattr(tropfan.fans.Cone, name, prop)
         linalg = {"simplex": 0, "hnf": 0}
         for key, name in (("simplex", "nonneg_solution_exists"),
                           ("hnf", "hermite_normal_form")):
@@ -442,12 +467,14 @@ class TestConesBuiltOnce:
                 key, getattr(tropfan.linalg, name), linalg))
 
         def command(*argv):
-            counts.update(dict.fromkeys(counts, 0))
-            linalg.update(dict.fromkeys(linalg, 0))
+            for tally in (counts, linalg, full, derived):
+                tally.update(dict.fromkeys(tally, 0))
             tropfan.linalg._unit_smith.cache_clear()  # as in a fresh process
             assert main(list(argv)) == 0
             capsys.readouterr()
             command.linalg = dict(linalg)
+            command.full = dict(full)
+            command.derived = dict(derived)
             return dict(counts)
 
         return command
@@ -462,10 +489,17 @@ class TestConesBuiltOnce:
 
     def test_hypersurface_builds_only_codimension_one_pairs(self, run):
         # 28 vertex pairs keyed, 20 of them built, as cones of the
-        # hypersurface, from their incidences
+        # hypersurface, from their incidences; the 8 pairs that span no
+        # edge stop at their first dimension drop. The text output checks
+        # balancing, which reads the facets of the 20 cones
         assert run("hypersurface", A4, "--vars", "x,y,z,w") \
             == {"dd": 28, "rank_in_dd": 0, "from_generators": 0,
                 "contains_cone": 0}
+        assert run.full == {"stopped": 8, "finished": 20}
+        assert run.derived == {"equations": 20, "inequalities": 20}
+        # JSON output reads no facet, so none is derived
+        run("hypersurface", A4, "--vars", "x,y,z,w", "--format", "json")
+        assert run.derived == {"equations": 0, "inequalities": 0}
 
     def test_stable_intersection_builds_each_piece_once(self, run):
         self.hypersurfaces(run, "A5", "B5")
@@ -477,16 +511,29 @@ class TestConesBuiltOnce:
                    "--format", "json", "--out", "A5B5.json") \
             == {"dd": 41 + 274, "rank_in_dd": 0, "from_generators": 41,
                 "contains_cone": 0}
+        # 183 of the 274 pairs meet below the expected dimension, and their
+        # passes stop at the first dimension drop; 91 finish. The facets of
+        # the 41 cones read are derived, as the separating rows read them,
+        # and those of the 87 cells, which the JSON output does not read,
+        # are not
+        assert run.full == {"stopped": 183, "finished": 91}
+        assert run.derived == {"equations": 41, "inequalities": 41}
         # 87 cones read, one pass each, none rebuilt, no containment scan
         assert run("is-balanced", "A5B5.json") \
             == {"dd": 87, "rank_in_dd": 0, "from_generators": 87,
                 "contains_cone": 0}
+        assert run.derived == {"equations": 87, "inequalities": 87}
         # the cones read take their equations as integer kernels of their
         # generators, and balancing maps each facet's neighbours through one
         # kernel (905 Hermite normal forms when they saturated equation
         # vectors, 724 while balancing built its facets and every Hermite
-        # basis computed a witness)
-        assert run.linalg["hnf"] == 355
+        # basis computed a witness, 355 while each pass started from a
+        # Hermite kernel of its equations)
+        assert run.linalg["hnf"] == 268
+        # the text output checks balancing, so it reads the facets of the
+        # 87 cells as well
+        run("stable-intersection", "A5.json", "B5.json", "--seed", "0")
+        assert run.derived == {"equations": 41 + 87, "inequalities": 41 + 87}
 
     def test_balancing_builds_no_facet_and_no_smith_form(
             self, run, facet_counts, monkeypatch):
@@ -532,14 +579,18 @@ class TestConesBuiltOnce:
         # again, 689 and 454 when cones read from generators saturated their
         # equation vectors and the span lattices were put in Hermite form
         # again, 607 and 382 while every Hermite basis computed a witness,
-        # 438 and 276 while only the pairs the simplex accepted were keyed)
+        # 438 and 276 while only the pairs the simplex accepted were keyed,
+        # 525 and 320 while every keying pass started from a Hermite kernel
+        # and every cell built took one for its equations). Now a pass
+        # starts from an echelon kernel, and the cells' equations are never
+        # read: what is left is reading the cones and their span lattices
         self.hypersurfaces(run, "A5", "B5", "A4", "B4")
         run("stable-intersection", "A5.json", "B5.json", "--seed", "0",
             "--format", "json")
-        assert run.linalg == {"simplex": 0, "hnf": 525}
+        assert run.linalg == {"simplex": 0, "hnf": 123}
         run("stable-intersection", "A4.json", "B4.json", "--seed", "0",
             "--format", "json")
-        assert run.linalg == {"simplex": 0, "hnf": 320}
+        assert run.linalg == {"simplex": 0, "hnf": 110}
 
     def test_prevariety_builds_each_piece_once(self, tmp_path, run):
         (tmp_path / "A4B4.ideal").write_text(f"vars: x,y,z,w\n{A4}\n{B4}\n")
@@ -694,6 +745,24 @@ class TestStableIntersection:
         assert got.fan.maximal_cones == ((),)
         assert got.multiplicities == (2,)
         assert cycle_dim(got) == 1
+
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_lower_cones_of_a_non_pure_cycle_carry_no_weight(self, seed):
+        # a quadrant and a lone ray: a pair of the ray with a ray of the
+        # line has independent equations, but its joint span is the origin,
+        # below the expected dimension 1, so it contributes nothing; at
+        # seeds 2 and 4 the displacement moves such a pair to meet. The
+        # input is not balanced, so the answer depends on the seed
+        from tropfan.cycles import cycle_from_dict
+
+        mixed = cycle_from_dict({
+            "convention": "min", "ambient_dim": 2,
+            "rays": [[1, 0], [0, 1], [-1, -1]], "lineality": [],
+            "maximal_cones": [[0, 1], [2]], "multiplicities": [1, 1]})
+        line = tropical_hypersurface(P("x+y+1", XY))
+        for a, b in ((mixed, line), (line, mixed)):
+            assert cycle_to_dict(stable_intersection(a, b, seed=seed)) \
+                == cycle_to_dict(reference_stable_intersection(a, b, seed))
 
     def test_line_self_intersection(self):
         line = tropical_variety(ideal(XY, (P("x+y+1", XY),)))
@@ -861,10 +930,10 @@ def verdicts(a, b, v):
             eqs = ca.equations.entries + cb.equations.entries
             if rational_rank(eqs) < len(eqs):
                 continue
-            (piece_rays, _), dim, _ = intersection_by_key(ca, cb)
-            if dim < expected:
+            tau = intersect(ca, cb)
+            if tau.dim < expected:
                 continue
-            out.append((_displacement_verdict(ca, cb, piece_rays, v),
+            out.append((_displacement_verdict(ca, cb, tau, v),
                         cone_feasible(*displacement_difference(ca, cb), v)))
     return out
 
