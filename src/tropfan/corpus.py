@@ -6,16 +6,15 @@ most four variables, all of degree at most three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .polynomials import IdealSpec, parse_polynomial
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    variables: tuple
-    generators: tuple
+class CorpusEntry(namedtuple("CorpusEntry", "name variables generators")):
+    """A named ideal, a named tuple: variables and generators as text."""
+
+    __slots__ = ()
 
     def ideal(self) -> IdealSpec:
         gens = tuple(parse_polynomial(g, self.variables)

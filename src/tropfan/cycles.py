@@ -7,11 +7,13 @@ Construction never checks balancing; is_balanced is the separate verifier.
 It walks facet keys, not built facets, and reads each lattice normal off the
 image of a ray under one integer kernel per facet, with no quotient lattice.
 The JSON schema here is the on-disk interchange format of the CLI.
+TropicalCycle is a named tuple: a value also equals the plain tuple of its
+fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     CycleSchemaError,
@@ -43,20 +45,19 @@ def check_convention(convention) -> None:
         raise ValueError("convention must be 'min' or 'max'")
 
 
-@dataclass(frozen=True)
-class TropicalCycle:
+class TropicalCycle(namedtuple("TropicalCycle",
+                               "fan multiplicities convention")):
     """A weighted fan, one weight per maximal cone, with a convention tag."""
 
-    fan: Fan
-    multiplicities: tuple
-    convention: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_convention(self.convention)
-        if len(self.multiplicities) != self.fan.n_maximal():
+    def __new__(cls, fan, multiplicities, convention):
+        check_convention(convention)
+        if len(multiplicities) != fan.n_maximal():
             raise MultiplicityMismatchError(
-                f"{self.fan.n_maximal()} maximal cones but "
-                f"{len(self.multiplicities)} multiplicities")
+                f"{fan.n_maximal()} maximal cones but "
+                f"{len(multiplicities)} multiplicities")
+        return super().__new__(cls, fan, multiplicities, convention)
 
     @property
     def ambient_dim(self) -> int:

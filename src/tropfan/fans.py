@@ -33,13 +33,14 @@ from its rays with no double description, and its inequalities are the rows
 of the cone cutting out its facets. Fans share one ray matrix and one
 lineality space; maximal cones are index sets into the shared rays, and a
 fan keeps the canonical cones it was assembled from, so none is built again.
+Cone, Face and Fan are named tuples: a value also equals the plain tuple of
+its fields and iterates over them, which no code relies on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, lru_cache, partial
-from typing import Callable, NamedTuple
 
 from .errors import BadCodimError, DimMismatchError
 from .linalg import (
@@ -139,22 +140,21 @@ def _maximal_proper(rows, masks):
     return [r for r, s in zip(rows, sets) if s in top]
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(namedtuple("Cone", "ambient_dim rays lineality dim")):
     """A rational polyhedral cone, fixed by its canonical V-description.
 
-    rays and lineality hold generator columns, and they alone decide
-    equality and hashing. inequalities (rows a with a.x >= 0) and equations
-    (rows with a.x = 0) cut out the same set; they are derived on first read
-    and cached. facet_rows() gives rows, from the construction, that cut out
+    rays and lineality hold generator columns; with ambient_dim and dim they
+    are the fields, which alone decide equality, hashing and the repr.
+    inequalities (rows a with a.x >= 0) and equations (rows with a.x = 0)
+    cut out the same set; they are derived on first read and cached. The
+    attribute facet_rows() gives rows, from the construction, that cut out
     the facets modulo the equations.
     """
 
-    ambient_dim: int
-    rays: IntMatrix
-    lineality: IntMatrix
-    dim: int
-    facet_rows: Callable[[], list] = field(compare=False, repr=False)
+    def __new__(cls, ambient_dim, rays, lineality, dim, facet_rows):
+        self = super().__new__(cls, ambient_dim, rays, lineality, dim)
+        self.facet_rows = facet_rows
+        return self
 
     @cached_property
     def _equation_basis(self) -> IntMatrix:
@@ -270,8 +270,13 @@ def intersect(c1: Cone, c2: Cone, full: bool = False) -> Cone | None:
 
 
 def negate_cone(c: Cone) -> Cone:
-    return cone_from_generators([vec_neg(r) for r in c.rays.columns()],
-                                c.lineality.columns(), c.ambient_dim)
+    """The canonical cone -c with no double description: the negated rays
+    are canonical (quotient_reps is linear, primitive_vector keeps the
+    sign), and the negated facet rows cut out the negated facets."""
+    rays = sorted(vec_neg(r) for r in c.rays.columns())
+    return Cone(c.ambient_dim, IntMatrix.from_columns(rays, c.ambient_dim),
+                c.lineality, c.dim,
+                facet_rows=lambda: [vec_neg(a) for a in c.facet_rows()])
 
 
 def _tight_masks(c: Cone) -> list:
@@ -349,14 +354,11 @@ def facets_with_normals(c: Cone):
     return [(build(), a) for _, a, build in facets_by_key(c)]
 
 
-class Face(NamedTuple):
+class Face(namedtuple("Face", "key dim facets build")):
     """A face met by face_lattice: its cone_key, its dimension, the keys of
     its facets, and build(), which makes the canonical face on demand."""
 
-    key: tuple
-    dim: int
-    facets: tuple
-    build: Callable[[], Cone]
+    __slots__ = ()
 
     @property
     def point(self):
@@ -438,25 +440,22 @@ def relative_interior_point(c: Cone):
     return tuple(sum(row) for row in c.rays.entries)
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(namedtuple("Fan", "ambient_dim rays lineality maximal_cones")):
     """A fan as shared primitive ray columns, one lineality space, and
     maximal cones given as tuples of ray indices.
 
-    cones holds the canonical maximal cones themselves, in maximal_cones
-    order, as fan_from_cones received them. They are fixed by the other
-    fields, so they take no part in equality or hashing.
+    The attribute cones holds the canonical maximal cones themselves, in
+    maximal_cones order, as fan_from_cones received them. They are fixed by
+    the fields, so they take no part in equality, hashing or the repr.
     """
 
-    ambient_dim: int
-    rays: IntMatrix
-    lineality: IntMatrix
-    maximal_cones: tuple
-    cones: tuple = field(default=(), compare=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.cones) != len(self.maximal_cones):
+    def __new__(cls, ambient_dim, rays, lineality, maximal_cones, cones=()):
+        if len(cones) != len(maximal_cones):
             raise ValueError("a fan keeps one cone per maximal cone")
+        self = super().__new__(cls, ambient_dim, rays, lineality,
+                               maximal_cones)
+        self.cones = cones
+        return self
 
     def n_maximal(self) -> int:
         return len(self.maximal_cones)

@@ -7,13 +7,14 @@ are exactly the leading forms seen by the engine. Division, S-polynomials
 and interreduction work on plain {exponent: Fraction} dicts; a Polynomial is
 built only for a result. On top of reduced bases sit saturation,
 monomial-freeness, dimension counts, and the Gröbner fan walk, which crosses
-each facet once.
+each facet once. TermOrder and GroebnerBasis are named tuples: a value also
+equals the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from operator import add, le, sub
@@ -30,26 +31,23 @@ from .linalg import clear_denominators, vec_neg
 from .polynomials import IdealSpec, Polynomial, fresh_variable, initial_form
 
 
-@dataclass(frozen=True)
-class TermOrder:
+class TermOrder(namedtuple("TermOrder", "weight_rows convention")):
     """Weight rows compared lexicographically, then grevlex.
 
     convention "min" makes the smaller weight lead (the tropical default);
     "max" is the classical direction. Each weight row is stored scaled by the
     lcm of its denominators: a positive factor changes no comparison, and
     keys become integer dot products. Keys are memoized for the life of the
-    order, which sees the same few monomials many times.
+    order, which sees the same few monomials many times, outside the fields.
     """
 
-    weight_rows: tuple = ()
-    convention: str = "min"
-
-    def __post_init__(self):
-        rows = tuple(tuple(clear_denominators(row)) for row in self.weight_rows)
-        object.__setattr__(self, "weight_rows", rows)
-        if self.convention not in ("min", "max"):
+    def __new__(cls, weight_rows=(), convention="min"):
+        rows = tuple(tuple(clear_denominators(row)) for row in weight_rows)
+        if convention not in ("min", "max"):
             raise ValueError("convention must be 'min' or 'max'")
-        object.__setattr__(self, "_keys", {})
+        self = super().__new__(cls, rows, convention)
+        self._keys = {}
+        return self
 
     def key(self, exps):
         try:
@@ -68,11 +66,11 @@ class TermOrder:
         return [tuple(sign * x for x in row) for row in self.weight_rows]
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    order: TermOrder
-    elements: tuple
-    leading_exponents: tuple
+class GroebnerBasis(namedtuple("GroebnerBasis",
+                               "order elements leading_exponents")):
+    """A reduced basis: its order, elements and their leading exponents."""
+
+    __slots__ = ()
 
     def variables(self):
         return self.elements[0].variables
@@ -156,14 +154,16 @@ def _s_terms(f, g):
 def normal_form(p: Polynomial, basis, order: TermOrder) -> Polynomial:
     """Full remainder of p on division by the basis list."""
     reducers = [_monic(g.terms, order.key) for g in basis if not g.is_zero()]
-    return Polynomial(p.variables, _reduce(p.terms, reducers, order.key))
+    return Polynomial._from_terms(p.variables,
+                                  _reduce(p.terms, reducers, order.key))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomialError("zero polynomial has no leading term")
-    return Polynomial(f.variables, _s_terms(_monic(f.terms, order.key),
-                                            _monic(g.terms, order.key)))
+    return Polynomial._from_terms(f.variables,
+                                  _s_terms(_monic(f.terms, order.key),
+                                           _monic(g.terms, order.key)))
 
 
 def _check_termination(spec: IdealSpec, order: TermOrder):
@@ -213,9 +213,9 @@ def reduced_groebner_basis(spec: IdealSpec, order: TermOrder) -> GroebnerBasis:
             basis.append(_monic(r, key))
             push_pairs(len(basis) - 1)
     basis = _minimal_reduced(basis, key)
-    return GroebnerBasis(order,
-                         tuple(Polynomial(spec.variables, t) for _, t in basis),
-                         tuple(lead for lead, _ in basis))
+    return GroebnerBasis(
+        order, tuple(Polynomial._from_terms(spec.variables, t) for _, t in basis),
+        tuple(lead for lead, _ in basis))
 
 
 def _minimal_reduced(basis, key):
@@ -262,12 +262,12 @@ def saturate(spec: IdealSpec, f: Polynomial) -> IdealSpec:
         raise ZeroPolynomialError("cannot saturate by the zero polynomial")
     tname = fresh_variable("t", spec.variables)
     new_vars = (tname,) + spec.variables
-    lifted = []
-    for g in spec.generators:
-        lifted.append(Polynomial(new_vars, {(0,) + e: c for e, c in g.terms.items()}))
-    tf = Polynomial(new_vars, {(1,) + e: c for e, c in f.terms.items()})
-    one = Polynomial.constant(new_vars, 1)
-    gens = tuple(lifted) + (tf - one,)
+    lifted = [Polynomial._from_terms(new_vars,
+                                     {(0,) + e: c for e, c in g.terms.items()})
+              for g in spec.generators]
+    tf_minus_one = {(1,) + e: c for e, c in f.terms.items()}
+    tf_minus_one[(0,) * len(new_vars)] = Fraction(-1)
+    gens = tuple(lifted) + (Polynomial._from_terms(new_vars, tf_minus_one),)
     elim = TermOrder(((1,) + (0,) * len(spec.variables),), "max")
     gb = reduced_groebner_basis(IdealSpec(new_vars, gens), elim)
     kept = []
@@ -275,8 +275,8 @@ def saturate(spec: IdealSpec, f: Polynomial) -> IdealSpec:
         if g.is_zero():
             continue
         if all(e[0] == 0 for e in g.terms):
-            kept.append(Polynomial(spec.variables,
-                                   {e[1:]: c for e, c in g.terms.items()}))
+            kept.append(Polynomial._from_terms(
+                spec.variables, {e[1:]: c for e, c in g.terms.items()}))
     if not kept:
         kept = [Polynomial.zero(spec.variables)]
     return IdealSpec(spec.variables, tuple(kept))

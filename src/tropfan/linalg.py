@@ -19,11 +19,13 @@ hermite_normal_form, which stacks the witness under the columns, and
 hermite_basis and lattice_index, which need no witness. The Smith witnesses
 of a saturated basis, which quotient_reps and hnf_completion use, are
 memoized by the basis together with the rows quotient_reps multiplies by.
+IntMatrix and Lattice are named tuples: a value also equals the plain tuple
+of its fields and iterates over them, which no code relies on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -51,17 +53,14 @@ def _int_vector(v) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(namedtuple("IntMatrix", "nrows ncols entries")):
     """Immutable integer matrix, row-major storage with an explicit shape.
 
     The shape is stored separately so matrices with zero rows or zero columns
     (empty ray sets, empty equation sets) remain well formed.
     """
 
-    nrows: int
-    ncols: int
-    entries: tuple
+    __slots__ = ()
 
     @classmethod
     def from_rows(cls, rows, ncols=None) -> "IntMatrix":
@@ -97,9 +96,6 @@ class IntMatrix:
     def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
         return cls(nrows, ncols, tuple((0,) * ncols for _ in range(nrows)))
 
-    def row(self, i) -> Vec:
-        return self.entries[i]
-
     def column(self, j) -> Vec:
         return tuple(r[j] for r in self.entries)
 
@@ -107,9 +103,6 @@ class IntMatrix:
         if not self.nrows:
             return [()] * self.ncols
         return list(zip(*self.entries))
-
-    def rows(self) -> list:
-        return list(self.entries)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.ncols, self.nrows, tuple(self.columns()))
@@ -452,12 +445,10 @@ def saturate_lattice(m: IntMatrix) -> IntMatrix:
     return integer_kernel_basis(IntMatrix(len(orth), m.nrows, tuple(orth)))
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(namedtuple("Lattice", "ambient_dim basis")):
     """A subgroup of Z^n given by a canonical column-HNF basis."""
 
-    ambient_dim: int
-    basis: IntMatrix
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

@@ -4,12 +4,13 @@ Exponent vectors are plain integer tuples positioned against an ordered
 variable list, so homogenization can prepend its fresh variable at index 0 and
 later slicing can drop that same fixed index. Includes the text parser used by
 the CLI, homogenization, Newton polytope vertices, and initial forms.
+IdealSpec is a named tuple, so it also equals the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -51,6 +52,16 @@ class Polynomial:
                 raise ValueError("negative exponent")
             clean[exps] = c
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _from_terms(cls, variables, terms) -> "Polynomial":
+        """The polynomial with these terms, neither checked nor copied: the
+        engine's term dicts have int-tuple keys of the ring's length and
+        nonzero Fraction values already."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -179,19 +190,18 @@ class Polynomial:
         return f"Polynomial({str(self)!r}, vars={self.variables})"
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class IdealSpec(namedtuple("IdealSpec", "variables generators")):
     """A finite list of generators in a fixed polynomial ring."""
 
-    variables: tuple
-    generators: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.generators:
+    def __new__(cls, variables, generators):
+        if not generators:
             raise ValueError("an ideal spec needs at least one generator")
-        for g in self.generators:
-            if g.variables != self.variables:
+        for g in generators:
+            if g.variables != variables:
                 raise DimMismatchError("generator from a different ring")
+        return super().__new__(cls, variables, generators)
 
 
 def ideal(variables, generators) -> IdealSpec:
@@ -235,9 +245,6 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
-
-    def fail(self, message):
-        raise PolynomialParseError(message, self.peek()[2])
 
     def parse(self) -> Polynomial:
         p = self.expr()
@@ -403,8 +410,8 @@ def initial_form(f: Polynomial, w, convention: str = "min") -> Polynomial:
         raise DimMismatchError("weight vector length mismatch")
     weights = {e: sum(wi * ei for wi, ei in zip(w, e)) for e in f.terms}
     opt = min(weights.values()) if convention == "min" else max(weights.values())
-    return Polynomial(f.variables,
-                      {e: c for e, c in f.terms.items() if weights[e] == opt})
+    return Polynomial._from_terms(
+        f.variables, {e: c for e, c in f.terms.items() if weights[e] == opt})
 
 
 def edge_lattice_length(u, v) -> int:

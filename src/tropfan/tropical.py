@@ -166,7 +166,7 @@ def _multiplicity_from_initial(inw: IdealSpec, sigma: Cone) -> int:
         mins = [min(e[i] for e in imgs) for i in range(n - d)]
         shifted = {tuple(x - m for x, m in zip(e, mins)): c
                    for e, c in imgs.items()}
-        gens.append(Polynomial(residual_vars, shifted))
+        gens.append(Polynomial._from_terms(residual_vars, shifted))
     if not gens:
         gens = [Polynomial.zero(residual_vars)]
     residual = IdealSpec(residual_vars, tuple(gens))
@@ -437,8 +437,8 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
     met = None
     for _ in range(32):
         cand = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(n))
-        if all(x == 0 for x in cand):
-            continue
+        if n and not any(cand):
+            continue  # in R^0 the empty shift is generic: every span fills it
         if all(rational_rank(span + [list(cand)]) > rational_rank(span)
                for span in deficient):
             met = meeting_pairs(cand)

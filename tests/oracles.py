@@ -159,6 +159,13 @@ def reference_cone_from_generators(ray_cols, lineality_cols, n):
     return _two_pass_cone(ray_vecs, lin_vecs, facet_vecs, eq_vecs, n)
 
 
+def reference_negate_cone(c):
+    """-c rebuilt from its negated generators by the two-pass reference."""
+    return reference_cone_from_generators(
+        [vec_neg(r) for r in c.rays.columns()], c.lineality.columns(),
+        c.ambient_dim)
+
+
 def reference_fan_cone(fan, index):
     """The maximal cone with the given index, rebuilt from the fan's shared
     rays and lineality by the two-pass reference."""

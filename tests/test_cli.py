@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -277,6 +280,23 @@ class TestStableIntersectionCommand:
         assert json.loads(outputs[0])["multiplicities"] == [2]
         assert outputs[0] == outputs[1]
 
+    def test_points_of_the_zero_dimensional_space(self, capsys, tmp_path):
+        # in R^0 the only shift is the zero vector, and every span fills R^0
+        paths = []
+        for weight in (2, 3):
+            paths.append(tmp_path / f"point{weight}.json")
+            paths[-1].write_text(json.dumps({
+                "convention": "min", "ambient_dim": 0, "rays": [],
+                "lineality": [], "maximal_cones": [[]],
+                "multiplicities": [weight]}))
+        code, out, err = run(capsys, ["stable-intersection", *map(str, paths),
+                                      "--format", "json"])
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["ambient_dim"] == 0
+        assert data["maximal_cones"] == [[]]
+        assert data["multiplicities"] == [6]
+
     def test_env_seed(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "line.json"
         path.write_text(json.dumps(line_cycle_dict()))
@@ -418,3 +438,16 @@ class TestIdealFiles:
         assert code == 0
         assert "seconds elapsed" in err
         assert "seconds elapsed" not in out
+
+
+class TestStartup:
+    def test_cli_imports_no_dataclasses_inspect_or_typing(self):
+        # -S: site preloads nothing, so every module found was imported by
+        # tropfan.cli itself
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        code = ("import sys, tropfan.cli; print(sorted({'dataclasses', "
+                "'inspect', 'typing'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-S", "-c", code],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"

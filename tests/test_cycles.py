@@ -93,7 +93,7 @@ class TestMakeCycle:
                 cone_from_generators([(-1, -1)], [], 2)])
         with pytest.raises(NotPureError):
             make_cycle(mixed, [1, 1], "min")
-        # the dataclass checks only weight counts; purity is derived
+        # the constructor checks only weight counts; purity is derived
         assert not TropicalCycle(mixed, (1, 1), "min").pure
         assert TropicalCycle(line_fan(), (1, 1, 1), "min").pure
         with pytest.raises(MultiplicityMismatchError):

@@ -23,6 +23,7 @@ from tropfan.fans import (
     fan_from_cones,
     intersect,
     is_pure,
+    negate_cone,
     relative_interior_point,
     slice_first_coordinate,
     support_contains,
@@ -34,6 +35,7 @@ from oracles import (
     reference_cone_from_generators,
     reference_cone_from_halfspaces,
     reference_fan_cone,
+    reference_negate_cone,
 )
 
 def line_fan():
@@ -593,3 +595,31 @@ class TestEarlyStop:
                 kept.append(assert_early_stop_agrees(
                     rows, [tuple(vi[k] - vj[k] for k in range(2))], 2))
         assert kept == [True, False, True, True, False, True]
+
+
+cones_in_2_to_4 = st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=5),
+    st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=2),
+    st.booleans()))
+
+
+class TestNegateCone:
+    """-c from the negated rays and facet rows equals the double description
+    reference on the negated generators, field by field, the derived
+    H-description included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cones_in_2_to_4)
+    # pointed; with a lineality; a linear space; the origin
+    @example((3, [(1, 0, 0), (0, 1, 0), (1, 1, 2)], [], True))
+    @example((4, [(1, 0, 0, 0), (1, 1, 0, 0)], [(0, 0, 1, -1)], True))
+    @example((2, [], [(1, 2)], True))
+    @example((2, [], [], True))
+    def test_matches_the_double_description(self, case):
+        n, vecs, lins, from_generators = case
+        make = cone_from_generators if from_generators else cone_from_halfspaces
+        c = make([v for v in vecs if any(v)], [l for l in lins if any(l)], n)
+        negated = negate_cone(c)
+        assert_same_cone(negated, reference_negate_cone(c))
+        assert_same_cone(negate_cone(negated), c)

@@ -585,3 +585,45 @@ class TestFacetsCrossedOnce:
         case = next(c for c in _fan_cases() if c[0] == name)
         assert len(groebner_fan(_homogenized(case))) == cones
         assert facet_counts == {"keyed": cones, "built": 0}
+
+
+class TestEngineBuiltPolynomials:
+    """The engine builds its results from term dicts it keeps clean, with no
+    check (Polynomial._from_terms). Each equals what the checking
+    constructor makes of its terms, and has int exponents of the ring's
+    length and nonzero Fraction coefficients."""
+
+    def test_corpus(self, monkeypatch):
+        import sys
+
+        from tropfan.tropical import tropical_variety
+
+        built = {}
+        make = Polynomial._from_terms.__func__
+
+        def recording(cls, variables, terms):
+            p = make(cls, variables, terms)
+            caller = sys._getframe(1)
+            while caller.f_code.co_name.startswith("<"):  # a comprehension
+                caller = caller.f_back
+            built.setdefault(caller.f_code.co_name, []).append(p)
+            return p
+
+        monkeypatch.setattr(Polynomial, "_from_terms", classmethod(recording))
+        for entry in PRIME_CORPUS:
+            spec = entry.ideal()
+            tropical_variety(spec, strategy="groebner")
+            g = spec.generators[-1]
+            x = Polynomial.variable(spec.variables, spec.variables[0])
+            normal_form(g * x + x, spec.generators, TermOrder())
+            s_polynomial(g, x, TermOrder())
+        assert set(built) == {"reduced_groebner_basis", "saturate",
+                              "initial_form", "_multiplicity_from_initial",
+                              "normal_form", "s_polynomial"}
+        for p in (p for ps in built.values() for p in ps):
+            assert type(p.variables) is tuple
+            assert p == Polynomial(p.variables, dict(p.terms))
+            for e, c in p.terms.items():
+                assert type(e) is tuple and len(e) == len(p.variables)
+                assert all(type(k) is int and k >= 0 for k in e)
+                assert type(c) is Fraction and c != 0

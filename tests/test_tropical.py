@@ -501,6 +501,16 @@ class TestConesBuiltOnce:
         run("hypersurface", A4, "--vars", "x,y,z,w", "--format", "json")
         assert run.derived == {"equations": 0, "inequalities": 0}
 
+    def test_max_hypersurface_negates_without_a_pass(self, run):
+        # the 28 passes of the min hypersurface, and none for negating its 20
+        # cones (48 passes when each negated cone took a dual pass); JSON
+        # output derives no facet of the negated cones either
+        assert run("hypersurface", A4, "--vars", "x,y,z,w", "--max",
+                   "--format", "json") \
+            == {"dd": 28, "rank_in_dd": 0, "from_generators": 0,
+                "contains_cone": 0}
+        assert run.derived == {"equations": 0, "inequalities": 0}
+
     def test_stable_intersection_builds_each_piece_once(self, run):
         self.hypersurfaces(run, "A5", "B5")
         # 41 input cones read, and the 274 pairs no row separates keyed, as

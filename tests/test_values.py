@@ -1,0 +1,156 @@
+"""The contract of tropfan's value classes, which are named tuples: equal
+values hash equal, fields cannot be reassigned, the constructors check
+their input, and what a Cone, a Fan or a TermOrder keeps
+beside its fields (facet rows, derived H-description, cones, memoized keys)
+takes no part in equality, hashing or the repr."""
+
+from fractions import Fraction
+
+import pytest
+
+from tropfan.corpus import PRIME_CORPUS, CorpusEntry
+from tropfan.cycles import TropicalCycle, make_cycle
+from tropfan.errors import DimMismatchError, MultiplicityMismatchError
+from tropfan.fans import (
+    Cone,
+    Face,
+    Fan,
+    cone_from_generators,
+    cone_from_halfspaces,
+    cone_key,
+    fan_from_cones,
+)
+from tropfan.groebner import TermOrder, reduced_groebner_basis
+from tropfan.linalg import IntMatrix, Lattice, lattice_from_generators
+from tropfan.polynomials import IdealSpec, parse_polynomial
+
+
+def quadrant():
+    return cone_from_generators([(1, 0), (0, 1)], [], 2)
+
+
+def line_fan():
+    fan, _ = fan_from_cones(2, [cone_from_generators([r], [], 2)
+                                for r in [(-1, -1), (1, 0), (0, 1)]])
+    return fan
+
+
+def values():
+    """Pairs of equal values of every class, each built on its own."""
+    spec = PRIME_CORPUS[3].ideal()
+    return [
+        (IntMatrix.from_rows([(1, 2)]), IntMatrix(1, 2, ((1, 2),))),
+        (lattice_from_generators(2, [(2, 0), (0, 3)]),
+         lattice_from_generators(2, [(0, 3), (2, 0)])),
+        (spec, PRIME_CORPUS[3].ideal()),
+        (TermOrder(((1, 2),)), TermOrder(((1, 2),))),
+        (reduced_groebner_basis(spec, TermOrder()),
+         reduced_groebner_basis(spec, TermOrder())),
+        (quadrant(), cone_from_halfspaces([(1, 0), (0, 1)], [], 2)),
+        (line_fan(), line_fan()),
+        (make_cycle(line_fan(), [1, 1, 1]), make_cycle(line_fan(), [1, 1, 1])),
+        (PRIME_CORPUS[0], CorpusEntry("line2", ("x", "y"), ("x+y+1",))),
+        (Face(cone_key(quadrant()), 2, (), quadrant),
+         Face(cone_key(quadrant()), 2, (), quadrant)),
+    ]
+
+
+def test_equal_values_hash_equal():
+    for a, b in values():
+        assert a is not b
+        assert a == b and hash(a) == hash(b), type(a).__name__
+
+
+def test_fields_cannot_be_reassigned():
+    for value, _ in values():
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+
+
+def test_values_equal_the_tuple_of_their_fields():
+    # documented, and relied on by no library code
+    m = IntMatrix(1, 1, ((1,),))
+    assert m == (1, 1, ((1,),))
+    assert tuple(m) == (m.nrows, m.ncols, m.entries)
+
+
+class TestCone:
+    def test_equality_ignores_facet_rows_and_the_derived_description(self):
+        a = quadrant()
+        b = cone_from_halfspaces([(1, 0), (0, 1), (1, 1)], [], 2)
+        a.inequalities  # derived on a only
+        assert "inequalities" in vars(a) and "inequalities" not in vars(b)
+        bare = Cone(a.ambient_dim, a.rays, a.lineality, a.dim,
+                    facet_rows=list)
+        assert a == b == bare
+        assert hash(a) == hash(b) == hash(bare)
+        assert {a: 1}[bare] == 1
+
+    def test_repr_omits_the_facet_rows(self):
+        c = quadrant()
+        assert repr(c) == (f"Cone(ambient_dim=2, rays={c.rays!r}, "
+                           f"lineality={c.lineality!r}, dim=2)")
+
+
+class TestFan:
+    def test_equality_ignores_the_cones(self):
+        fan = line_fan()
+        other = Fan(fan.ambient_dim, fan.rays, fan.lineality,
+                    fan.maximal_cones, (None,) * fan.n_maximal())
+        assert other == fan and hash(other) == hash(fan)
+
+    def test_repr_omits_the_cones(self):
+        fan = line_fan()
+        assert repr(fan) == (
+            f"Fan(ambient_dim=2, rays={fan.rays!r}, "
+            f"lineality={fan.lineality!r}, "
+            f"maximal_cones={fan.maximal_cones!r})")
+
+    def test_one_cone_per_maximal_cone(self):
+        fan = line_fan()
+        with pytest.raises(ValueError):
+            Fan(fan.ambient_dim, fan.rays, fan.lineality, fan.maximal_cones)
+        with pytest.raises(ValueError):
+            Fan(fan.ambient_dim, fan.rays, fan.lineality, fan.maximal_cones,
+                fan.cones[:2])
+
+
+class TestTermOrder:
+    def test_defaults(self):
+        assert TermOrder() == TermOrder((), "min")
+        assert TermOrder(convention="max") == TermOrder((), "max")
+
+    def test_clears_denominators(self):
+        order = TermOrder(((Fraction(1, 2), Fraction(1, 3)),), "max")
+        assert order.weight_rows == ((3, 2),)
+        assert order == TermOrder(weight_rows=((3, 2),), convention="max")
+
+    def test_memoized_keys_take_no_part_in_equality(self):
+        a, b = TermOrder(((1, 2),)), TermOrder(((1, 2),))
+        a.key((1, 0))
+        assert a._keys and not b._keys
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "TermOrder(weight_rows=((1, 2),), convention='min')"
+
+    def test_rejects_a_bad_convention(self):
+        with pytest.raises(ValueError):
+            TermOrder((), "median")
+
+
+class TestChecks:
+    def test_tropical_cycle(self):
+        fan = line_fan()
+        with pytest.raises(MultiplicityMismatchError):
+            TropicalCycle(fan, (1, 1), "min")
+        with pytest.raises(ValueError):
+            TropicalCycle(fan, (1, 1, 1), "median")
+
+    def test_ideal_spec(self):
+        with pytest.raises(ValueError):
+            IdealSpec(("x", "y"), ())
+        with pytest.raises(DimMismatchError):
+            IdealSpec(("x", "y"), (parse_polynomial("x+z", ("x", "z")),))
+
+    def test_lattice_rank(self):
+        assert Lattice(2, IntMatrix.from_columns([(2, 0)], 2)).rank == 1
