@@ -59,6 +59,12 @@ class TropicalCycle(namedtuple("TropicalCycle",
                 f"{len(multiplicities)} multiplicities")
         return super().__new__(cls, fan, multiplicities, convention)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Through the constructor, which namedtuple's _make and _replace
+        skip."""
+        return cls(*iterable)
+
     @property
     def ambient_dim(self) -> int:
         return self.fan.ambient_dim

@@ -16,12 +16,15 @@ read off one reduced integer echelon form, which tracks for every output
 ray the input rows it is tight on. The facets (from halfspaces) or the
 extreme rays (from generators) are the input rows whose incidence sets are
 proper and maximal, and the remaining space, lineality or equations, is an
-integer kernel; no second pass runs. A caller that keeps only cones
-full-dimensional in the kernel of their equations (the pieces of a stable
-intersection, the edge cones of a hypersurface) asks cone_from_halfspaces
-or intersect for such a cone: the pass then stops, and returns None, at the
-first inserted row that drops the dimension, and a cone that reaches the end
-has the kernel's dimension, with no rank computed.
+integer kernel; no second pass runs. A caller that knows a cone's rays,
+lineality and their incidences with rows cutting it out, as a pass leaves
+them, builds it with no pass (cone_from_incidence): a hypersurface's edge
+cones come so from the pass over its Newton polytope. A caller that keeps
+only cones full-dimensional in the kernel of their equations (the pieces of
+a stable intersection) asks cone_from_halfspaces or intersect for such a
+cone: the pass then stops, and returns None, at the first inserted row that
+drops the dimension, and a cone that reaches the end has the kernel's
+dimension, with no rank computed.
 
 A cone's faces come by incidence. face_lattice is the one walk of a face
 lattice: a face is the bit mask of the cone's rays it contains, its facets
@@ -34,7 +37,9 @@ of the cone cutting out its facets. Fans share one ray matrix and one
 lineality space; maximal cones are index sets into the shared rays, and a
 fan keeps the canonical cones it was assembled from, so none is built again.
 Cone, Face and Fan are named tuples: a value also equals the plain tuple of
-its fields and iterates over them, which no code relies on.
+its fields and iterates over them, which no code relies on. A Cone or a Fan
+keeps state beyond its fields, so namedtuple's _make and _replace, which
+would drop it, are refused.
 """
 
 from __future__ import annotations
@@ -156,6 +161,12 @@ class Cone(namedtuple("Cone", "ambient_dim rays lineality dim")):
         self.facet_rows = facet_rows
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        """Refused, and with it _replace: the facet rows are not fields."""
+        raise TypeError("a Cone is built by a constructor, not from its "
+                        "fields alone")
+
     @cached_property
     def _equation_basis(self) -> IntMatrix:
         """The canonical basis (columns) of the integer kernel of the
@@ -232,9 +243,21 @@ def cone_from_halfspaces(ineq_rows, eq_rows, ambient_dim: int,
         return None
     ray_vecs, lin_vecs, masks = passed
     lineality = saturate_lattice(IntMatrix.from_columns(lin_vecs, n))
-    dim = len(kernel) if full else None
+    return cone_from_incidence(ray_vecs, lineality, ineq_rows, masks,
+                               len(kernel) if full else None)
+
+
+def cone_from_incidence(ray_vecs, lineality: IntMatrix, rows, masks,
+                        dim=None) -> Cone:
+    """The canonical cone(ray_vecs) + span(lineality), given the canonical
+    lineality basis and, as a double description pass leaves them, the
+    rays' incidences with rows that cut out the cone: bit j of masks[i] is
+    set when ray i is tight on rows[j]. No pass runs. The facets, read on
+    first use, are the rows whose sets of tight rays are proper and
+    maximal; a known dimension is taken as it is."""
+    n = lineality.nrows
     return Cone(n, *_v_description(ray_vecs, lineality, n, dim),
-                facet_rows=partial(_maximal_proper, ineq_rows, masks))
+                facet_rows=partial(_maximal_proper, rows, masks))
 
 
 def cone_from_generators(ray_cols, lineality_cols, ambient_dim: int) -> Cone:
@@ -456,6 +479,12 @@ class Fan(namedtuple("Fan", "ambient_dim rays lineality maximal_cones")):
                                maximal_cones)
         self.cones = cones
         return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """Refused, and with it _replace: the cones are not fields."""
+        raise TypeError("a Fan is built by fan_from_cones, not from its "
+                        "fields alone")
 
     def n_maximal(self) -> int:
         return len(self.maximal_cones)

@@ -49,6 +49,12 @@ class TermOrder(namedtuple("TermOrder", "weight_rows convention")):
         self._keys = {}
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        """Through the constructor, which namedtuple's _make and _replace
+        skip."""
+        return cls(*iterable)
+
     def key(self, exps):
         try:
             return self._keys[exps]
@@ -288,9 +294,16 @@ def product_of_variables(variables) -> Polynomial:
 
 def is_monomial_free(spec: IdealSpec) -> bool:
     """True when saturating by the product of all variables stays proper,
-    i.e. the ideal contains no monomial."""
-    if all(g.is_zero() for g in spec.generators):
+    i.e. the ideal contains no monomial.
+
+    An ideal <f> with one nonzero generator needs no saturation: it contains
+    a monomial exactly when f is one, since the divisors of a monomial are
+    monomials times units."""
+    nonzero = [g for g in spec.generators if not g.is_zero()]
+    if not nonzero:
         return True
+    if len(nonzero) == 1:
+        return nonzero[0].num_terms() > 1
     sat = saturate(spec, product_of_variables(spec.variables))
     return not any(not g.is_zero() and g.total_degree() == 0
                    for g in sat.generators)

@@ -3,14 +3,17 @@
 Everything in this module is exact: integer matrices with arbitrary-precision
 entries, Hermite and Smith normal forms with their unimodular witnesses,
 saturated lattices in column Hermite normal form, rational rank and linear
-solving, and a phase-1 simplex used to decide cone membership. Rational input
-is scaled to integers row by row (`clear_denominators`); elimination, inversion
-and the simplex then run in integer arithmetic only: elimination by
-cross-multiplication with row gcds divided out, inversion through the Hermite
-witness, and a simplex tableau with one shared denominator (Edmonds' pivots)
-whose reduced costs are one more row of it. Rationals appear only in that
-scaling and in the solution vectors `solve_rational` returns. No floating
-point is used anywhere.
+solving, and a phase-1 simplex that decides cone membership. No library code
+runs the simplex any more (Newton polytopes and stable intersections come
+from double description passes); it stays public as the tests' reference
+and because the benchmark's tracer (perfbench/tracer.py) lists
+cone_feasible. Rational input is scaled to integers row by row
+(`clear_denominators`); elimination, inversion and the simplex then run in
+integer arithmetic only: elimination by cross-multiplication with row gcds
+divided out, inversion through the Hermite witness, and a simplex tableau
+with one shared denominator (Edmonds' pivots) whose reduced costs are one
+more row of it. Rationals appear only in that scaling and in the solution
+vectors `solve_rational` returns. No floating point is used anywhere.
 
 IntMatrix.from_rows and from_columns check the shape and the integrality of
 outside data; the matrices derived here from checked ones are built from

@@ -3,7 +3,8 @@
 Exponent vectors are plain integer tuples positioned against an ordered
 variable list, so homogenization can prepend its fresh variable at index 0 and
 later slicing can drop that same fixed index. Includes the text parser used by
-the CLI, homogenization, Newton polytope vertices, and initial forms.
+the CLI, homogenization, Newton polytopes (one double description pass over
+the homogenized support, whose rays are the vertices), and initial forms.
 IdealSpec is a named tuple, so it also equals the plain tuple of its fields.
 """
 
@@ -19,7 +20,7 @@ from .errors import (
     PolynomialParseError,
     ZeroPolynomialError,
 )
-from .linalg import IntMatrix, cone_feasible
+from .fans import Cone, cone_from_generators
 
 VAR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -203,6 +204,12 @@ class IdealSpec(namedtuple("IdealSpec", "variables generators")):
                 raise DimMismatchError("generator from a different ring")
         return super().__new__(cls, variables, generators)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Through the constructor, which namedtuple's _make and _replace
+        skip."""
+        return cls(*iterable)
+
 
 def ideal(variables, generators) -> IdealSpec:
     return IdealSpec(tuple(variables), tuple(generators))
@@ -378,28 +385,27 @@ def homogenize(spec: IdealSpec) -> IdealSpec:
     return IdealSpec(new_vars, tuple(gens))
 
 
-def newton_polytope(f: Polynomial) -> list:
-    """Vertices of the convex hull of the support of f.
+def newton_cone(f: Polynomial) -> Cone:
+    """The cone over the Newton polytope of f, generated by the homogenized
+    support points (q, 1), from one double description pass.
 
-    A support point is a vertex exactly when it is not a convex combination of
-    the other support points; the test is the exact cone membership of the
-    homogenized point.
+    The cone is pointed and every (q, 1) is primitive, so its rays are
+    exactly the points (v, 1) of the vertices v. Its facet rows, the rays of
+    the pass, are the rows (a, b) with a.q + b >= 0 on the polytope that
+    cut out its facets.
     """
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no Newton polytope")
-    supp = f.support()
-    n = len(f.variables)
-    vertices = []
-    for p in supp:
-        others = [q + (1,) for q in supp if q != p]
-        if not others:
-            vertices.append(p)
-            continue
-        rays = IntMatrix.from_columns(others, n + 1)
-        lin = IntMatrix.from_columns([], n + 1)
-        if not cone_feasible(rays, lin, p + (1,)):
-            vertices.append(p)
-    return sorted(vertices, key=_grade_key, reverse=True)
+    return cone_from_generators([q + (1,) for q in f.support()], [],
+                                len(f.variables) + 1)
+
+
+def newton_polytope(f: Polynomial) -> list:
+    """Vertices of the convex hull of the support of f, in descending
+    graded lexicographic order: the rays of newton_cone, no linear program
+    run."""
+    return sorted((r[:-1] for r in newton_cone(f).rays.columns()),
+                  key=_grade_key, reverse=True)
 
 
 def initial_form(f: Polynomial, w, convention: str = "min") -> Polynomial:

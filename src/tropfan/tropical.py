@@ -1,23 +1,31 @@
 """Tropical hypersurfaces, prevarieties, varieties, and stable intersection.
 
+A hypersurface is the codimension-one skeleton of the normal fan of the
+Newton polytope, read off the one double description pass that finds the
+polytope's vertices and facets: the edges come from the vertex-facet
+incidences, and each edge's normal cone from the facets containing it, so
+no other pass and no linear program runs.
+
 The variety pipeline is the exhaustive one: homogenize, enumerate the whole
 Gröbner fan, and walk its face lattice by ray masks, building no face. The
 variety is a closed subfan of the Gröbner fan, so faces are decided by
 ascending dimension, and only a face whose facets are all kept is tested: it
 is kept when its initial ideal stays monomial-free under saturation. The
-maximal kept faces, those that are no kept face's facet, are the only ones
-built; slice the homogenizing coordinate back out of each, and compute one
-multiplicity per maximal cell as the degree of the saturated initial ideal
-in quotient coordinates. Stable intersections use the fan displacement rule
-with an analytically eliminated perturbation and lattice-index weights.
-Whether a pair of cones still meets after the displacement is decided first
-by rows: bit masks over the other fan's rays give, per cone row, the pairs
-it separates by a Farkas certificate. Every other pair is intersected by a
-double description pass that stops at the first dimension drop, and one
-whose intersection has the expected dimension is decided locally at that
-intersection, by the signs of a few integer dot products: no linear program
-runs. A displacement that lands on the boundary of a pair's difference cone
-(a wall) is not generic, and the next one is drawn.
+lineality face, whose initial ideal is the whole ideal, is not tested again:
+the entry test has decided it. The maximal kept faces, those that are no
+kept face's facet, are the only ones built; slice the homogenizing
+coordinate back out of each, and compute one multiplicity per maximal cell
+as the degree of the saturated initial ideal in quotient coordinates. Stable
+intersections use the fan displacement rule with an analytically eliminated
+perturbation and lattice-index weights. Whether a pair of cones still meets
+after the displacement is decided first by rows: bit masks over the other
+fan's rays give, per cone row, the pairs it separates by a Farkas
+certificate. Every other pair is intersected by a double description pass
+that stops at the first dimension drop, and one whose intersection has the
+expected dimension is decided locally at that intersection, by the signs of
+a few integer dot products: no linear program runs. A displacement that
+lands on the boundary of a pair's difference cone (a wall) is not generic,
+and the next one is drawn.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from .fans import (
     Cone,
     Fan,
     common_refinement,
-    cone_from_halfspaces,
+    cone_from_incidence,
     face_lattice,
     fan_cones,
     intersect,
@@ -72,6 +80,7 @@ from .linalg import (
     _row_echelon,
     dot,
     hnf_completion,
+    integer_kernel_basis,
     lattice_index,
     rational_rank,
     vec_neg,
@@ -81,7 +90,7 @@ from .polynomials import (
     Polynomial,
     edge_lattice_length,
     homogenize,
-    newton_polytope,
+    newton_cone,
 )
 
 
@@ -100,10 +109,16 @@ def tropical_hypersurface(f: Polynomial, convention: str = "min") -> TropicalCyc
     """The codimension-one skeleton of the Newton polytope's normal fan,
     weighted by lattice lengths of the dual edges.
 
-    A vertex pair spans an edge exactly when its normal cone is
-    full-dimensional in the hyperplane of its one equation, so each pair is
-    one double description pass that stops at the first dimension drop; the
-    edge cones are handed over with their facets underived."""
+    One double description pass (newton_cone) gives the vertices and the
+    facets, and nothing else runs one. Each vertex carries the bit mask of
+    the facets it is tight on; two vertices span an edge when no third one
+    is tight on every facet both are tight on (the combinatorial test of
+    Fukuda and Prodon). The edge's normal cone is read off the pass: its
+    rays are the first n coordinates of the facet rows containing the edge,
+    its lineality is the integer kernel of the vertex differences, and its
+    dimension is n - 1. Its facet rows are the rows u - v_i, whose
+    incidences with those rays are the facets' vertex masks, and its facets
+    are left underived."""
     check_convention(convention)
     if f.is_zero():
         raise ZeroPolynomialError("cannot tropicalize the zero polynomial")
@@ -111,17 +126,30 @@ def tropical_hypersurface(f: Polynomial, convention: str = "min") -> TropicalCyc
         raise MonomialHypersurfaceError(
             "a monomial has an empty tropical hypersurface")
     n = len(f.variables)
-    vertices = newton_polytope(f)
+    polytope = newton_cone(f)
+    points = polytope.rays.columns()  # (v, 1) for each vertex v
+    facets = polytope.facet_rows()
+    vertices = [p[:n] for p in points]
+    tight = [sum(1 << k for k, y in enumerate(facets) if not dot(y, p))
+             for p in points]
+    on_facet = [sum(1 << m for m, t in enumerate(tight) if t >> k & 1)
+                for k in range(len(facets))]
+    v0 = vertices[0]
+    lineality = integer_kernel_basis(IntMatrix.from_rows(
+        [tuple(a - b for a, b in zip(v, v0)) for v in vertices[1:]], n))
     pairs = []
     for i, vi in enumerate(vertices):
-        # the normal cones of the segments [vi, vj]: every support point is a
-        # convex combination of the vertices, so their rows suffice
-        rows = [tuple(u[k] - vi[k] for k in range(n)) for u in vertices]
-        for vj in vertices[i + 1:]:
-            cone = cone_from_halfspaces(
-                rows, [tuple(vi[k] - vj[k] for k in range(n))], n, full=True)
-            if cone is not None:
-                pairs.append((cone, edge_lattice_length(vi, vj)))
+        rows = [tuple(a - b for a, b in zip(u, vi)) for u in vertices]
+        for j in range(i + 1, len(vertices)):
+            common = tight[i] & tight[j]
+            if any(t & common == common for m, t in enumerate(tight)
+                   if m != i and m != j):
+                continue
+            edge_facets = [k for k in range(len(facets)) if common >> k & 1]
+            cone = cone_from_incidence(
+                [facets[k][:n] for k in edge_facets], lineality, rows,
+                [on_facet[k] for k in edge_facets], n - 1)
+            pairs.append((cone, edge_lattice_length(vi, vertices[j])))
     cycle = weighted_from_cones(n, pairs, "min", merge_duplicates=False)
     if convention == "max":
         cycle = swap_convention(cycle)
@@ -229,7 +257,11 @@ def _kept_faces(fan_data):
     outside it too. Membership is decided by ascending dimension: a face
     whose facets were all kept is tested, by saturating its initial ideal
     under the basis of the first Gröbner cone that reached it at the sum of
-    its rays; any other face is rejected untested.
+    its rays; any other face is rejected untested. The ideal is taken to be
+    monomial-free, as tropical_variety decides at entry (I contains a
+    monomial exactly when I^h does), so the lineality face, the one face
+    with no facets, whose initial ideal is the ideal itself, is kept
+    untested.
     """
     walked = []
     seen = {}
@@ -239,7 +271,7 @@ def _kept_faces(fan_data):
     for face, gb in sorted(walked, key=lambda t: t[0].dim):
         if all(k in kept for k in face.facets):
             inw = initial_ideal(gb, face.point)
-            if is_monomial_free(inw):
+            if not face.facets or is_monomial_free(inw):
                 kept[face.key] = inw
     return [(face, kept[face.key]) for face, _ in walked if face.key in kept]
 

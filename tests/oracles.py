@@ -5,7 +5,11 @@ import random
 from fractions import Fraction
 from math import prod
 
-from tropfan.cycles import span_lattice_basis, weighted_from_cones
+from tropfan.cycles import (
+    span_lattice_basis,
+    swap_convention,
+    weighted_from_cones,
+)
 from tropfan.errors import (
     DimMismatchError,
     GenericityError,
@@ -15,6 +19,7 @@ from tropfan.errors import (
 from tropfan.fans import (
     Cone,
     _v_description,
+    cone_from_halfspaces,
     cone_key,
     facets_by_key,
     fan_cones,
@@ -25,7 +30,9 @@ from tropfan.groebner import (
     TermOrder,
     initial_ideal,
     is_monomial_free,
+    product_of_variables,
     reduced_groebner_basis,
+    saturate,
 )
 from tropfan.linalg import (
     IntMatrix,
@@ -42,6 +49,7 @@ from tropfan.linalg import (
     smith_normal_form,
     vec_neg,
 )
+from tropfan.polynomials import edge_lattice_length
 from tropfan.tropical import _empty_cycle, _multiplicity_from_initial
 
 
@@ -58,6 +66,52 @@ def multiplicity_at(spec_homogeneous, sigma) -> int:
     w = relative_interior_point(sigma)
     gb = reduced_groebner_basis(spec_homogeneous, TermOrder((w,), "min"))
     return _multiplicity_from_initial(initial_ideal(gb, w), sigma)
+
+
+def reference_newton_polytope(f):
+    """Vertices of the Newton polytope, in descending graded lexicographic
+    order, by one phase-1 simplex per support point: a point is a vertex
+    when its homogenized point is not in the cone of the others (the
+    earlier implementation)."""
+    supp = f.support()
+    n = len(f.variables)
+    vertices = []
+    for p in supp:
+        others = [q + (1,) for q in supp if q != p]
+        if not others or not cone_feasible(
+                IntMatrix.from_columns(others, n + 1),
+                IntMatrix.from_columns([], n + 1), p + (1,)):
+            vertices.append(p)
+    return vertices
+
+
+def reference_tropical_hypersurface(f, convention="min"):
+    """The tropical hypersurface by one double description pass per vertex
+    pair of reference_newton_polytope: the pair spans an edge when its
+    normal cone is full-dimensional in the hyperplane of its one equation
+    (the earlier implementation)."""
+    n = len(f.variables)
+    vertices = reference_newton_polytope(f)
+    pairs = []
+    for i, vi in enumerate(vertices):
+        rows = [tuple(u[k] - vi[k] for k in range(n)) for u in vertices]
+        for vj in vertices[i + 1:]:
+            cone = cone_from_halfspaces(
+                rows, [tuple(vi[k] - vj[k] for k in range(n))], n, full=True)
+            if cone is not None:
+                pairs.append((cone, edge_lattice_length(vi, vj)))
+    cycle = weighted_from_cones(n, pairs, "min", merge_duplicates=False)
+    return swap_convention(cycle) if convention == "max" else cycle
+
+
+def reference_is_monomial_free(spec) -> bool:
+    """Whether the ideal contains no monomial, by saturating it by the
+    product of the variables, whatever its number of generators."""
+    if all(g.is_zero() for g in spec.generators):
+        return True
+    sat = saturate(spec, product_of_variables(spec.variables))
+    return not any(not g.is_zero() and g.total_degree() == 0
+                   for g in sat.generators)
 
 
 def reference_dd(ineq_rows, eq_rows, n):

@@ -1,6 +1,7 @@
 import heapq
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +43,8 @@ from tropfan.polynomials import (
     newton_polytope,
     parse_polynomial,
 )
+
+from oracles import reference_is_monomial_free
 
 
 def P(text, vs):
@@ -331,7 +334,31 @@ class TestSaturate:
             saturate(ideal(xy, (P("x", xy),)), P("0", xy))
 
 
+# one nonzero generator in 1 to 3 variables, of 1 to 4 terms, with 0 to 2
+# zero generators around it
+principal_ideals = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.dictionaries(st.tuples(*[st.integers(0, 2)] * n),
+                    st.integers(-3, 3).filter(bool), min_size=1, max_size=4),
+    st.integers(0, 2), st.integers(0, 2)))
+
+
 class TestMonomialFree:
+    @settings(max_examples=60, deadline=None)
+    @given(principal_ideals)
+    @example(({(0,): 5}, 0, 0))   # a unit
+    @example(({(1, 2): -1}, 1, 1))  # a monomial among zero generators
+    def test_principal_ideals_need_no_saturation(self, case):
+        terms, zeros_before, zeros_after = case
+        vs = tuple("xyz"[:len(next(iter(terms)))])
+        zero = Polynomial.zero(vs)
+        spec = ideal(vs, [zero] * zeros_before + [Polynomial(vs, terms)]
+                     + [zero] * zeros_after)
+        with mock.patch.object(groebner, "saturate",
+                               wraps=groebner.saturate) as saturate_calls:
+            got = is_monomial_free(spec)
+        assert not saturate_calls.called
+        assert got == reference_is_monomial_free(spec) == (len(terms) > 1)
+
     def test_binomial(self):
         xy = ("x", "y")
         assert is_monomial_free(ideal(xy, (P("x+y", xy),)))

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tropfan.cycles import (
@@ -35,7 +35,13 @@ from tropfan.fans import (
 )
 from tropfan.groebner import TermOrder, reduced_groebner_basis
 from tropfan.linalg import cone_feasible, rational_rank
-from tropfan.polynomials import Polynomial, homogenize, ideal, parse_polynomial
+from tropfan.polynomials import (
+    Polynomial,
+    homogenize,
+    ideal,
+    newton_polytope,
+    parse_polynomial,
+)
 from tropfan.tropical import (
     _displacement_verdict,
     _separated_pairs,
@@ -54,7 +60,9 @@ from oracles import (
     reference_fan_cone,
     reference_is_balanced,
     reference_kept_faces,
+    reference_newton_polytope,
     reference_stable_intersection,
+    reference_tropical_hypersurface,
 )
 
 
@@ -127,6 +135,56 @@ class TestHypersurface:
                           for _ in vs)
                 assert support_contains(fan, w) == \
                     optimum_attained_twice(f, w), (text, w)
+
+
+@st.composite
+def newton_supports(draw):
+    """(n, support): 2 to 8 points in 1 to 4 variables, the images of a
+    grid under random integer directions, so that the polytope is often
+    lower-dimensional (collinear or coplanar points), shifted into the
+    nonnegative orthant."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    dirs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
+                         min_size=k, max_size=k))
+    coords = draw(st.lists(st.tuples(*[st.integers(0, 3)] * k),
+                           min_size=2, max_size=8, unique=True))
+    points = {tuple(sum(c * d[i] for c, d in zip(cs, dirs)) for i in range(n))
+              for cs in coords}
+    lows = [min(p[i] for p in points) for i in range(n)]
+    support = sorted({tuple(x - low for x, low in zip(p, lows))
+                      for p in points})
+    assume(len(support) >= 2)
+    return n, support
+
+
+class TestOnePassHypersurface:
+    """The hypersurface read off one double description pass against the
+    earlier routes: a simplex per support point for the vertices, and a
+    pass per vertex pair for the edge cones."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(newton_supports(), st.sampled_from(("min", "max")))
+    # the unit square: its diagonals span no edge
+    @example((2, [(0, 0), (0, 1), (1, 0), (1, 1)]), "min")
+    # collinear points in Q^3 with one between the others
+    @example((3, [(0, 0, 0), (1, 1, 1), (2, 2, 2)]), "max")
+    # one variable, and a square in a plane of Q^4
+    @example((1, [(0,), (2,), (5,)]), "min")
+    @example((4, [(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1)]),
+             "max")
+    def test_matches_the_per_pair_passes(self, case, convention):
+        n, support = case
+        f = Polynomial(tuple("xyzw"[:n]), {e: 1 for e in support})
+        assert newton_polytope(f) == reference_newton_polytope(f)
+        got = tropical_hypersurface(f, convention)
+        want = reference_tropical_hypersurface(f, convention)
+        assert got == want
+        assert got.multiplicities == want.multiplicities
+        for a, b in zip(fan_cones(got.fan), fan_cones(want.fan), strict=True):
+            assert a == b
+            assert a.inequalities == b.inequalities
+            assert a.equations == b.equations
 
 
 class TestPrevariety:
@@ -228,9 +286,11 @@ class TestFaceWalk:
     ray masks and builds none (55 facets keyed and 39 built on space_conic,
     81 and 71 on linear5, when faces were built by incidence), and it
     saturates only the faces whose facets were all kept (55 and 81
-    saturations, one per face, before that pruning); it runs no double
-    description and reduces modulo lattices with no unimodular completion
-    or inverse."""
+    saturations, one per face, before that pruning), except the lineality
+    face, whose initial ideal is the whole ideal, found monomial-free at
+    entry (13 and 21 saturations while it was tested again); it runs no
+    double description and reduces modulo lattices with no unimodular
+    completion or inverse."""
 
     def walk(self, spec, monkeypatch, facet_counts):
         import tropfan.fans
@@ -271,13 +331,13 @@ class TestFaceWalk:
 
         entry = next(e for e in PRIME_CORPUS if e.name == "space_conic")
         assert self.walk(entry.ideal(), monkeypatch, facet_counts) \
-            == (16, {"keyed": 0, "built": 0}, 13, 5)
+            == (16, {"keyed": 0, "built": 0}, 12, 5)
 
     def test_linear5_derives_each_face_once(self, monkeypatch, facet_counts):
         vs = tuple("abcde")
         spec = ideal(vs, (P("a+b+c+d+e", vs), P("a+2*b+3*c+5*d+7*e", vs)))
         assert self.walk(spec, monkeypatch, facet_counts) \
-            == (10, {"keyed": 0, "built": 0}, 21, 16)
+            == (10, {"keyed": 0, "built": 0}, 20, 16)
 
 
 # (name, variables, generators): the heavier probes of the goldens
@@ -396,7 +456,8 @@ class TestConesBuiltOnce:
     double description passes (one per cone, whether keyed or built), the
     rank computations inside them (none: adjacency is combinatorial), the
     cones read from generators, and contains_cone calls. Kept apart, in
-    run.linalg, are the phase-1 simplex runs and the Hermite normal forms;
+    run.linalg, are the phase-1 simplex runs, none on any command, and the
+    Hermite normal forms;
     in run.full, the passes asked for a full-dimensional cone that stop at a
     dimension drop and those that finish; and in run.derived, the cones
     whose equations (an integer kernel) and inequalities (reduced modulo the
@@ -407,6 +468,7 @@ class TestConesBuiltOnce:
         import tropfan.cycles
         import tropfan.fans
         import tropfan.linalg
+        import tropfan.polynomials
         from tropfan.cli import main
 
         monkeypatch.chdir(tmp_path)
@@ -444,7 +506,7 @@ class TestConesBuiltOnce:
             monkeypatch.setattr(module, "rational_rank", rank)
         generators = counted("from_generators",
                              tropfan.fans.cone_from_generators)
-        for module in (tropfan.fans, tropfan.cycles):
+        for module in (tropfan.fans, tropfan.cycles, tropfan.polynomials):
             monkeypatch.setattr(module, "cone_from_generators", generators)
         monkeypatch.setattr(tropfan.fans.Cone, "contains_cone",
                             counted("contains_cone",
@@ -472,6 +534,8 @@ class TestConesBuiltOnce:
             tropfan.linalg._unit_smith.cache_clear()  # as in a fresh process
             assert main(list(argv)) == 0
             capsys.readouterr()
+            # no command runs a linear program
+            assert linalg["simplex"] == 0
             command.linalg = dict(linalg)
             command.full = dict(full)
             command.derived = dict(derived)
@@ -488,26 +552,30 @@ class TestConesBuiltOnce:
                 "--out", f"{label}.json")
 
     def test_hypersurface_builds_only_codimension_one_pairs(self, run):
-        # 28 vertex pairs keyed, 20 of them built, as cones of the
-        # hypersurface, from their incidences; the 8 pairs that span no
-        # edge stop at their first dimension drop. The text output checks
-        # balancing, which reads the facets of the 20 cones
+        # one pass, over the Newton polytope's homogenized support, gives
+        # the vertices and the facets; the 20 edges among the 28 vertex
+        # pairs and their normal cones are read off its incidences (28
+        # passes, 8 of them stopped at a dimension drop and 20 finished,
+        # while every pair took one, and a simplex per support point found
+        # the vertices). The text output checks balancing, which reads the
+        # facets of the 20 cones
         assert run("hypersurface", A4, "--vars", "x,y,z,w") \
-            == {"dd": 28, "rank_in_dd": 0, "from_generators": 0,
+            == {"dd": 1, "rank_in_dd": 0, "from_generators": 1,
                 "contains_cone": 0}
-        assert run.full == {"stopped": 8, "finished": 20}
+        assert run.full == {"stopped": 0, "finished": 0}
         assert run.derived == {"equations": 20, "inequalities": 20}
         # JSON output reads no facet, so none is derived
         run("hypersurface", A4, "--vars", "x,y,z,w", "--format", "json")
         assert run.derived == {"equations": 0, "inequalities": 0}
 
     def test_max_hypersurface_negates_without_a_pass(self, run):
-        # the 28 passes of the min hypersurface, and none for negating its 20
-        # cones (48 passes when each negated cone took a dual pass); JSON
+        # the one pass of the min hypersurface (28, one per vertex pair,
+        # before it read its edges off one pass), and none for negating its
+        # 20 cones (48 passes when each negated cone took a dual pass); JSON
         # output derives no facet of the negated cones either
         assert run("hypersurface", A4, "--vars", "x,y,z,w", "--max",
                    "--format", "json") \
-            == {"dd": 28, "rank_in_dd": 0, "from_generators": 0,
+            == {"dd": 1, "rank_in_dd": 0, "from_generators": 1,
                 "contains_cone": 0}
         assert run.derived == {"equations": 0, "inequalities": 0}
 
@@ -604,13 +672,14 @@ class TestConesBuiltOnce:
 
     def test_prevariety_builds_each_piece_once(self, tmp_path, run):
         (tmp_path / "A4B4.ideal").write_text(f"vars: x,y,z,w\n{A4}\n{B4}\n")
-        # the two hypersurfaces (28 and 21 vertex pairs keyed), then 20 x 18
-        # pieces keyed, of which 47 distinct ones are built with no further
-        # pass; the containment scans are those of fan_from_cones dropping
-        # pieces inside others
+        # the two hypersurfaces, one pass each (28 + 21 = 49 passes, one per
+        # vertex pair, before: 409 in all), then 20 x 18 pieces keyed, of
+        # which 47 distinct ones are built with no further pass; the
+        # containment scans are those of fan_from_cones dropping pieces
+        # inside others
         assert run("prevariety", "A4B4.ideal", "--format", "json") \
-            == {"dd": 28 + 21 + 20 * 18, "rank_in_dd": 0,
-                "from_generators": 0, "contains_cone": 1712}
+            == {"dd": 1 + 1 + 20 * 18, "rank_in_dd": 0,
+                "from_generators": 2, "contains_cone": 1712}
 
 
 class TestBalancingA5B5:

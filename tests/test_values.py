@@ -2,7 +2,9 @@
 values hash equal, fields cannot be reassigned, the constructors check
 their input, and what a Cone, a Fan or a TermOrder keeps
 beside its fields (facet rows, derived H-description, cones, memoized keys)
-takes no part in equality, hashing or the repr."""
+takes no part in equality, hashing or the repr. namedtuple's _make and
+_replace go through the constructor, or, for Cone and Fan, whose state is
+not all in their fields, are refused."""
 
 from fractions import Fraction
 
@@ -68,6 +70,14 @@ def test_fields_cannot_be_reassigned():
                 setattr(value, name, None)
 
 
+def test_replace_with_the_same_fields_gives_an_equal_value():
+    for value, _ in values():
+        if isinstance(value, (Cone, Fan)):
+            continue
+        copy = value._replace()
+        assert copy == value and type(copy) is type(value)
+
+
 def test_values_equal_the_tuple_of_their_fields():
     # documented, and relied on by no library code
     m = IntMatrix(1, 1, ((1,),))
@@ -86,6 +96,13 @@ class TestCone:
         assert a == b == bare
         assert hash(a) == hash(b) == hash(bare)
         assert {a: 1}[bare] == 1
+
+    def test_make_and_replace_are_refused(self):
+        c = quadrant()
+        with pytest.raises(TypeError):
+            Cone._make(tuple(c))
+        with pytest.raises(TypeError):
+            c._replace(dim=1)
 
     def test_repr_omits_the_facet_rows(self):
         c = quadrant()
@@ -106,6 +123,13 @@ class TestFan:
             f"Fan(ambient_dim=2, rays={fan.rays!r}, "
             f"lineality={fan.lineality!r}, "
             f"maximal_cones={fan.maximal_cones!r})")
+
+    def test_make_and_replace_are_refused(self):
+        fan = line_fan()
+        with pytest.raises(TypeError):
+            Fan._make(tuple(fan))
+        with pytest.raises(TypeError):
+            fan._replace(maximal_cones=())
 
     def test_one_cone_per_maximal_cone(self):
         fan = line_fan()
@@ -137,6 +161,14 @@ class TestTermOrder:
         with pytest.raises(ValueError):
             TermOrder((), "median")
 
+    def test_replace_goes_through_the_constructor(self):
+        order = TermOrder(((1, 2),))._replace(convention="max")
+        assert order.key((1, 0)) == TermOrder(((1, 2),), "max").key((1, 0))
+        assert order._replace(
+            weight_rows=((Fraction(1, 2), 1),)).weight_rows == ((1, 2),)
+        with pytest.raises(ValueError):
+            order._replace(convention="median")
+
 
 class TestChecks:
     def test_tropical_cycle(self):
@@ -146,11 +178,25 @@ class TestChecks:
         with pytest.raises(ValueError):
             TropicalCycle(fan, (1, 1, 1), "median")
 
+    def test_tropical_cycle_make_and_replace(self):
+        cycle = make_cycle(line_fan(), [1, 1, 1])
+        with pytest.raises(MultiplicityMismatchError):
+            cycle._replace(multiplicities=(1, 1))
+        with pytest.raises(ValueError):
+            TropicalCycle._make((line_fan(), (1, 1, 1), "median"))
+
     def test_ideal_spec(self):
         with pytest.raises(ValueError):
             IdealSpec(("x", "y"), ())
         with pytest.raises(DimMismatchError):
             IdealSpec(("x", "y"), (parse_polynomial("x+z", ("x", "z")),))
+
+    def test_ideal_spec_make_and_replace(self):
+        with pytest.raises(ValueError):
+            IdealSpec._make((("x",), ()))
+        spec = PRIME_CORPUS[3].ideal()
+        with pytest.raises(DimMismatchError):
+            spec._replace(variables=("x",))
 
     def test_lattice_rank(self):
         assert Lattice(2, IntMatrix.from_columns([(2, 0)], 2)).rank == 1
