@@ -167,6 +167,10 @@ class Cone(namedtuple("Cone", "ambient_dim rays lineality dim")):
         raise TypeError("a Cone is built by a constructor, not from its "
                         "fields alone")
 
+    def __getnewargs__(self):
+        """For copy and pickle, which then restore the cached attributes."""
+        return (*self, self.facet_rows)
+
     @cached_property
     def _equation_basis(self) -> IntMatrix:
         """The canonical basis (columns) of the integer kernel of the
@@ -190,12 +194,6 @@ class Cone(namedtuple("Cone", "ambient_dim rays lineality dim")):
             raise DimMismatchError("point dimension mismatch")
         return (all(dot(r, point) == 0 for r in self.equations.entries)
                 and all(dot(r, point) >= 0 for r in self.inequalities.entries))
-
-    def relint_contains(self, point) -> bool:
-        if len(point) != self.ambient_dim:
-            raise DimMismatchError("point dimension mismatch")
-        return (all(dot(r, point) == 0 for r in self.equations.entries)
-                and all(dot(r, point) > 0 for r in self.inequalities.entries))
 
     def generators(self):
         """Ray columns followed by lineality basis columns."""
@@ -267,8 +265,9 @@ def cone_from_generators(ray_cols, lineality_cols, ambient_dim: int) -> Cone:
     equations, and the generator-facet incidences. The extreme rays are the
     generators whose sets of tight facets are proper and maximal, and the
     lineality is the canonical basis of the integer kernel of the facets and
-    the equations, which is saturated already. The facets found are the
-    cone's facet rows.
+    the equations, which is saturated already. The equations found are a
+    basis over Q, so the dimension is n less their number. The facets found
+    are the cone's facet rows.
     """
     n = ambient_dim
     gens = [tuple(r) for r in ray_cols]
@@ -276,7 +275,8 @@ def cone_from_generators(ray_cols, lineality_cols, ambient_dim: int) -> Cone:
         gens, _echelon_kernel(IntMatrix.from_rows(list(lineality_cols), n)))
     lineality = integer_kernel_basis(
         IntMatrix.from_rows(facet_vecs + eq_vecs, n))
-    return Cone(n, *_v_description(_maximal_proper(gens, masks), lineality, n),
+    return Cone(n, *_v_description(_maximal_proper(gens, masks), lineality, n,
+                                   n - len(eq_vecs)),
                 facet_rows=partial(list, facet_vecs))
 
 
@@ -292,6 +292,10 @@ def intersect(c1: Cone, c2: Cone, full: bool = False) -> Cone | None:
         c1.ambient_dim, full=full)
 
 
+def _negated_rows(c: Cone) -> list:
+    return [vec_neg(a) for a in c.facet_rows()]
+
+
 def negate_cone(c: Cone) -> Cone:
     """The canonical cone -c with no double description: the negated rays
     are canonical (quotient_reps is linear, primitive_vector keeps the
@@ -299,7 +303,7 @@ def negate_cone(c: Cone) -> Cone:
     rays = sorted(vec_neg(r) for r in c.rays.columns())
     return Cone(c.ambient_dim, IntMatrix.from_columns(rays, c.ambient_dim),
                 c.lineality, c.dim,
-                facet_rows=lambda: [vec_neg(a) for a in c.facet_rows()])
+                facet_rows=partial(_negated_rows, c))
 
 
 def _tight_masks(c: Cone) -> list:
@@ -485,6 +489,10 @@ class Fan(namedtuple("Fan", "ambient_dim rays lineality maximal_cones")):
         """Refused, and with it _replace: the cones are not fields."""
         raise TypeError("a Fan is built by fan_from_cones, not from its "
                         "fields alone")
+
+    def __getnewargs__(self):
+        """For copy and pickle."""
+        return (*self, self.cones)
 
     def n_maximal(self) -> int:
         return len(self.maximal_cones)

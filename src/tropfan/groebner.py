@@ -1,14 +1,14 @@
 """Buchberger engine with matrix term orders and Gröbner fan enumeration.
 
 Term orders are weight-row matrices refined by a fixed graded reverse
-lexicographic tie-break (first variable largest). Under the min convention the
-smaller weight is the leading one, so initial forms of tropical weight vectors
-are exactly the leading forms seen by the engine. Division, S-polynomials
-and interreduction work on plain {exponent: Fraction} dicts; a Polynomial is
-built only for a result. On top of reduced bases sit saturation,
-monomial-freeness, dimension counts, and the Gröbner fan walk, which crosses
-each facet once. TermOrder and GroebnerBasis are named tuples: a value also
-equals the plain tuple of its fields.
+lexicographic tie-break (first variable largest), with one direction: the
+smaller weight leads, so initial forms of tropical weight vectors (min) are
+exactly the leading forms seen by the engine. Division, S-polynomials and
+interreduction work on plain {exponent: Fraction} dicts, each Buchberger run
+computing a monomial's key once; a Polynomial is built only for a result.
+On top of reduced bases sit saturation, monomial-freeness, dimension counts,
+and the Gröbner fan walk, which crosses each facet once. TermOrder and
+GroebnerBasis are named tuples with nothing beside their fields.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from operator import add, le, sub
 
@@ -31,23 +32,19 @@ from .linalg import clear_denominators, vec_neg
 from .polynomials import IdealSpec, Polynomial, fresh_variable, initial_form
 
 
-class TermOrder(namedtuple("TermOrder", "weight_rows convention")):
+class TermOrder(namedtuple("TermOrder", "weight_rows")):
     """Weight rows compared lexicographically, then grevlex.
 
-    convention "min" makes the smaller weight lead (the tropical default);
-    "max" is the classical direction. Each weight row is stored scaled by the
-    lcm of its denominators: a positive factor changes no comparison, and
-    keys become integer dot products. Keys are memoized for the life of the
-    order, which sees the same few monomials many times, outside the fields.
+    The smaller weight leads. Each weight row is stored scaled by the lcm
+    of its denominators: a positive factor changes no comparison, and keys
+    become integer dot products.
     """
 
-    def __new__(cls, weight_rows=(), convention="min"):
-        rows = tuple(tuple(clear_denominators(row)) for row in weight_rows)
-        if convention not in ("min", "max"):
-            raise ValueError("convention must be 'min' or 'max'")
-        self = super().__new__(cls, rows, convention)
-        self._keys = {}
-        return self
+    __slots__ = ()
+
+    def __new__(cls, weight_rows=()):
+        return super().__new__(
+            cls, tuple(tuple(clear_denominators(row)) for row in weight_rows))
 
     @classmethod
     def _make(cls, iterable):
@@ -56,20 +53,10 @@ class TermOrder(namedtuple("TermOrder", "weight_rows convention")):
         return cls(*iterable)
 
     def key(self, exps):
-        try:
-            return self._keys[exps]
-        except KeyError:
-            pass
-        sign = -1 if self.convention == "min" else 1
-        weight = tuple(sign * sum(w * e for w, e in zip(row, exps))
+        """The larger key leads."""
+        weight = tuple(-sum(w * e for w, e in zip(row, exps))
                        for row in self.weight_rows)
-        grevlex = (sum(exps),) + tuple(-e for e in reversed(exps))
-        k = self._keys[exps] = weight + grevlex
-        return k
-
-    def effective_max_rows(self):
-        sign = -1 if self.convention == "min" else 1
-        return [tuple(sign * x for x in row) for row in self.weight_rows]
+        return weight + (sum(exps),) + tuple(-e for e in reversed(exps))
 
 
 class GroebnerBasis(namedtuple("GroebnerBasis",
@@ -89,14 +76,6 @@ class GroebnerBasis(namedtuple("GroebnerBasis",
             trailing = tuple(sorted(e for e in g.terms if e != lead))
             items.append((lead, trailing))
         return tuple(sorted(items))
-
-
-def leading_term(p: Polynomial, order: TermOrder):
-    """(exponent, coefficient) of the leading term under the order."""
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial has no leading term")
-    lead = max(p.terms, key=order.key)
-    return lead, p.terms[lead]
 
 
 # The engine works on {exponent: Fraction} term dicts; an element of a basis
@@ -173,7 +152,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
 
 
 def _check_termination(spec: IdealSpec, order: TermOrder):
-    if all(all(x >= 0 for x in row) for row in order.effective_max_rows()):
+    if all(x <= 0 for row in order.weight_rows for x in row):
         return
     if not all(g.is_homogeneous() for g in spec.generators):
         raise RequiresHomogeneousError(
@@ -183,7 +162,7 @@ def _check_termination(spec: IdealSpec, order: TermOrder):
 def reduced_groebner_basis(spec: IdealSpec, order: TermOrder) -> GroebnerBasis:
     """The unique reduced Gröbner basis of the ideal for the order."""
     _check_termination(spec, order)
-    key = order.key
+    key = lru_cache(maxsize=None)(order.key)  # a table for this run only
     gens = [_monic(g.terms, key) for g in spec.generators if not g.is_zero()]
     if not gens:
         z = Polynomial.zero(spec.variables)
@@ -255,8 +234,7 @@ def initial_ideal(gb: GroebnerBasis, w) -> IdealSpec:
     nvars = len(gb.variables())
     if len(w) != nvars:
         raise DimMismatchError("weight vector length mismatch")
-    conv = gb.order.convention
-    gens = tuple(initial_form(g, w, conv) for g in gb.elements if not g.is_zero())
+    gens = tuple(initial_form(g, w) for g in gb.elements if not g.is_zero())
     if not gens:
         gens = (Polynomial.zero(gb.variables()),)
     return IdealSpec(gb.variables(), gens)
@@ -274,7 +252,8 @@ def saturate(spec: IdealSpec, f: Polynomial) -> IdealSpec:
     tf_minus_one = {(1,) + e: c for e, c in f.terms.items()}
     tf_minus_one[(0,) * len(new_vars)] = Fraction(-1)
     gens = tuple(lifted) + (Polynomial._from_terms(new_vars, tf_minus_one),)
-    elim = TermOrder(((1,) + (0,) * len(spec.variables),), "max")
+    # t leads: its weight -1 is the smallest of the row
+    elim = TermOrder(((-1,) + (0,) * len(spec.variables),))
     gb = reduced_groebner_basis(IdealSpec(new_vars, gens), elim)
     kept = []
     for g in gb.elements:
@@ -311,7 +290,7 @@ def is_monomial_free(spec: IdealSpec) -> bool:
 
 def vector_space_dimension(spec: IdealSpec) -> int:
     """Count of standard monomials of the ideal (staircase complement)."""
-    gb = reduced_groebner_basis(spec, TermOrder((), "max"))
+    gb = reduced_groebner_basis(spec, TermOrder())
     if is_unit_basis(gb):
         return 0
     nvars = len(spec.variables)
@@ -335,15 +314,14 @@ def vector_space_dimension(spec: IdealSpec) -> int:
 def groebner_cone(gb: GroebnerBasis) -> Cone:
     """The closed cone of weight vectors selecting the basis' markings.
 
-    Min convention: w.lead <= w.u for every trailing exponent u, encoded as
-    rows (u - lead) with nonnegative pairing.
+    The smaller weight leads: w.lead <= w.u for every trailing exponent u,
+    encoded as rows (u - lead) with nonnegative pairing.
     """
-    sign = 1 if gb.order.convention == "min" else -1
     rows = []
     for g, lead in zip(gb.elements, gb.leading_exponents):
         for e in g.terms:
             if e != lead:
-                rows.append(tuple(sign * (a - b) for a, b in zip(e, lead)))
+                rows.append(tuple(a - b for a, b in zip(e, lead)))
     return cone_from_halfspaces(rows, [], len(gb.variables()))
 
 
@@ -362,7 +340,7 @@ def groebner_fan(spec: IdealSpec):
         raise RequiresHomogeneousError("the Gröbner fan needs homogeneous input")
     if all(g.is_zero() for g in spec.generators):
         raise ZeroPolynomialError("zero ideal has no Gröbner fan")
-    start = reduced_groebner_basis(spec, TermOrder((), "min"))
+    start = reduced_groebner_basis(spec, TermOrder())
     if is_unit_basis(start):
         raise UnitIdealError("unit ideal has no Gröbner fan")
     first_cone = groebner_cone(start)
@@ -379,7 +357,7 @@ def groebner_fan(spec: IdealSpec):
             facet_rays, _ = facet_key
             p = tuple(sum(row) for row in facet_rays)
             neighbor = reduced_groebner_basis(
-                spec, TermOrder((p, vec_neg(inward)), "min"))
+                spec, TermOrder((p, vec_neg(inward))))
             nk = neighbor.marked_key()
             if nk not in seen:
                 seen[nk] = (neighbor, groebner_cone(neighbor))

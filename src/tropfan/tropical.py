@@ -206,7 +206,7 @@ def _multiplicity_from_initial(inw: IdealSpec, sigma: Cone) -> int:
 def _validated(spec: IdealSpec):
     if all(g.is_zero() for g in spec.generators):
         raise ZeroIdealError("the zero ideal has no tropical variety")
-    gb = reduced_groebner_basis(spec, TermOrder((), "max"))
+    gb = reduced_groebner_basis(spec, TermOrder())
     if is_unit_basis(gb):
         raise UnitIdealError("the unit ideal has an empty variety")
 

@@ -15,6 +15,7 @@ from tropfan.errors import (
     GenericityError,
     NotFullRankError,
     NotPureError,
+    ZeroPolynomialError,
 )
 from tropfan.fans import (
     Cone,
@@ -60,11 +61,28 @@ def optimum_attained_twice(f, w, convention="min") -> bool:
     return values.count(opt) >= 2
 
 
+def leading_term(p, order):
+    """(exponent, coefficient) of the leading term under the order."""
+    if p.is_zero():
+        raise ZeroPolynomialError("zero polynomial has no leading term")
+    lead = max(p.terms, key=order.key)
+    return lead, p.terms[lead]
+
+
+def relint_contains(c, point) -> bool:
+    """Is the point in the relative interior of the cone? Strict on every
+    inequality of its H-description."""
+    if len(point) != c.ambient_dim:
+        raise DimMismatchError("point dimension mismatch")
+    return (all(dot(r, point) == 0 for r in c.equations.entries)
+            and all(dot(r, point) > 0 for r in c.inequalities.entries))
+
+
 def multiplicity_at(spec_homogeneous, sigma) -> int:
     """Multiplicity of a maximal cell of the tropical variety of a
     homogeneous ideal, from the initial ideal at one interior point."""
     w = relative_interior_point(sigma)
-    gb = reduced_groebner_basis(spec_homogeneous, TermOrder((w,), "min"))
+    gb = reduced_groebner_basis(spec_homogeneous, TermOrder((w,)))
     return _multiplicity_from_initial(initial_ideal(gb, w), sigma)
 
 

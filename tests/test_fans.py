@@ -36,6 +36,7 @@ from oracles import (
     reference_cone_from_halfspaces,
     reference_fan_cone,
     reference_negate_cone,
+    relint_contains,
 )
 
 def line_fan():
@@ -378,7 +379,7 @@ class TestRelativeInterior:
                   cone_from_generators([(1, 0, 1), (0, 1, 1), (0, 0, 1)], [], 3),
                   cone_from_generators([(1, 1)], [(1, -1)], 2)]:
             p = relative_interior_point(c)
-            assert c.relint_contains(p)
+            assert relint_contains(c, p)
 
 
 class TestCommonRefinement:
@@ -602,6 +603,25 @@ cones_in_2_to_4 = st.integers(2, 4).flatmap(lambda n: st.tuples(
     st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=5),
     st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=2),
     st.booleans()))
+
+
+class TestGeneratorDimension:
+    """cone_from_generators reads the dimension off its pass, as the
+    ambient dimension less the number of equations it found; that is the
+    rank of the generators."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cones_in_2_to_4)
+    # no generators; repeated and dependent rays beside a lineality
+    @example((3, [], [], True))
+    @example((4, [(1, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0)], [(0, 1, 0, 0)],
+              True))
+    def test_dimension_is_the_rank(self, case):
+        n, vecs, lins, _ = case
+        rays = [v for v in vecs if any(v)]
+        lins = [l for l in lins if any(l)]
+        c = cone_from_generators(rays, lins, n)
+        assert c.dim == (rational_rank(rays + lins) if rays or lins else 0)
 
 
 class TestNegateCone:

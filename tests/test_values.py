@@ -1,17 +1,26 @@
 """The contract of tropfan's value classes, which are named tuples: equal
 values hash equal, fields cannot be reassigned, the constructors check
-their input, and what a Cone, a Fan or a TermOrder keeps
-beside its fields (facet rows, derived H-description, cones, memoized keys)
-takes no part in equality, hashing or the repr. namedtuple's _make and
-_replace go through the constructor, or, for Cone and Fan, whose state is
-not all in their fields, are refused."""
+their input, and what a Cone or a Fan keeps beside its fields (facet rows,
+derived H-description, cones) takes no part in equality, hashing or the
+repr, and survives copy and pickle. A TermOrder keeps nothing beside its
+fields. namedtuple's _make and _replace go through the constructor, or, for
+Cone and Fan, whose state is not all in their fields, are refused."""
 
+import copy
+import json
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from tropfan.corpus import PRIME_CORPUS, CorpusEntry
-from tropfan.cycles import TropicalCycle, make_cycle
+from tropfan.cli import dumps_canonical
+from tropfan.cycles import (
+    TropicalCycle,
+    cycle_from_dict,
+    cycle_to_dict,
+    make_cycle,
+)
 from tropfan.errors import DimMismatchError, MultiplicityMismatchError
 from tropfan.fans import (
     Cone,
@@ -21,10 +30,12 @@ from tropfan.fans import (
     cone_from_halfspaces,
     cone_key,
     fan_from_cones,
+    negate_cone,
 )
 from tropfan.groebner import TermOrder, reduced_groebner_basis
 from tropfan.linalg import IntMatrix, Lattice, lattice_from_generators
 from tropfan.polynomials import IdealSpec, parse_polynomial
+from tropfan.tropical import tropical_hypersurface
 
 
 def quadrant():
@@ -142,32 +153,82 @@ class TestFan:
 
 class TestTermOrder:
     def test_defaults(self):
-        assert TermOrder() == TermOrder((), "min")
-        assert TermOrder(convention="max") == TermOrder((), "max")
+        assert TermOrder() == TermOrder(()) == ((),)
 
     def test_clears_denominators(self):
-        order = TermOrder(((Fraction(1, 2), Fraction(1, 3)),), "max")
+        order = TermOrder(((Fraction(1, 2), Fraction(1, 3)),))
         assert order.weight_rows == ((3, 2),)
-        assert order == TermOrder(weight_rows=((3, 2),), convention="max")
+        assert order == TermOrder(weight_rows=((3, 2),))
 
-    def test_memoized_keys_take_no_part_in_equality(self):
-        a, b = TermOrder(((1, 2),)), TermOrder(((1, 2),))
-        a.key((1, 0))
-        assert a._keys and not b._keys
-        assert a == b and hash(a) == hash(b)
-        assert repr(a) == "TermOrder(weight_rows=((1, 2),), convention='min')"
+    def test_keeps_no_state_beside_its_fields(self):
+        order = TermOrder(((1, 2),))
+        order.key((1, 0))
+        assert not hasattr(order, "__dict__")
+        assert TermOrder.__slots__ == ()
+        assert repr(order) == "TermOrder(weight_rows=((1, 2),))"
 
-    def test_rejects_a_bad_convention(self):
-        with pytest.raises(ValueError):
-            TermOrder((), "median")
+    def test_takes_no_convention(self):
+        # one direction: a max order is the min order of the negated rows
+        with pytest.raises(TypeError):
+            TermOrder((), "max")
+
+    def test_elimination_order_ranks_t_first(self):
+        # the order saturate eliminates its variable t (coordinate 0) with
+        n = 2
+        order = TermOrder(((-1,) + (0,) * n,))
+        monomials = [(a, b, c) for a in range(3) for b in range(3)
+                     for c in range(3)]
+        with_t = [order.key(e) for e in monomials if e[0]]
+        without_t = [order.key(e) for e in monomials if not e[0]]
+        assert min(with_t) > max(without_t)
 
     def test_replace_goes_through_the_constructor(self):
-        order = TermOrder(((1, 2),))._replace(convention="max")
-        assert order.key((1, 0)) == TermOrder(((1, 2),), "max").key((1, 0))
+        order = TermOrder(((1, 2),))
         assert order._replace(
             weight_rows=((Fraction(1, 2), 1),)).weight_rows == ((1, 2),)
-        with pytest.raises(ValueError):
-            order._replace(convention="median")
+        assert TermOrder._make((((Fraction(1, 3), 1),),)) \
+            == TermOrder(((1, 3),))
+
+
+A5 = "a*b+c*d+e*a+b*c+d*e+a^2+e^2+1"
+
+
+def assert_round_trips(value):
+    """copy, deepcopy and pickle give an equal value of the same class, with
+    the state beside the fields: a cone's facet rows and derived
+    H-description, a fan's cones."""
+    for again in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value))):
+        assert again == value and type(again) is type(value)
+        if isinstance(value, Cone):
+            assert again.inequalities == value.inequalities
+            assert again.equations == value.equations
+            assert again.facet_rows() == value.facet_rows()
+        if isinstance(value, Fan):
+            assert again.cones == value.cones
+            for a, b in zip(again.cones, value.cones):
+                assert a.inequalities == b.inequalities
+
+
+class TestCopyAndPickle:
+    def test_cones(self):
+        halfspace = cone_from_halfspaces([(1, 0, 0), (0, 1, 0)],
+                                         [(0, 0, 1)], 3)
+        generated = cone_from_generators([(1, 0, 1), (0, 1, 1)],
+                                         [(1, 1, 0)], 3)
+        generated.inequalities  # derived before the copy
+        for c in (halfspace, generated, negate_cone(generated)):
+            assert_round_trips(c)
+
+    def test_fans_and_a_cycle_read_from_json(self):
+        assert_round_trips(line_fan())
+        hypersurface = tropical_hypersurface(
+            parse_polynomial(A5, tuple("abcde")))
+        cycle = cycle_from_dict(json.loads(dumps_canonical(
+            cycle_to_dict(hypersurface))))
+        assert_round_trips(cycle.fan)
+        for again in (copy.deepcopy(cycle), pickle.loads(pickle.dumps(cycle))):
+            assert cycle_to_dict(again) == cycle_to_dict(cycle)
 
 
 class TestChecks:
