@@ -257,7 +257,10 @@ def dispatch(args) -> str:
                              args.format, convention)
     if args.command == "eval":
         f = parse_polynomial(args.poly, _parse_vars(args.vars))
-        value = tropical_evaluate(f, _parse_point(args.point), convention)
+        point = _parse_point(args.point)
+        if len(point) != len(f.variables):
+            raise IdealFileError("point dimension mismatch")
+        value = tropical_evaluate(f, point, convention)
         return format_output(value, args.format, convention)
     raise AssertionError(f"unhandled command {args.command!r}")
 

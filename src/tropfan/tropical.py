@@ -16,16 +16,15 @@ the entry test has decided it. The maximal kept faces, those that are no
 kept face's facet, are the only ones built; slice the homogenizing
 coordinate back out of each, and compute one multiplicity per maximal cell
 as the degree of the saturated initial ideal in quotient coordinates. Stable
-intersections use the fan displacement rule with an analytically eliminated
-perturbation and lattice-index weights. Whether a pair of cones still meets
-after the displacement is decided first by rows: bit masks over the other
-fan's rays give, per cone row, the pairs it separates by a Farkas
-certificate. Every other pair is intersected by a double description pass
-that stops at the first dimension drop, and one whose intersection has the
-expected dimension is decided locally at that intersection, by the signs of
-a few integer dot products: no linear program runs. A displacement that
-lands on the boundary of a pair's difference cone (a wall) is not generic,
-and the next one is drawn.
+intersections of pure cycles use the fan displacement rule with an
+analytically eliminated perturbation and lattice-index weights. A pair of
+cones is rejected first by rows: bit masks over the other fan's rays give,
+per cone row, the pairs it separates by a Farkas certificate. Every other
+pair takes one elimination of its joint equation rows per draw, which skips
+it, finds the draw not generic, or splits the displacement between the two
+spans; the last are intersected by a pass that stops at the first dimension
+drop, and decided at an intersection of the expected dimension by the signs
+of a few integer dot products. No linear program and no rank runs.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from .errors import (
     DimMismatchError,
     GenericityError,
     MonomialHypersurfaceError,
+    NotPureError,
     UnitIdealError,
     ZeroIdealError,
     ZeroPolynomialError,
@@ -82,7 +82,6 @@ from .linalg import (
     hnf_completion,
     integer_kernel_basis,
     lattice_index,
-    rational_rank,
     vec_neg,
 )
 from .polynomials import (
@@ -321,11 +320,6 @@ def is_tropical_basis(polys) -> bool:
     return True
 
 
-def _span_matrix(cone: Cone):
-    return [list(c) for c in cone.rays.columns()] + \
-        [list(c) for c in cone.lineality.columns()]
-
-
 def _separating_rows(fan: Fan, other: Fan, v, side: int) -> list:
     """For each maximal cone of fan, the distinct bit masks over other's
     rays of its rows y (facet rows, and equation rows of either sign) with
@@ -368,27 +362,38 @@ def _separated_pairs(fa: Fan, fb: Fan, v):
     return separated
 
 
-def _displacement_verdict(ca: Cone, cb: Cone, tau: Cone, v):
-    """Does v lie in ca - cb? True or False, or None when it lies on the
-    boundary (a wall), for a pair whose equation rows are independent and
-    whose intersection tau has the expected dimension.
-
-    Then span ca and span cb meet in span tau and together fill Q^n, so
-    v = x - y with x in span ca and y in span cb, unique modulo span tau.
-    v lies in ca - cb exactly when x lies in ca + span tau and y in
-    cb + span tau, which the inequalities vanishing at the sum p of tau's
-    rays cut out. x comes from one reduced integer echelon form of
-    [E_a | 0; E_b | E_b v], scaled by the lcm of its pivots, so every sign
-    below is exact.
-    """
+def _solve_shift(ca: Cone, cb: Cone, v):
+    """Split v as x - y with x in span ca and y in span cb, by one reduced
+    integer echelon form of [E_a | 0; E_b | E_b v]: False when v lies
+    outside span ca + span cb (a pivot in the last column); None when it
+    lies inside but the rows are dependent, so the spans do not fill Q^n
+    and v is not generic; else (x, s), with s > 0 the lcm of the pivots,
+    E_a x = 0 and E_b (x - s v) = 0."""
     n = ca.ambient_dim
     rows = [list(e) + [0] for e in ca.equations.entries] \
         + [list(e) + [dot(e, v)] for e in cb.equations.entries]
     pivots = _row_echelon(rows, reduced=True)
+    if pivots and pivots[-1] == n:
+        return False
+    if len(pivots) < len(rows):
+        return None
     scale = lcm(*(rows[r][j] for r, j in enumerate(pivots)))
     x = [0] * n
     for r, j in enumerate(pivots):
         x[j] = rows[r][n] * (scale // rows[r][j])
+    return x, scale
+
+
+def _displacement_verdict(ca: Cone, cb: Cone, tau: Cone, v, split):
+    """Does v lie in ca - cb? True or False, or None when it lies on the
+    boundary (a wall), for a pair whose spans fill Q^n and whose
+    intersection tau has the expected dimension; split is _solve_shift's.
+
+    The split v = x - y is unique modulo span tau, and v lies in ca - cb
+    exactly when x lies in ca + span tau and y in cb + span tau, which the
+    inequalities vanishing at the sum p of tau's rays cut out.
+    """
+    x, scale = split
     y = [xi - scale * vi for xi, vi in zip(x, v)]
     p = relative_interior_point(tau)
     values = [dot(a, x) for a in ca.inequalities.entries if not dot(a, p)] \
@@ -402,68 +407,57 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
                         seed: int = 0) -> TropicalCycle:
     """Fan displacement rule: keep pairs of maximal cones whose spans fill
     the ambient space and that still meet after a generic shift, weight them
-    by lattice indices, and intersect.
+    by lattice indices, and intersect. Both cycles must be pure.
 
     A pair meets after the shift by v when v lies in cone_a - cone_b. Most
     pairs that do not are rejected by a separating row (_separated_pairs).
-    Every other pair is intersected once, whatever the number of draws, by
-    a pass that stops as soon as the piece falls below the dimension of the
-    joint span: only a piece of the expected dimension carries weight. Such
-    a pair is decided by the local sign test of _displacement_verdict. A
-    shift that the sign test finds on a wall, or that lies in the span of a
-    pair whose spans do not fill the space, is not generic: the next one is
-    drawn. The pieces are handed over with their facets underived."""
+    Every other pair is split by _solve_shift, once per draw, and one whose
+    spans fill the space is intersected once, whatever the number of draws,
+    by a pass that stops as soon as the piece falls below the dimension of
+    the joint span: only a piece of the expected dimension carries weight.
+    It is decided by the local sign test of _displacement_verdict. A shift
+    in the joint span of a pair whose spans do not fill the space, or on a
+    wall, is not generic: the next one is drawn. The pieces are handed over
+    with their facets underived."""
     if a.convention != b.convention:
         raise ConventionMismatchError("cycles use different conventions")
     if a.ambient_dim != b.ambient_dim:
         raise DimMismatchError("cycles live in different ambient spaces")
+    if not (a.pure and b.pure):
+        raise NotPureError("stable intersection needs pure cycles")
     n = a.ambient_dim
     if a.fan.is_empty() or b.fan.is_empty():
         return _empty_cycle(n, a.convention)
-    cones_a = fan_cones(a.fan)
-    cones_b = fan_cones(b.fan)
-    da = max(c.dim for c in cones_a)
-    db = max(c.dim for c in cones_b)
-    expected_dim = da + db - n
+    cones_a, cones_b = fan_cones(a.fan), fan_cones(b.fan)
+    expected_dim = cones_a[0].dim + cones_b[0].dim - n
     if expected_dim < 0:
         return _empty_cycle(n, a.convention)
     rng = random.Random(seed)
-    deficient = []
-    full = []
-    for i, ca in enumerate(cones_a):
-        for j, cb in enumerate(cones_b):
-            # the spans fill Q^n exactly when their orthogonal complements,
-            # spanned by the independent equation rows, meet only in 0
-            eqs = ca.equations.entries + cb.equations.entries
-            if rational_rank(eqs) == len(eqs):
-                # the joint span has dimension ca.dim + cb.dim - n; a pair
-                # whose span is smaller meets in boundary scrap, which lies
-                # in faces of full-dimensional pieces and carries no weight
-                if ca.dim + cb.dim - n == expected_dim:
-                    full.append((i, j))
-            else:
-                deficient.append(_span_matrix(ca) + _span_matrix(cb))
     pieces = {}
 
     def meeting_pairs(v):
-        """The pairs of full that meet after the shift by v, or None when v
-        lies on a wall of one of them."""
+        """The pairs that meet after the shift by v, or None when v is not
+        generic."""
         separated = _separated_pairs(a.fan, b.fan, v)
         out = []
-        for i, j in full:
-            if separated(i, j):
-                continue
-            if (i, j) not in pieces:
-                pieces[i, j] = intersect(cones_a[i], cones_b[j], full=True)
-            if pieces[i, j] is None:
-                # boundary scrap, as above
-                continue
-            verdict = _displacement_verdict(cones_a[i], cones_b[j],
-                                            pieces[i, j], v)
-            if verdict is None:
-                return None
-            if verdict:
-                out.append((i, j))
+        for i, ca in enumerate(cones_a):
+            for j, cb in enumerate(cones_b):
+                if separated(i, j):
+                    continue
+                split = _solve_shift(ca, cb, v)
+                if split is None:
+                    return None
+                if split is False:
+                    continue
+                if (i, j) not in pieces:
+                    pieces[i, j] = intersect(ca, cb, full=True)
+                if pieces[i, j] is None:
+                    continue  # a lower-dimensional meeting carries no weight
+                verdict = _displacement_verdict(ca, cb, pieces[i, j], v, split)
+                if verdict is None:
+                    return None
+                if verdict:
+                    out.append((i, j))
         return out
 
     met = None
@@ -471,11 +465,9 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
         cand = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(n))
         if n and not any(cand):
             continue  # in R^0 the empty shift is generic: every span fills it
-        if all(rational_rank(span + [list(cand)]) > rational_rank(span)
-               for span in deficient):
-            met = meeting_pairs(cand)
-            if met is not None:
-                break
+        met = meeting_pairs(cand)
+        if met is not None:
+            break
     if met is None:
         raise GenericityError("no generic displacement vector found")
     lattices = {}

@@ -280,6 +280,24 @@ class TestStableIntersectionCommand:
         assert json.loads(outputs[0])["multiplicities"] == [2]
         assert outputs[0] == outputs[1]
 
+    def test_non_pure_cycle_exits_one(self, capsys, tmp_path):
+        # the variety of <(x-1)(y-1), (x-1)(z-1)>, the plane x = 1 and the
+        # line y = z = 1, has cells of dimensions 1 and 2; the x-axis
+        # component's contribution was once dropped without a word
+        ideal_path = tmp_path / "mixed.ideal"
+        ideal_path.write_text("vars: x,y,z\n(x-1)*(y-1)\n(x-1)*(z-1)\n")
+        mixed, plane = str(tmp_path / "mixed.json"), str(tmp_path / "h.json")
+        assert main(["variety", str(ideal_path), "--format", "json",
+                     "--out", mixed]) == 0
+        assert main(["hypersurface", "x+y+z+1", "--vars", "x,y,z",
+                     "--format", "json", "--out", plane]) == 0
+        capsys.readouterr()
+        for paths in ((mixed, plane), (plane, mixed)):
+            code, out, err = run(capsys, ["stable-intersection", *paths])
+            assert code == 1
+            assert out == ""
+            assert "pure" in err
+
     def test_points_of_the_zero_dimensional_space(self, capsys, tmp_path):
         # in R^0 the only shift is the zero vector, and every span fills R^0
         paths = []
@@ -327,6 +345,15 @@ class TestEvalCommand:
         code, out, _ = run(capsys, ["eval", "x+y+1", "--vars", "x,y",
                                     "--point", "2,3", "--max"])
         assert out == "3\n"
+
+    def test_point_of_the_wrong_length_exits_two(self, capsys):
+        # a malformed point, not a domain error
+        for point in ("--point=1", "--point=1,2,3"):
+            code, out, err = run(capsys, ["eval", "x+y", "--vars", "x,y",
+                                          point])
+            assert code == 2
+            assert out == ""
+            assert "point" in err
 
 
 class TestHypersurfaceCommand:
