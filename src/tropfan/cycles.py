@@ -103,24 +103,24 @@ def weighted_from_cones(ambient_dim, weighted_cones, convention,
 def make_cycle(fan: Fan, multiplicities, convention: str = "min") -> TropicalCycle:
     """Attach weights to the maximal cones of a pure fan.
 
-    Balancing is deliberately not checked here; use is_balanced.
+    Balancing is deliberately not checked here; use is_balanced. The
+    weights must be ints, as in a cycle's JSON form: a float or a string is
+    refused, not cast. TropicalCycle checks their number and
+    weighted_from_cones their sign.
     """
-    mults = tuple(int(m) for m in multiplicities)
-    if len(mults) != fan.n_maximal():
-        raise MultiplicityMismatchError(
-            f"{fan.n_maximal()} maximal cones but {len(mults)} multiplicities")
-    if any(m < 0 for m in mults):
-        raise MultiplicityMismatchError("multiplicities must be positive")
-    if not is_pure(fan):
+    mults = tuple(multiplicities)
+    if not all(map(_is_int, mults)):
+        raise MultiplicityMismatchError("multiplicities must be integers")
+    cycle = TropicalCycle(fan, mults, convention)
+    if not cycle.pure:
         raise NotPureError("fan is not pure")
-    if any(m == 0 for m in mults):
-        cones = fan_cones(fan)
-        pairs = [(c, m) for c, m in zip(cones, mults) if m != 0]
-        out = weighted_from_cones(fan.ambient_dim, pairs, convention)
-        if not out.pure:
-            raise NotPureError("fan is not pure after dropping zero weights")
-        return out
-    return TropicalCycle(fan, mults, convention)
+    if all(m > 0 for m in mults):
+        return cycle
+    cycle = weighted_from_cones(fan.ambient_dim, zip(fan_cones(fan), mults),
+                                convention)
+    if not cycle.pure:
+        raise NotPureError("fan is not pure after dropping zero weights")
+    return cycle
 
 
 def swap_convention(cycle):

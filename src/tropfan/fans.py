@@ -611,20 +611,3 @@ def slice_first_coordinate(c: Cone) -> Cone:
     eqs = [r[1:] for r in c.equations.entries]
     return cone_from_halfspaces(ineqs, eqs, c.ambient_dim - 1)
 
-
-def validate_fan(fan: Fan) -> bool:
-    """Desk-scale fan axiom check: pairwise intersections are faces."""
-    cones = fan_cones(fan)
-    for i, c1 in enumerate(cones):
-        for c2 in cones[i + 1:]:
-            meet = intersect(c1, c2)
-            for c in (c1, c2):
-                tight = [a for a in c.inequalities.entries
-                         if all(dot(a, g) == 0 for g in meet.rays.columns())
-                         and all(dot(a, g) == 0 for g in meet.lineality.columns())]
-                face = cone_from_halfspaces(list(c.inequalities.entries),
-                                            list(c.equations.entries) + tight,
-                                            c.ambient_dim)
-                if cone_key(face) != cone_key(meet):
-                    return False
-    return True

@@ -2,17 +2,14 @@
 
 Everything in this module is exact: integer matrices with arbitrary-precision
 entries, Hermite and Smith normal forms with their unimodular witnesses,
-saturated lattices in column Hermite normal form, rational rank and linear
-solving, and a phase-1 simplex that decides cone membership. No library code
-runs the simplex any more (Newton polytopes and stable intersections come
-from double description passes); it stays public as the tests' reference
-and because the benchmark's tracer (perfbench/tracer.py) lists
-cone_feasible. Rational input is scaled to integers row by row
-(`clear_denominators`); elimination, inversion and the simplex then run in
-integer arithmetic only: elimination by cross-multiplication with row gcds
-divided out, inversion through the Hermite witness, and a simplex tableau
-with one shared denominator (Edmonds' pivots) whose reduced costs are one
-more row of it. Rationals appear only in that scaling and in the solution
+saturated lattices in column Hermite normal form, and rational rank and
+linear solving. cone_feasible, a membership test no library code calls, reads
+its answer off the cone's double description pass in fans; it stays public
+because the benchmark's tracer (perfbench/tracer.py) lists it. Rational
+input is scaled to integers row by row (`clear_denominators`); elimination
+and inversion then run in integer arithmetic only: elimination by
+cross-multiplication with row gcds divided out, and inversion through the
+Hermite witness. Rationals appear only in that scaling and in the solution
 vectors `solve_rational` returns. No floating point is used anywhere.
 
 IntMatrix.from_rows and from_columns check the shape and the integrality of
@@ -526,80 +523,15 @@ def hnf_completion(basis: IntMatrix) -> IntMatrix:
     return v
 
 
-def nonneg_solution_exists(a_rows, b) -> bool:
-    """Decide whether A x = b has a solution with x >= 0.
-
-    Exact phase-1 simplex with Bland's rule, so termination and the verdict
-    are both unconditional. The tableau is kept in integers with one shared
-    positive denominator `den` (Edmonds' integer-preserving pivots): the
-    rational tableau is `tab / den`, and every division below is exact.
-    """
-    m = len(a_rows)
-    if m == 0:
-        return True
-    n = len(a_rows[0])
-    total = n + m
-    # row i is [A_i | 1 | b_i], signed so that b_i >= 0 and scaled to
-    # integers; its artificial entry c_i > 0 is the scaling factor. Scaling
-    # whole rows leaves the rational tableau of every basis, and so every
-    # pivot choice, unchanged. The starting basis B = diag(c) gives
-    # den = det(B) and the tableau adj(B) [A | B | b].
-    scaled = []
-    for i in range(m):
-        sign = -1 if b[i] < 0 else 1
-        scaled.append(clear_denominators([sign * x for x in a_rows[i]]
-                                         + [1, sign * b[i]]))
-    den = prod(r[n] for r in scaled)
-    tab = [[den // r[n] * x for x in r[:n]]
-           + [den if j == i else 0 for j in range(m)]
-           + [den // r[n] * r[n + 1]]
-           for i, r in enumerate(scaled)]
-    # row m: the reduced costs of the phase-1 objective (cost 1 on the
-    # artificials) times den, zero on the basis, and minus the objective;
-    # a pivot updates it as any other row
-    tab.append([-sum(r[j] for r in tab) for j in range(n)] + [0] * m
-               + [-sum(r[total] for r in tab)])
-    cost = tab[m]
-    basis = [n + i for i in range(m)]
-    while True:
-        entering = next((j for j in range(total) if cost[j] < 0), None)
-        if entering is None:
-            return cost[total] == 0
-        leaving = None
-        for i in range(m):
-            if tab[i][entering] > 0:
-                if leaving is None:
-                    leaving = i
-                    continue
-                # compare tab[i][total]/tab[i][entering] with the best ratio
-                lhs = tab[i][total] * tab[leaving][entering]
-                rhs = tab[leaving][total] * tab[i][entering]
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
-                    leaving = i
-        if leaving is None:  # phase-1 objective is bounded below by zero
-            raise AssertionError("unbounded phase-1 simplex")
-        prow = tab[leaving]
-        pv = prow[entering]
-        for i in range(m + 1):
-            if i != leaving:
-                row = tab[i]
-                f = row[entering]
-                tab[i] = [(pv * x - f * y) // den for x, y in zip(row, prow)]
-        cost = tab[m]
-        den = pv
-        basis[leaving] = entering
-
-
 def cone_feasible(rays: IntMatrix, lineality: IntMatrix, target) -> bool:
-    """Exact membership test: target in cone(ray columns) + span(lineality)."""
+    """Exact membership test: target in cone(ray columns) + span(lineality),
+    read off the cone's double description (fans.cone_from_generators)."""
+    from .fans import cone_from_generators  # fans imports this module
+
     n = rays.nrows if rays.ncols else lineality.nrows
     if rays.ncols and lineality.ncols and rays.nrows != lineality.nrows:
         raise DimMismatchError("rays and lineality ambient dimensions differ")
     if len(target) != n:
         raise DimMismatchError("target dimension mismatch")
-    cols = rays.columns() + lineality.columns() \
-        + [vec_neg(c) for c in lineality.columns()]
-    if not cols:
-        return all(x == 0 for x in target)
-    a_rows = [tuple(c[i] for c in cols) for i in range(n)]
-    return nonneg_solution_exists(a_rows, target)
+    return cone_from_generators(rays.columns(), lineality.columns(),
+                                n).contains(target)

@@ -210,11 +210,6 @@ def _validated(spec: IdealSpec):
         raise UnitIdealError("the unit ideal has an empty variety")
 
 
-def _empty_cycle(n: int, convention: str) -> TropicalCycle:
-    empty = IntMatrix.from_columns([], n)
-    return TropicalCycle(Fan(n, empty, empty, ()), (), convention)
-
-
 def tropical_variety(spec: IdealSpec, convention: str = "min",
                      strategy: str = "auto") -> TropicalCycle:
     """The tropical variety of the torus part of V(spec), with multiplicities.
@@ -229,7 +224,7 @@ def tropical_variety(spec: IdealSpec, convention: str = "min",
     _validated(spec)
     n = len(spec.variables)
     if not is_monomial_free(spec):
-        return _empty_cycle(n, convention)
+        return weighted_from_cones(n, (), convention)
     gens = [g for g in spec.generators if not g.is_zero()]
     if strategy == "auto":
         strategy = "newton" if len(gens) == 1 else "groebner"
@@ -427,11 +422,11 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
         raise NotPureError("stable intersection needs pure cycles")
     n = a.ambient_dim
     if a.fan.is_empty() or b.fan.is_empty():
-        return _empty_cycle(n, a.convention)
+        return weighted_from_cones(n, (), a.convention)
     cones_a, cones_b = fan_cones(a.fan), fan_cones(b.fan)
     expected_dim = cones_a[0].dim + cones_b[0].dim - n
     if expected_dim < 0:
-        return _empty_cycle(n, a.convention)
+        return weighted_from_cones(n, (), a.convention)
     rng = random.Random(seed)
     pieces = {}
 
@@ -482,8 +477,6 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
         weight = a.multiplicities[i] * b.multiplicities[j] * lattice_index(
             span_lattice(cones_a[i]), span_lattice(cones_b[j]))
         pairs.append((pieces[i, j], weight))
-    if not pairs:
-        return _empty_cycle(n, a.convention)
     result = weighted_from_cones(n, pairs, a.convention, merge_duplicates=True)
     if any(c.dim != expected_dim for c in fan_cones(result.fan)):
         raise GenericityError("displacement produced cells of unexpected dimension")

@@ -38,7 +38,6 @@ from tropfan.groebner import (
 from tropfan.linalg import (
     IntMatrix,
     clear_denominators,
-    cone_feasible,
     dot,
     integer_kernel_basis,
     lattice_from_generators,
@@ -51,7 +50,7 @@ from tropfan.linalg import (
     vec_neg,
 )
 from tropfan.polynomials import edge_lattice_length
-from tropfan.tropical import _empty_cycle, _multiplicity_from_initial
+from tropfan.tropical import _multiplicity_from_initial
 
 
 def optimum_attained_twice(f, w, convention="min") -> bool:
@@ -96,7 +95,7 @@ def reference_newton_polytope(f):
     vertices = []
     for p in supp:
         others = [q + (1,) for q in supp if q != p]
-        if not others or not cone_feasible(
+        if not others or not reference_cone_feasible(
                 IntMatrix.from_columns(others, n + 1),
                 IntMatrix.from_columns([], n + 1), p + (1,)):
             vertices.append(p)
@@ -298,13 +297,13 @@ def reference_stable_intersection(a, b, seed=0):
     spans fill the space, and no separating-row test before it."""
     n = a.ambient_dim
     if a.fan.is_empty() or b.fan.is_empty():
-        return _empty_cycle(n, a.convention)
+        return weighted_from_cones(n, (), a.convention)
     cones_a = list(zip(fan_cones(a.fan), a.multiplicities))
     cones_b = list(zip(fan_cones(b.fan), b.multiplicities))
     expected_dim = (max(c.dim for c, _ in cones_a)
                     + max(c.dim for c, _ in cones_b) - n)
     if expected_dim < 0:
-        return _empty_cycle(n, a.convention)
+        return weighted_from_cones(n, (), a.convention)
 
     def span(cone):
         return [list(c) for c in cone.rays.columns() + cone.lineality.columns()]
@@ -332,7 +331,7 @@ def reference_stable_intersection(a, b, seed=0):
         raise GenericityError("no generic displacement vector found")
     pairs = []
     for ca, ma, cb, mb in full:
-        if not cone_feasible(*displacement_difference(ca, cb), v):
+        if not reference_cone_feasible(*displacement_difference(ca, cb), v):
             continue
         piece = intersect(ca, cb)
         if piece.dim < expected_dim:
@@ -342,7 +341,7 @@ def reference_stable_intersection(a, b, seed=0):
             lattice_from_generators(n, span_lattice_basis(cb).columns()))
         pairs.append((piece, weight))
     if not pairs:
-        return _empty_cycle(n, a.convention)
+        return weighted_from_cones(n, (), a.convention)
     return weighted_from_cones(n, pairs, a.convention, merge_duplicates=True)
 
 
@@ -511,3 +510,39 @@ def reference_nonneg_solution_exists(a_rows, b) -> bool:
                 tab[i] = [(pv * x - f * y) // den for x, y in zip(row, prow)]
         den = pv
         basis[leaving] = entering
+
+
+def reference_cone_feasible(rays, lineality, target) -> bool:
+    """Whether target lies in cone(ray columns) + span(lineality), by the
+    phase-1 simplex on [rays | lineality | -lineality] x = target, x >= 0
+    (the earlier implementation of linalg.cone_feasible)."""
+    n = rays.nrows if rays.ncols else lineality.nrows
+    if rays.ncols and lineality.ncols and rays.nrows != lineality.nrows:
+        raise DimMismatchError("rays and lineality ambient dimensions differ")
+    if len(target) != n:
+        raise DimMismatchError("target dimension mismatch")
+    cols = rays.columns() + lineality.columns() \
+        + [vec_neg(c) for c in lineality.columns()]
+    if not cols:
+        return all(x == 0 for x in target)
+    a_rows = [tuple(c[i] for c in cols) for i in range(n)]
+    return reference_nonneg_solution_exists(a_rows, target)
+
+
+def validate_fan(fan) -> bool:
+    """Desk-scale fan axiom check: pairwise intersections are faces of both
+    cones."""
+    cones = fan_cones(fan)
+    for i, c1 in enumerate(cones):
+        for c2 in cones[i + 1:]:
+            meet = intersect(c1, c2)
+            for c in (c1, c2):
+                tight = [a for a in c.inequalities.entries
+                         if all(dot(a, g) == 0 for g in meet.rays.columns())
+                         and all(dot(a, g) == 0 for g in meet.lineality.columns())]
+                face = cone_from_halfspaces(list(c.inequalities.entries),
+                                            list(c.equations.entries) + tight,
+                                            c.ambient_dim)
+                if cone_key(face) != cone_key(meet):
+                    return False
+    return True

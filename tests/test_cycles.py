@@ -75,12 +75,24 @@ class TestMakeCycle:
         assert multiplicities(c) == [2, 1, 1]
 
     def test_count_mismatch(self):
-        with pytest.raises(MultiplicityMismatchError):
-            make_cycle(line_fan(), [1, 1], "min")
+        # counted before any zero weight drops its cone
+        for mults in ([1, 1], [1, 0]):
+            with pytest.raises(MultiplicityMismatchError,
+                               match="^3 maximal cones but 2 multiplicities$"):
+                make_cycle(line_fan(), mults, "min")
 
     def test_negative_rejected(self):
-        with pytest.raises(MultiplicityMismatchError):
+        with pytest.raises(MultiplicityMismatchError,
+                           match="^multiplicities must be positive$"):
             make_cycle(line_fan(), [1, -1, 1], "min")
+
+    @pytest.mark.parametrize("first", [1.7, "2", 2.0, True],
+                             ids=["float", "str", "integral_float", "bool"])
+    def test_non_integer_rejected(self, first):
+        # refused, not cast, as the JSON reader refuses them
+        with pytest.raises(MultiplicityMismatchError,
+                           match="^multiplicities must be integers$"):
+            make_cycle(line_fan(), [first, 1, 1], "min")
 
     def test_zero_weight_cone_dropped(self):
         c = make_cycle(line_fan(), [1, 0, 1], "min")

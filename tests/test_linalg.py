@@ -21,7 +21,6 @@ from tropfan.linalg import (
     integer_kernel_basis,
     lattice_from_generators,
     lattice_index,
-    nonneg_solution_exists,
     primitive_vector,
     quotient_reps,
     rational_rank,
@@ -32,9 +31,9 @@ from tropfan.linalg import (
 
 from oracles import (
     invariant_factors,
+    reference_cone_feasible,
     reference_hermite_normal_form,
     reference_lattice_index,
-    reference_nonneg_solution_exists,
     reference_quotient_reps,
 )
 
@@ -114,61 +113,6 @@ def reference_solve_rational(a_rows, b):
     for i, j in enumerate(pivots):
         x[j] = aug[i][n]
     return tuple(x)
-
-
-def fraction_nonneg_solution_exists(a_rows, b) -> bool:
-    """Phase-1 simplex with Bland's rule on a Fraction tableau (the earlier
-    implementation)."""
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    rows = []
-    rhs = []
-    for i in range(m):
-        r = [Fraction(x) for x in a_rows[i]]
-        bi = Fraction(b[i])
-        if bi < 0:
-            r = [-x for x in r]
-            bi = -bi
-        rows.append(r)
-        rhs.append(bi)
-    if m == 0:
-        return True
-    tab = [rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [rhs[i]]
-           for i in range(m)]
-    basis = [n + i for i in range(m)]
-    total = n + m
-    while True:
-        lam = [Fraction(1 if basis[i] >= n else 0) for i in range(m)]
-        entering = None
-        for j in range(total):
-            if j in basis:
-                continue
-            red = (Fraction(1) if j >= n else Fraction(0)) \
-                - sum(lam[i] * tab[i][j] for i in range(m))
-            if red < 0:
-                entering = j
-                break
-        if entering is None:
-            obj = sum(lam[i] * tab[i][total] for i in range(m))
-            return obj == 0
-        leaving = None
-        best = None
-        for i in range(m):
-            if tab[i][entering] > 0:
-                ratio = tab[i][total] / tab[i][entering]
-                if best is None or ratio < best or (ratio == best
-                                                    and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
-            raise AssertionError("unbounded phase-1 simplex")
-        pv = tab[leaving][entering]
-        tab[leaving] = [x / pv for x in tab[leaving]]
-        for i in range(m):
-            if i != leaving and tab[i][entering] != 0:
-                f = tab[i][entering]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leaving])]
-        basis[leaving] = entering
 
 
 small_matrices = st.integers(1, 3).flatmap(
@@ -520,8 +464,10 @@ class TestLatticeHelpers:
         assert rational_rank([[1, 0], [0, 1]]) == 2
 
     def test_nonneg_infeasible(self):
-        assert not nonneg_solution_exists([[1, 1]], (-1,))
-        assert nonneg_solution_exists([[1, -1]], (-1,))
+        # -1 is no nonnegative combination of 1 and 1, but is one of 1, -1
+        lin = IntMatrix.from_columns([], 1)
+        assert not cone_feasible(IntMatrix.from_rows([[1, 1]]), lin, (-1,))
+        assert cone_feasible(IntMatrix.from_rows([[1, -1]]), lin, (-1,))
 
     def test_det_oracle_agreement(self):
         m = IntMatrix.from_rows([[3, 1, 2], [0, -2, 5], [7, 1, 1]])
@@ -544,7 +490,8 @@ def rational_systems(entries):
 
 
 class TestAgainstFractionReferences:
-    """The integer-only routines against the earlier Fraction versions."""
+    """The integer-only routines against the earlier Fraction versions, and
+    cone membership on points of the cone by construction."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(rational_systems(st.integers(-3, 3)),
@@ -569,23 +516,16 @@ class TestAgainstFractionReferences:
             assert all(sum(Fraction(c) * v for c, v in zip(row, x)) == bi
                        for row, bi in zip(a, b))
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(rational_systems(st.integers(-3, 3)),
-                     rational_systems(small_rationals)))
-    def test_nonneg_feasibility(self, system):
-        a, b = system
-        assert nonneg_solution_exists(a, b) == \
-            fraction_nonneg_solution_exists(a, b)
-
     @settings(max_examples=100, deadline=None)
     @given(rational_systems(st.integers(-3, 3)),
            st.lists(st.integers(0, 3), min_size=4, max_size=4))
     def test_nonneg_feasible_by_construction(self, system, x):
-        # b = A x with x >= 0 is always feasible
+        # b = A x with x >= 0 lies in the cone of the columns of A
         a, _ = system
         b = [sum(c * v for c, v in zip(row, x)) for row in a]
-        assert nonneg_solution_exists(a, b)
-        assert fraction_nonneg_solution_exists(a, b)
+        lin = IntMatrix.from_columns([], len(a))
+        assert cone_feasible(IntMatrix.from_rows(a), lin, b)
+        assert reference_cone_feasible(IntMatrix.from_rows(a), lin, b)
 
 
 def elementary(n, i, j, k):
@@ -803,6 +743,19 @@ class TestSmithWitnessesOncePerLattice:
         assert smith_calls[0] == 46
 
 
+def int_vectors(n, bound):
+    return st.tuples(*[st.integers(-bound, bound)] * n)
+
+
+# (rays, lineality, target, n): zero rays included, and an integer or a
+# rational target
+cone_cases = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(int_vectors(n, 2), max_size=8),
+    st.lists(int_vectors(n, 2), max_size=2),
+    st.one_of(int_vectors(n, 4), st.tuples(*[small_rationals] * n)),
+    st.just(n)))
+
+
 class TestKernelsMatchReferences:
     """The lattice kernels return exactly what the earlier implementations
     in oracles.py return: the same integers, the same verdicts and the same
@@ -844,19 +797,20 @@ class TestKernelsMatchReferences:
                 rep_or_zero(reference_quotient_reps, tuple(vec), basis)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(rational_systems(st.integers(-3, 3)),
-                     rational_systems(small_rationals),
-                     st.integers(3, 6).flatmap(lambda m: st.tuples(
-                         st.lists(st.lists(st.integers(-2, 2), min_size=8,
-                                           max_size=8),
-                                  min_size=m, max_size=m),
-                         st.lists(st.integers(-4, 4), min_size=m,
-                                  max_size=m)))))
-    def test_nonneg_solution_exists(self, system):
-        # up to 6 rows and 8 columns, so runs take several pivots
-        a, b = system
-        assert nonneg_solution_exists(a, b) == \
-            reference_nonneg_solution_exists(a, b)
+    @given(cone_cases)
+    # a target in the lineality only, and one whose negation is outside
+    @example(([], [(1, -1)], (-1, 1), 2))
+    @example(([(1, 0)], [], (1, 0), 2))
+    @example(([(2, 1), (0, 0)], [], (1, Fraction(1, 2)), 2))
+    @example(([], [], (0, 0, 0), 3))
+    def test_cone_feasible(self, case):
+        # the double description against the phase-1 simplex, with up to 8
+        # rays in Q^6, so that simplex runs take several pivots
+        ray_list, lin_list, target, n = case
+        rays = IntMatrix.from_columns(ray_list, n)
+        lin = IntMatrix.from_columns(lin_list, n)
+        assert cone_feasible(rays, lin, target) == \
+            reference_cone_feasible(rays, lin, target)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
