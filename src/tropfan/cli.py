@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -40,8 +39,6 @@ from .tropical import (
     tropical_prevariety,
     tropical_variety,
 )
-
-ENV_SEED = "TROP_SEED"
 
 
 def read_ideal_file(path: str) -> IdealSpec:
@@ -168,8 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH",
                         help="write the result to a file instead of stdout")
     common.add_argument("--seed", type=int, default=None,
-                        help="seed for the stable-intersection displacement "
-                             f"(defaults to ${ENV_SEED} or 0)")
+                        help="no effect: stable intersection draws nothing")
     common.add_argument("--time", action="store_true",
                         help="report elapsed wall time on stderr")
 
@@ -214,18 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as e:
-            raise IdealFileError(f"bad {ENV_SEED} value: {env!r}") from e
-    return 0
-
-
 def dispatch(args) -> str:
     convention = "max" if args.max else "min"
     if args.command == "hypersurface":
@@ -253,7 +237,7 @@ def dispatch(args) -> str:
         b = read_cycle(args.cycle_b)
         _check_convention(a, convention)
         _check_convention(b, convention)
-        return format_output(stable_intersection(a, b, seed=_seed(args)),
+        return format_output(stable_intersection(a, b),
                              args.format, convention)
     if args.command == "eval":
         f = parse_polynomial(args.poly, _parse_vars(args.vars))

@@ -66,7 +66,9 @@ class ConventionMismatchError(DomainError):
 
 
 class GenericityError(DomainError):
-    """Exhausted the retry budget for a generic displacement vector."""
+    """A displacement gave cells of an unexpected dimension: the final
+    check of a stable intersection, which a correct sign test never
+    trips."""
 
 
 class InputError(TropfanError):

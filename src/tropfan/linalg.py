@@ -528,8 +528,8 @@ def cone_feasible(rays: IntMatrix, lineality: IntMatrix, target) -> bool:
     read off the cone's double description (fans.cone_from_generators)."""
     from .fans import cone_from_generators  # fans imports this module
 
-    n = rays.nrows if rays.ncols else lineality.nrows
-    if rays.ncols and lineality.ncols and rays.nrows != lineality.nrows:
+    n = rays.nrows
+    if lineality.nrows != n:
         raise DimMismatchError("rays and lineality ambient dimensions differ")
     if len(target) != n:
         raise DimMismatchError("target dimension mismatch")

@@ -16,20 +16,21 @@ the entry test has decided it. The maximal kept faces, those that are no
 kept face's facet, are the only ones built; slice the homogenizing
 coordinate back out of each, and compute one multiplicity per maximal cell
 as the degree of the saturated initial ideal in quotient coordinates. Stable
-intersections of pure cycles use the fan displacement rule with an
-analytically eliminated perturbation and lattice-index weights. A pair of
-cones is rejected first by rows: bit masks over the other fan's rays give,
-per cone row, the pairs it separates by a Farkas certificate. Every other
-pair takes one elimination of its joint equation rows per draw, which skips
-it, finds the draw not generic, or splits the displacement between the two
-spans; the last are intersected by a pass that stops at the first dimension
-drop, and decided at an intersection of the expected dimension by the signs
-of a few integer dot products. No linear program and no rank runs.
+intersections of pure cycles use the fan displacement rule, displaced along
+the moment curve v(t) = (t, t^2, ..., t^n) as t -> 0+, with lattice-index
+weights: the sign of a row y on v(t) is that of y's first nonzero entry, so
+nothing is drawn and no pair is left undecided. A pair of cones is rejected
+first by rows: bit masks over the other fan's rays give, per cone row, the
+pairs it separates by a Farkas certificate. Every other pair takes one
+elimination of its joint equation rows, with one right-hand side per power
+of t, which skips it or splits the displacement between the two spans; the
+latter are intersected by a pass that stops at the first dimension drop,
+and decided at an intersection of the expected dimension by the leading
+signs of a few integer vectors. No linear program and no rank runs.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -315,10 +316,19 @@ def is_tropical_basis(polys) -> bool:
     return True
 
 
-def _separating_rows(fan: Fan, other: Fan, v, side: int) -> list:
+def _lead(values) -> int:
+    """The sign of sum_k t^(k+1) values[k] as t -> 0+: that of the first
+    nonzero value, or 0. The values may be a lazy iterable."""
+    for c in values:
+        if c:
+            return 1 if c > 0 else -1
+    return 0
+
+
+def _separating_rows(fan: Fan, other: Fan, side: int) -> list:
     """For each maximal cone of fan, the distinct bit masks over other's
     rays of its rows y (facet rows, and equation rows of either sign) with
-    side * y.v < 0 that vanish on other's lineality. Bit k is set when
+    side * y.v(t) < 0 that vanish on other's lineality. Bit k is set when
     y.r > 0 for ray k of other."""
     rays = other.rays.columns()
     lin = other.lineality.columns()
@@ -327,26 +337,27 @@ def _separating_rows(fan: Fan, other: Fan, v, side: int) -> list:
         eqs = cone.equations.entries
         masks = set()
         for y in cone.inequalities.entries + eqs + tuple(map(vec_neg, eqs)):
-            if side * dot(y, v) < 0 and not any(dot(y, l) for l in lin):
+            if side * _lead(y) < 0 and not any(dot(y, l) for l in lin):
                 masks.add(sum(1 << k for k, r in enumerate(rays)
                               if dot(y, r) > 0))
         out.append(masks)
     return out
 
 
-def _separated_pairs(fa: Fan, fb: Fan, v):
-    """A test separated(i, j), true only when v lies outside
-    cone_i(fa) - cone_j(fb), decided by rows alone.
+def _separated_pairs(fa: Fan, fb: Fan):
+    """A test separated(i, j), true only when v(t) lies outside
+    cone_i(fa) - cone_j(fb) for small t, decided by rows alone.
 
-    A row y of cone i, nonnegative on it, with y.v < 0, zero on fb's
+    A row y of cone i, nonnegative on it, with y.v(t) < 0, zero on fb's
     lineality and y.r <= 0 on every ray r of cone j is a Farkas certificate:
-    y is nonnegative on cone_i - cone_j and negative on v. So is -z for a row
-    z of cone j with z.v > 0, zero on fa's lineality and z.r <= 0 on every
-    ray of cone i. Each such row is kept as the mask of the other fan's rays
-    it is positive on, and certifies the pairs whose ray sets miss the mask.
+    y is nonnegative on cone_i - cone_j and negative on v(t). So is -z for a
+    row z of cone j with z.v(t) > 0, zero on fa's lineality and z.r <= 0 on
+    every ray of cone i. Each such row is kept as the mask of the other fan's
+    rays it is positive on, and certifies the pairs whose ray sets miss the
+    mask.
     """
-    rows_a = _separating_rows(fa, fb, v, 1)
-    rows_b = _separating_rows(fb, fa, v, -1)
+    rows_a = _separating_rows(fa, fb, 1)
+    rows_b = _separating_rows(fb, fa, -1)
     bits_a = [sum(1 << k for k in idx) for idx in fa.maximal_cones]
     bits_b = [sum(1 << k for k in idx) for idx in fb.maximal_cones]
 
@@ -357,63 +368,68 @@ def _separated_pairs(fa: Fan, fb: Fan, v):
     return separated
 
 
-def _solve_shift(ca: Cone, cb: Cone, v):
-    """Split v as x - y with x in span ca and y in span cb, by one reduced
-    integer echelon form of [E_a | 0; E_b | E_b v]: False when v lies
-    outside span ca + span cb (a pivot in the last column); None when it
-    lies inside but the rows are dependent, so the spans do not fill Q^n
-    and v is not generic; else (x, s), with s > 0 the lcm of the pivots,
-    E_a x = 0 and E_b (x - s v) = 0."""
+def _solve_shift(ca: Cone, cb: Cone):
+    """Split v(t) as x(t) - y(t) with x(t) in span ca and y(t) in span cb,
+    by one reduced integer echelon form of [E_a | 0; E_b | E_b], whose n
+    right-hand sides split the unit vectors e_1, ..., e_n at once.
+
+    False when the spans do not fill Q^n: the equation bases are
+    independent, so a dependency among the rows leaves a zero left-hand row
+    with a nonzero right-hand side, and v(t) leaves span ca + span cb. Else
+    (xs, s), with s > 0 the lcm of the pivots, xs[k] in span ca and
+    xs[k] - s e_(k+1) in span cb, so that s x(t) = sum_k t^(k+1) xs[k]."""
     n = ca.ambient_dim
-    rows = [list(e) + [0] for e in ca.equations.entries] \
-        + [list(e) + [dot(e, v)] for e in cb.equations.entries]
+    rows = [list(e) + [0] * n for e in ca.equations.entries] \
+        + [list(e) * 2 for e in cb.equations.entries]
     pivots = _row_echelon(rows, reduced=True)
-    if pivots and pivots[-1] == n:
+    if pivots and pivots[-1] >= n:
         return False
-    if len(pivots) < len(rows):
-        return None
     scale = lcm(*(rows[r][j] for r, j in enumerate(pivots)))
-    x = [0] * n
+    x = [[0] * n for _ in range(n)]
     for r, j in enumerate(pivots):
-        x[j] = rows[r][n] * (scale // rows[r][j])
-    return x, scale
+        x[j] = [c * (scale // rows[r][j]) for c in rows[r][n:]]
+    return list(zip(*x)), scale
 
 
-def _displacement_verdict(ca: Cone, cb: Cone, tau: Cone, v, split):
-    """Does v lie in ca - cb? True or False, or None when it lies on the
-    boundary (a wall), for a pair whose spans fill Q^n and whose
-    intersection tau has the expected dimension; split is _solve_shift's.
+def _displacement_verdict(ca: Cone, cb: Cone, tau: Cone, split) -> bool:
+    """Does v(t) lie in ca - cb for small t > 0? For a pair whose spans fill
+    Q^n and whose intersection tau has the expected dimension; split is
+    _solve_shift's.
 
-    The split v = x - y is unique modulo span tau, and v lies in ca - cb
-    exactly when x lies in ca + span tau and y in cb + span tau, which the
-    inequalities vanishing at the sum p of tau's rays cut out.
+    The split v(t) = x(t) - y(t) is unique modulo span tau, and v(t) lies in
+    ca - cb exactly when x(t) lies in ca + span tau and y(t) in cb + span
+    tau, which the inequalities vanishing at the sum p of tau's rays cut
+    out. For such a row a of ca, s a.x(t) has the coefficients a.xs[k], read
+    by _lead; likewise b.(xs[k] - s e_(k+1)) for a row b of cb. Those
+    coefficients never all vanish: a vanishes on span tau but not on span
+    ca, and the xs with span tau span span ca. So no v(t) lies on a wall.
     """
-    x, scale = split
-    y = [xi - scale * vi for xi, vi in zip(x, v)]
+    xs, scale = split
     p = relative_interior_point(tau)
-    values = [dot(a, x) for a in ca.inequalities.entries if not dot(a, p)] \
-        + [dot(b, y) for b in cb.inequalities.entries if not dot(b, p)]
-    if any(s < 0 for s in values):
-        return False
-    return None if 0 in values else True
+    return all(_lead(dot(a, x) for x in xs) > 0
+               for a in ca.inequalities.entries if not dot(a, p)) \
+        and all(_lead(dot(b, x) - scale * bk for x, bk in zip(xs, b)) > 0
+                for b in cb.inequalities.entries if not dot(b, p))
 
 
-def stable_intersection(a: TropicalCycle, b: TropicalCycle,
-                        seed: int = 0) -> TropicalCycle:
+def stable_intersection(a: TropicalCycle, b: TropicalCycle) -> TropicalCycle:
     """Fan displacement rule: keep pairs of maximal cones whose spans fill
     the ambient space and that still meet after a generic shift, weight them
     by lattice indices, and intersect. Both cycles must be pure.
 
-    A pair meets after the shift by v when v lies in cone_a - cone_b. Most
-    pairs that do not are rejected by a separating row (_separated_pairs).
-    Every other pair is split by _solve_shift, once per draw, and one whose
-    spans fill the space is intersected once, whatever the number of draws,
-    by a pass that stops as soon as the piece falls below the dimension of
-    the joint span: only a piece of the expected dimension carries weight.
-    It is decided by the local sign test of _displacement_verdict. A shift
-    in the joint span of a pair whose spans do not fill the space, or on a
-    wall, is not generic: the next one is drawn. The pieces are handed over
-    with their facets underived."""
+    The shift is symbolic: the moment curve v(t) = (t, t^2, ..., t^n) as
+    t -> 0+, whose sign on a row y is that of y's first nonzero entry (the
+    simulation of simplicity of Edelsbrunner and Mücke). It leaves every
+    proper subspace and every wall, so one pass decides each pair and
+    nothing is drawn. A pair meets after the shift when v(t) lies in
+    cone_a - cone_b. Most pairs that do not are rejected by a separating row
+    (_separated_pairs). Every other pair is split by _solve_shift, which
+    skips it when the spans do not fill the space; otherwise it is
+    intersected by a pass that stops as soon as the piece falls below the
+    dimension of the joint span, since only a piece of the expected
+    dimension carries weight, and decided by the sign test of
+    _displacement_verdict. The pieces are handed over with their facets
+    underived."""
     if a.convention != b.convention:
         raise ConventionMismatchError("cycles use different conventions")
     if a.ambient_dim != b.ambient_dim:
@@ -427,44 +443,7 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
     expected_dim = cones_a[0].dim + cones_b[0].dim - n
     if expected_dim < 0:
         return weighted_from_cones(n, (), a.convention)
-    rng = random.Random(seed)
-    pieces = {}
-
-    def meeting_pairs(v):
-        """The pairs that meet after the shift by v, or None when v is not
-        generic."""
-        separated = _separated_pairs(a.fan, b.fan, v)
-        out = []
-        for i, ca in enumerate(cones_a):
-            for j, cb in enumerate(cones_b):
-                if separated(i, j):
-                    continue
-                split = _solve_shift(ca, cb, v)
-                if split is None:
-                    return None
-                if split is False:
-                    continue
-                if (i, j) not in pieces:
-                    pieces[i, j] = intersect(ca, cb, full=True)
-                if pieces[i, j] is None:
-                    continue  # a lower-dimensional meeting carries no weight
-                verdict = _displacement_verdict(ca, cb, pieces[i, j], v, split)
-                if verdict is None:
-                    return None
-                if verdict:
-                    out.append((i, j))
-        return out
-
-    met = None
-    for _ in range(32):
-        cand = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(n))
-        if n and not any(cand):
-            continue  # in R^0 the empty shift is generic: every span fills it
-        met = meeting_pairs(cand)
-        if met is not None:
-            break
-    if met is None:
-        raise GenericityError("no generic displacement vector found")
+    separated = _separated_pairs(a.fan, b.fan)
     lattices = {}
 
     def span_lattice(cone):
@@ -473,10 +452,20 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle,
         return lattices[cone]
 
     pairs = []
-    for i, j in met:
-        weight = a.multiplicities[i] * b.multiplicities[j] * lattice_index(
-            span_lattice(cones_a[i]), span_lattice(cones_b[j]))
-        pairs.append((pieces[i, j], weight))
+    for i, ca in enumerate(cones_a):
+        for j, cb in enumerate(cones_b):
+            if separated(i, j):
+                continue
+            split = _solve_shift(ca, cb)
+            if split is False:
+                continue
+            tau = intersect(ca, cb, full=True)
+            if tau is None:
+                continue  # a lower-dimensional meeting carries no weight
+            if _displacement_verdict(ca, cb, tau, split):
+                weight = a.multiplicities[i] * b.multiplicities[j] \
+                    * lattice_index(span_lattice(ca), span_lattice(cb))
+                pairs.append((tau, weight))
     result = weighted_from_cones(n, pairs, a.convention, merge_duplicates=True)
     if any(c.dim != expected_dim for c in fan_cones(result.fan)):
         raise GenericityError("displacement produced cells of unexpected dimension")

@@ -295,6 +295,8 @@ def displacement_difference(ca, cb):
 def reference_stable_intersection(a, b, seed=0):
     """The fan displacement rule with the exact simplex on every pair whose
     spans fill the space, and no separating-row test before it."""
+    if not (a.pure and b.pure):
+        raise NotPureError("stable intersection needs pure cycles")
     n = a.ambient_dim
     if a.fan.is_empty() or b.fan.is_empty():
         return weighted_from_cones(n, (), a.convention)
@@ -516,8 +518,8 @@ def reference_cone_feasible(rays, lineality, target) -> bool:
     """Whether target lies in cone(ray columns) + span(lineality), by the
     phase-1 simplex on [rays | lineality | -lineality] x = target, x >= 0
     (the earlier implementation of linalg.cone_feasible)."""
-    n = rays.nrows if rays.ncols else lineality.nrows
-    if rays.ncols and lineality.ncols and rays.nrows != lineality.nrows:
+    n = rays.nrows
+    if lineality.nrows != n:
         raise DimMismatchError("rays and lineality ambient dimensions differ")
     if len(target) != n:
         raise DimMismatchError("target dimension mismatch")

@@ -251,21 +251,23 @@ class TestStableIntersectionCommand:
         assert data["lineality"] == [[1, 1, 1]]
 
     def test_seed_determinism(self, capsys, tmp_path):
+        # --seed is still parsed and has no effect: nothing is drawn
         path = tmp_path / "line.json"
         path.write_text(json.dumps(line_cycle_dict()))
         outputs = set()
-        for _ in range(2):
+        for seed in ("5", "990257"):
             code, out, _ = run(capsys, ["stable-intersection", str(path),
-                                        str(path), "--seed", "5",
+                                        str(path), "--seed", seed,
                                         "--format", "json"])
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
 
     def test_displacement_on_a_wall_is_redrawn(self, capsys, tmp_path):
-        # seed 990257 draws (-928225, -928225) first, on the ray (-1, -1) of
-        # the first line: a wall, so the next draw is used and the weight
-        # is the Bezout number 2, as at seed 0
+        # seed 990257 drew (-928225, -928225) first when the displacement
+        # was random, on the ray (-1, -1) of the first line: a wall, which
+        # was redrawn. The moment curve lies on no wall, and the weight is
+        # the Bezout number 2 whatever --seed says
         paths = []
         for label, poly in (("L1", "x+y+1"), ("L2", "x*y+x+1")):
             paths.append(str(tmp_path / f"{label}.json"))
@@ -316,16 +318,18 @@ class TestStableIntersectionCommand:
         assert data["multiplicities"] == [6]
 
     def test_env_seed(self, capsys, tmp_path, monkeypatch):
+        # TROP_SEED is no longer read: an unparsable value, which once
+        # exited 2, changes nothing
         path = tmp_path / "line.json"
         path.write_text(json.dumps(line_cycle_dict()))
-        monkeypatch.setenv("TROP_SEED", "9")
-        code, out_env, _ = run(capsys, ["stable-intersection", str(path),
-                                        str(path), "--format", "json"])
+        code, out_plain, _ = run(capsys, ["stable-intersection", str(path),
+                                          str(path), "--format", "json"])
         assert code == 0
-        code, out_flag, _ = run(capsys, ["stable-intersection", str(path),
-                                         str(path), "--seed", "9",
-                                         "--format", "json"])
-        assert out_env == out_flag
+        monkeypatch.setenv("TROP_SEED", "not-a-number")
+        code, out_env, err = run(capsys, ["stable-intersection", str(path),
+                                          str(path), "--format", "json"])
+        assert (code, err) == (0, "")
+        assert out_env == out_plain
 
 
 class TestEvalCommand:

@@ -415,6 +415,26 @@ class TestConeFeasible:
         with pytest.raises(DimMismatchError):
             cone_feasible(rays, lin, (1, 0, 0))
 
+    # rays in Q^2 and a lineality with no columns in Q^3, or the reverse:
+    # the shapes disagree even where one side is empty, which was once
+    # accepted as the cone of the rays
+    SHAPE_MISMATCHES = [
+        (IntMatrix.from_columns([(1, 0)], 2), IntMatrix.from_columns([], 3),
+         (1, 0)),
+        (IntMatrix.from_columns([], 3), IntMatrix.from_columns([(1, 0)], 2),
+         (1, 0)),
+    ]
+
+    def test_shape_mismatch_with_an_empty_side(self):
+        for rays, lin, target in self.SHAPE_MISMATCHES:
+            with pytest.raises(DimMismatchError):
+                cone_feasible(rays, lin, target)
+
+    def test_reference_shape_mismatch_with_an_empty_side(self):
+        for rays, lin, target in self.SHAPE_MISMATCHES:
+            with pytest.raises(DimMismatchError):
+                reference_cone_feasible(rays, lin, target)
+
     def test_grid_agreement_with_brute_force(self):
         cones = [
             ([(1, 0), (0, 1)], []),

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -34,7 +33,13 @@ from tropfan.fans import (
     relative_interior_point,
     support_contains,
 )
-from tropfan.groebner import TermOrder, reduced_groebner_basis
+from tropfan.groebner import (
+    TermOrder,
+    product_of_variables,
+    reduced_groebner_basis,
+    saturate,
+    vector_space_dimension,
+)
 from tropfan.linalg import dot, rational_rank
 from tropfan.polynomials import (
     Polynomial,
@@ -60,6 +65,7 @@ from oracles import (
     multiplicity_at,
     optimum_attained_twice,
     reference_cone_feasible,
+    reference_dd,
     reference_fan_cone,
     reference_is_balanced,
     reference_kept_faces,
@@ -358,6 +364,59 @@ def _variety_cases():
             + list(VARIETY_PROBES))
 
 
+# affine linear forms c_0 + c_1 x_1 + ... + c_n x_n, one row per form, with
+# fixed coefficients generic enough for every ideal of DEGREE_CASES
+AFFINE_FORMS = (
+    (1, 2, -3, 5, -7, 11),
+    (3, -1, 4, 1, -5, 9),
+    (2, 7, 1, -8, 2, 8),
+)
+
+# the ideals of the goldens, and non-reduced ones whose cells weigh 2 and 3,
+# with the degrees of their closures in the torus
+DEGREE_CASES = [case + (degree,) for case, degree in zip(_variety_cases(), (
+    1, 1, 1, 2, 2, 3, 3, 3, 1, 2, 1, 3, 4, 3))] + [
+    ("double_line", "xy", ("(x+y+1)^2",), 2),
+    ("triple_plane", "xyz", ("(x+y+z+1)^3",), 3),
+]
+
+
+def affine_form(variables, coeffs):
+    n = len(variables)
+    terms = {(0,) * n: coeffs[0]}
+    for i in range(n):
+        terms[tuple(int(i == j) for j in range(n))] = coeffs[i + 1]
+    return Polynomial(variables, terms)
+
+
+class TestTropicalDegree:
+    """Known answer: a d-dimensional Trop(V(I)) meets d copies of the
+    tropical hyperplane Trop(1 + x_1 + ... + x_n) stably in the origin, with
+    the degree of the closure of V(I) in the torus as its weight (Maclagan
+    and Sturmfels, Introduction to Tropical Geometry, Chapter 3). Classically
+    that degree is the length of (I : (x_1...x_n)^inf) plus d generic
+    affine linear forms. The identity checks the Gröbner multiplicities, the
+    stable intersection and the Gröbner engine against each other."""
+
+    @pytest.mark.parametrize("name, variables, generators, degree",
+                             DEGREE_CASES, ids=[c[0] for c in DEGREE_CASES])
+    def test_tropical_degree_is_the_classical_degree(
+            self, name, variables, generators, degree):
+        vs = tuple(variables)
+        spec = ideal(vs, tuple(P(g, vs) for g in generators))
+        cycle = tropical_variety(spec, strategy="groebner")
+        d = cycle_dim(cycle)
+        hyperplane = tropical_hypersurface(P("+".join(("1",) + vs), vs))
+        point = reduce(stable_intersection, [hyperplane] * d, cycle)
+        assert point.fan.maximal_cones == ((),)
+        assert point.fan.lineality.ncols == 0
+        assert point.multiplicities == (degree,)
+        saturated = saturate(spec, product_of_variables(vs))
+        forms = tuple(affine_form(vs, c) for c in AFFINE_FORMS[:d])
+        assert vector_space_dimension(
+            ideal(vs, saturated.generators + forms)) == degree
+
+
 class TestPrunedFaceWalk:
     """The pruned mask walk keeps the faces that testing every face keeps:
     the same keys in the same order, with the same initial ideals."""
@@ -423,7 +482,7 @@ class TestFansKeepTheirCones:
     def test_stable_intersections(self):
         a = tropical_hypersurface(P(A4, XYZW))
         b = tropical_hypersurface(P(B4, XYZW))
-        assert_fan_keeps_its_cones(stable_intersection(a, b, seed=3).fan)
+        assert_fan_keeps_its_cones(stable_intersection(a, b).fan)
         line = tropical_hypersurface(P("x+y+z", XYZ))
         conic = tropical_hypersurface(P("x^2+y^2+z^2+x*y", XYZ))
         assert_fan_keeps_its_cones(stable_intersection(line, conic).fan)
@@ -586,20 +645,22 @@ class TestConesBuiltOnce:
 
     def test_stable_intersection_builds_each_piece_once(self, run):
         self.hypersurfaces(run, "A5", "B5")
-        # 41 input cones read, and the 274 pairs no row separates keyed, as
-        # the sign test needs their intersections (187 keyed when only the
-        # pairs the simplex accepted were); the 87 distinct cells are built
-        # from the incidences of their keying pass
-        assert run("stable-intersection", "A5.json", "B5.json", "--seed", "0",
+        # 41 input cones read, and the 268 pairs no row separates keyed, as
+        # the sign test needs their intersections (274 under the random
+        # displacement of seed 0, 187 when only the pairs the simplex
+        # accepted were keyed); the 87 distinct cells are built from the
+        # incidences of their keying pass
+        assert run("stable-intersection", "A5.json", "B5.json",
                    "--format", "json", "--out", "A5B5.json") \
-            == {"dd": 41 + 274, "rank_in_dd": 0, "from_generators": 41,
+            == {"dd": 41 + 268, "rank_in_dd": 0, "from_generators": 41,
                 "contains_cone": 0}
-        # 183 of the 274 pairs meet below the expected dimension, and their
-        # passes stop at the first dimension drop; 91 finish. The facets of
+        # 177 of the 268 pairs meet below the expected dimension, and their
+        # passes stop at the first dimension drop (183 of 274 under the
+        # random displacement of seed 0); 91 finish. The facets of
         # the 41 cones read are derived, as the separating rows read them,
         # and those of the 87 cells, which the JSON output does not read,
         # are not
-        assert run.full == {"stopped": 183, "finished": 91}
+        assert run.full == {"stopped": 177, "finished": 91}
         assert run.derived == {"equations": 41, "inequalities": 41}
         # 87 cones read, one pass each, none rebuilt, no containment scan
         assert run("is-balanced", "A5B5.json") \
@@ -615,7 +676,7 @@ class TestConesBuiltOnce:
         assert run.linalg["hnf"] == 268
         # the text output checks balancing, so it reads the facets of the
         # 87 cells as well
-        run("stable-intersection", "A5.json", "B5.json", "--seed", "0")
+        run("stable-intersection", "A5.json", "B5.json")
         assert run.derived == {"equations": 41 + 87, "inequalities": 41 + 87}
 
     def test_balancing_builds_no_facet_and_no_smith_form(
@@ -624,7 +685,7 @@ class TestConesBuiltOnce:
         import tropfan.linalg
 
         self.hypersurfaces(run, "A5", "B5")
-        run("stable-intersection", "A5.json", "B5.json", "--seed", "0",
+        run("stable-intersection", "A5.json", "B5.json",
             "--format", "json", "--out", "A5B5.json")
         smith = [0]
         inside = [False]
@@ -668,12 +729,13 @@ class TestConesBuiltOnce:
         # starts from an echelon kernel, and the cells' equations are never
         # read: what is left is reading the cones and their span lattices
         self.hypersurfaces(run, "A5", "B5", "A4", "B4")
-        run("stable-intersection", "A5.json", "B5.json", "--seed", "0",
+        run("stable-intersection", "A5.json", "B5.json",
             "--format", "json")
         assert run.linalg == {"cone_feasible": 0, "hnf": 123}
-        run("stable-intersection", "A4.json", "B4.json", "--seed", "0",
+        run("stable-intersection", "A4.json", "B4.json",
             "--format", "json")
-        assert run.linalg == {"cone_feasible": 0, "hnf": 110}
+        # 110 under the random displacement of seed 0
+        assert run.linalg == {"cone_feasible": 0, "hnf": 109}
 
     def test_prevariety_builds_each_piece_once(self, tmp_path, run):
         (tmp_path / "A4B4.ideal").write_text(f"vars: x,y,z,w\n{A4}\n{B4}\n")
@@ -695,7 +757,7 @@ class TestBalancingA5B5:
         vs = ("a", "b", "c", "d", "e")
         cycle = stable_intersection(
             tropical_hypersurface(parse_polynomial(A5, vs)),
-            tropical_hypersurface(parse_polynomial(B5, vs)), seed=0)
+            tropical_hypersurface(parse_polynomial(B5, vs)))
         mults = list(cycle.multiplicities)
         assert (len(mults), set(mults)) == (87, {1, 2, 3, 4, 6})
         # the cycle, its double, and one weight raised on every eighth cone
@@ -835,7 +897,8 @@ class TestStableIntersection:
         # a quadrant and a lone ray: the fan displacement rule needs pure
         # cycles, since a cell's expected dimension is that of its cones.
         # The lone ray is not dropped with weight zero, as it once was with
-        # a seed-dependent answer: at every seed, both orders are refused
+        # an answer that depended on the random displacement: both orders
+        # are refused, and so are they by the reference at every seed
         from tropfan.cycles import cycle_from_dict
 
         mixed = cycle_from_dict({
@@ -845,7 +908,9 @@ class TestStableIntersection:
         line = tropical_hypersurface(P("x+y+1", XY))
         for a, b in ((mixed, line), (line, mixed)):
             with pytest.raises(NotPureError):
-                stable_intersection(a, b, seed=seed)
+                stable_intersection(a, b)
+            with pytest.raises(NotPureError):
+                reference_stable_intersection(a, b, seed)
 
     def test_line_self_intersection(self):
         line = tropical_variety(ideal(XY, (P("x+y+1", XY),)))
@@ -870,13 +935,17 @@ class TestStableIntersection:
         assert got.multiplicities == ()
 
     def test_seed_independence(self):
+        # the symbolic displacement gives the answer the reference's random
+        # displacements give, whatever their seed
         tl = tropical_variety(ideal(XYZ, (P("x+y+z", XYZ),)))
         tc = tropical_variety(ideal(XYZ, (P("x^2+y^2+z^2", XYZ),)))
-        runs = {stable_intersection(tl, tc, seed=s) for s in (0, 1, 2, 99)}
-        assert len(runs) == 1
         line = tropical_variety(ideal(XY, (P("x+y+1", XY),)))
-        runs = {stable_intersection(line, line, seed=s) for s in (0, 5, 12)}
-        assert len(runs) == 1
+        for (a, b), seeds in (((tl, tc), (0, 1, 2, 99)),
+                              ((line, line), (0, 5, 12))):
+            got = cycle_to_dict(stable_intersection(a, b))
+            for s in seeds:
+                assert cycle_to_dict(reference_stable_intersection(a, b, s)) \
+                    == got
 
     def test_convention_mismatch(self):
         line = tropical_variety(ideal(XY, (P("x+y+1", XY),)))
@@ -916,8 +985,9 @@ class TestStableIntersection:
                                           (0, 1, 0), (1, 0, 0)]
         assert got.multiplicities == (1, 1, 1, 1)
         assert is_balanced(got)
-        assert {stable_intersection(plane, plane, seed=s)
-                for s in (1, 2, 3)} == {got}
+        for s in (1, 2, 3):
+            assert cycle_to_dict(reference_stable_intersection(
+                plane, plane, s)) == cycle_to_dict(got)
 
     def test_subdivided_full_plane_identity(self):
         quads = [cone_from_generators(q, [], 2) for q in
@@ -933,22 +1003,6 @@ class TestStableIntersection:
         mn = stable_intersection(a, b)
         mx = stable_intersection(swap_convention(a), swap_convention(b))
         assert mx == swap_convention(mn)
-
-
-@pytest.fixture
-def draws(monkeypatch):
-    """The coordinates of the displacements stable_intersection draws."""
-    import tropfan.tropical
-
-    drawn = []
-
-    class Counted(random.Random):
-        def randint(self, lo, hi):
-            drawn.append(super().randint(lo, hi))
-            return drawn[-1]
-
-    monkeypatch.setattr(tropfan.tropical.random, "Random", Counted)
-    return drawn
 
 
 @st.composite
@@ -973,57 +1027,77 @@ def hypersurface_pairs(draw):
     return hypersurface(), hypersurface()
 
 
+# the far end of the moment curve that the tests evaluate the simplex at
+FAR = 10 ** 4
+
+
+def far_point(ca, cb, far=FAR):
+    """v_far = (far^(n-1), ..., far, 1), the point t = 1/far of the moment
+    curve v(t) = (t, t^2, ..., t^n) scaled by far^n. A row y whose entries
+    are all smaller than far / 2 in absolute value has on v_far the sign of
+    its first nonzero entry, as it has on v(t) for small t. The bound is
+    asserted for the facet and equation rows of ca - cb, so that v_far lies
+    in ca - cb exactly when v(t) does for small t."""
+    n = ca.ambient_dim
+    rays, lin = displacement_difference(ca, cb)
+    facets, equations = reference_dd(rays.columns(), lin.columns(), n)
+    assert all(2 * abs(c) < far for y in facets + equations for c in y)
+    return tuple(far ** (n - 1 - k) for k in range(n))
+
+
+def curve_feasible(ca, cb, far=FAR):
+    """The simplex's verdict on v(t) in ca - cb for small t, at v_far."""
+    return reference_cone_feasible(*displacement_difference(ca, cb),
+                                   far_point(ca, cb, far))
+
+
 class TestSeparatingRows:
     """The separating-row test rejects a displacement pair only with a
     Farkas certificate, and the sign test decides every other pair exactly,
     so stable_intersection agrees with the loop that runs the simplex on
-    every pair whose spans fill the space."""
+    every pair whose spans fill the space at the reference's random
+    displacement of the given seed."""
 
     @settings(max_examples=40, deadline=None)
     @given(hypersurface_pairs(), st.integers(0, 10 ** 6))
     def test_matches_simplex_on_every_pair(self, ab, seed):
         a, b = ab
-        assert cycle_to_dict(stable_intersection(a, b, seed=seed)) \
+        assert cycle_to_dict(stable_intersection(a, b)) \
             == cycle_to_dict(reference_stable_intersection(a, b, seed=seed))
 
     @settings(max_examples=60, deadline=None)
-    @given(hypersurface_pairs(), st.lists(st.integers(-3, 3), min_size=4,
-                                          max_size=4))
-    def test_rejected_pairs_are_infeasible(self, ab, v):
-        # small displacements, so that rows vanishing on v occur too
+    @given(hypersurface_pairs())
+    def test_rejected_pairs_are_infeasible(self, ab):
         a, b = ab
-        v = tuple(v[:a.ambient_dim])
-        separated = _separated_pairs(a.fan, b.fan, v)
+        separated = _separated_pairs(a.fan, b.fan)
         for i, ca in enumerate(fan_cones(a.fan)):
             for j, cb in enumerate(fan_cones(b.fan)):
                 if separated(i, j):
-                    assert not reference_cone_feasible(
-                        *displacement_difference(ca, cb), v)
+                    assert not curve_feasible(ca, cb)
 
     def test_rejects_most_infeasible_pairs_of_a5_b5(self):
         a = tropical_hypersurface(P(A5, tuple("abcde")))
         b = tropical_hypersurface(P(B5, tuple("abcde")))
-        v = (5, -3, 2, 7, -11)
-        separated = _separated_pairs(a.fan, b.fan, v)
-        verdicts = [(separated(i, j),
-                     reference_cone_feasible(*displacement_difference(ca, cb),
-                                             v))
+        separated = _separated_pairs(a.fan, b.fan)
+        verdicts = [(separated(i, j), curve_feasible(ca, cb))
                     for i, ca in enumerate(fan_cones(a.fan))
                     for j, cb in enumerate(fan_cones(b.fan))]
         assert not any(rejected and feasible for rejected, feasible in verdicts)
-        # of the 420 pairs, 237 do not meet after the shift; rows reject 145
+        # of the 420 pairs, 221 do not meet after the shift; rows reject
+        # 152 (237 and 145 at the displacement (5, -3, 2, 7, -11))
         assert len(verdicts) == 420
-        assert sum(not f for _, f in verdicts) == 237
-        assert sum(r for r, _ in verdicts) == 145
+        assert sum(not f for _, f in verdicts) == 221
+        assert sum(r for r, _ in verdicts) == 152
 
 
 class TestOneEliminationPerPair:
-    """Tripwire: one draw decides A5 . B5 at seed 0, and each of the 274
-    pairs no row separates takes one elimination of its joint equation rows
-    and one double description pass, whose kernel is another echelon form
-    of the same rows. No rank is computed: 548 eliminations in all, where
-    789 ran while every pair's rows were ranked up front (424 ranks) and the
-    sign test eliminated the rows of the 91 full pieces once more."""
+    """Tripwire: one pass decides A5 . B5, and each of the 268 pairs no row
+    separates takes one elimination of its joint equation rows and one
+    double description pass, whose kernel is another echelon form of the
+    same rows. No rank is computed: 536 eliminations in all, where 548 ran
+    under the random displacement of seed 0 (274 pairs), and 789 while
+    every pair's rows were ranked up front (424 ranks) and the sign test
+    eliminated the rows of the 91 full pieces once more."""
 
     def test_a5_b5(self, monkeypatch):
         import tropfan.cycles
@@ -1050,38 +1124,48 @@ class TestOneEliminationPerPair:
             for module in modules:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
-        stable_intersection(a, b, seed=0)
-        assert calls == {"rational_rank": 0, "_row_echelon": 274,
-                         "_echelon_kernel": 274}
+        stable_intersection(a, b)
+        assert calls == {"rational_rank": 0, "_row_echelon": 268,
+                         "_echelon_kernel": 268}
 
 
-def verdicts(a, b, v):
-    """(sign-test verdict, simplex verdict) for every pair of maximal
-    cones of a and b that the sign test applies to: equation rows
-    independent, and an intersection of the expected dimension."""
+def sign_vectors(ca, cb, tau, split):
+    """The coefficient vectors the sign test reads for a pair: a.xs[k] for
+    each row a of ca, and b.(xs[k] - s e_(k+1)) for each row b of cb, that
+    vanishes at a relative interior point of tau."""
+    xs, s = split
+    p = relative_interior_point(tau)
+    return [[dot(a, x) for x in xs]
+            for a in ca.inequalities.entries if not dot(a, p)] \
+        + [[dot(b, x) - s * b[k] for k, x in enumerate(xs)]
+           for b in cb.inequalities.entries if not dot(b, p)]
+
+
+def sign_test_pairs(a, b):
+    """(ca, cb, tau, split) for every pair of maximal cones of a and b that
+    the sign test applies to: spans that fill the space, and an
+    intersection tau of the expected dimension."""
     cones_a, cones_b = fan_cones(a.fan), fan_cones(b.fan)
     expected = (max(c.dim for c in cones_a) + max(c.dim for c in cones_b)
                 - a.ambient_dim)
     out = []
     for ca in cones_a:
         for cb in cones_b:
-            eqs = ca.equations.entries + cb.equations.entries
-            if rational_rank(eqs) < len(eqs):
+            split = _solve_shift(ca, cb)
+            if split is False:
                 continue
             tau = intersect(ca, cb)
-            if tau.dim < expected:
-                continue
-            out.append((_displacement_verdict(ca, cb, tau, v,
-                                              _solve_shift(ca, cb, v)),
-                        reference_cone_feasible(
-                            *displacement_difference(ca, cb), v)))
+            if tau.dim >= expected:
+                out.append((ca, cb, tau, split))
     return out
 
 
-def agrees(verdict, feasible):
-    """A wall (None) lies on the boundary of the difference cone, so in it;
-    True and False are verdicts on membership itself."""
-    return feasible if verdict is None else verdict == feasible
+def verdicts(a, b, far=FAR):
+    """(sign-test verdict, simplex verdict at v_far) for every pair of
+    maximal cones of a and b that the sign test applies to."""
+    return [(_displacement_verdict(ca, cb, tau, split),
+             curve_feasible(ca, cb, far))
+            for ca, cb, tau, split in sign_test_pairs(a, b)]
 
 
 @st.composite
@@ -1105,58 +1189,69 @@ def curve_hypersurface_pairs(draw):
 
 
 class TestSignTest:
-    """The local sign test against the simplex. On a pair whose equation
-    rows are independent and whose intersection has the expected dimension,
-    True and False are the simplex's verdicts on v in cone_a - cone_b, and a
-    wall (None) lies on the boundary of that cone, so inside it."""
+    """The local sign test against the simplex. On a pair whose spans fill
+    the space and whose intersection has the expected dimension, its
+    verdict is the simplex's on v(t) in cone_a - cone_b for small t, taken
+    at the far point of the curve."""
 
     @settings(max_examples=60, deadline=None)
-    @given(hypersurface_pairs(), st.lists(st.integers(-3, 3), min_size=4,
-                                          max_size=4))
-    def test_verdicts_match_simplex(self, ab, v):
-        # small displacements, so that walls occur
+    @given(hypersurface_pairs())
+    def test_verdicts_match_simplex(self, ab):
         a, b = ab
-        for verdict, feasible in verdicts(a, b, tuple(v[:a.ambient_dim])):
-            assert agrees(verdict, feasible)
+        for verdict, feasible in verdicts(a, b):
+            assert verdict == feasible
 
     @pytest.mark.parametrize("texts, vs", [
         (("x+y+1", "x*y+x+1"), XY),
         (("x+y+z+1", "x*y+y*z+z+1"), XYZ),
     ], ids=["plane", "space"])
     def test_every_small_displacement(self, texts, vs):
+        # the verdict holds at every point v(1/far) of the curve past the
+        # bound, not at one of them only; both verdicts occur
         a, b = (tropical_hypersurface(P(t, vs)) for t in texts)
         seen = set()
-        for v in itertools.product((-1, 0, 1), repeat=len(vs)):
-            for verdict, feasible in verdicts(a, b, v):
-                assert agrees(verdict, feasible)
+        for far in (FAR, 3 * FAR, 10 ** 6):
+            for verdict, feasible in verdicts(a, b, far):
+                assert verdict == feasible
                 seen.add(verdict)
-        # walls occur, such as v = (-1, -1) on the ray (-1, -1) of the line
-        assert seen == {True, False, None}
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_a4_b4_times_c4(self, seed):
-        # the surface A4 . B4 in Q^4 times a third hypersurface: a curve
+        # the surface A4 . B4 in Q^4 times a third hypersurface: a curve,
+        # as the reference gives it at the seed
         vs = XYZW
         surface = stable_intersection(tropical_hypersurface(P(A4, vs)),
                                       tropical_hypersurface(P(B4, vs)))
         c4 = tropical_hypersurface(P(C4, vs))
-        got = stable_intersection(surface, c4, seed=seed)
+        got = stable_intersection(surface, c4)
         assert cycle_dim(got) == 1
         assert cycle_to_dict(got) \
             == cycle_to_dict(reference_stable_intersection(surface, c4, seed))
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_surface_times_surface(self, seed, draws):
-        # two surfaces in Q^4 meet in points. Some pairs of their cones have
-        # dependent equation rows, v outside the sum of their spans and no
-        # row separating them (11 at seed 0), so the elimination skips them
-        # and the first draw is used
+    def test_surface_times_surface(self, seed):
+        # two surfaces in Q^4 meet in points. 12 pairs of their cones
+        # have dependent equation rows and no row separating them, so the
+        # elimination skips them, as the reference skips every pair whose
+        # spans do not fill the space
+        import tropfan.tropical
+
         vs = XYZW
         a4, b4, c4 = (tropical_hypersurface(P(t, vs)) for t in (A4, B4, C4))
         ab, ac = stable_intersection(a4, b4), stable_intersection(a4, c4)
-        draws.clear()
-        got = stable_intersection(ab, ac, seed=seed)
-        assert len(draws) == 4
+        skipped = []
+        solve = tropfan.tropical._solve_shift
+
+        def counted(ca, cb):
+            split = solve(ca, cb)
+            skipped.append(split is False)
+            return split
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tropfan.tropical, "_solve_shift", counted)
+            got = stable_intersection(ab, ac)
+        assert sum(skipped) == 12
         assert cycle_dim(got) == 0
         assert got.multiplicities == (58,)
         assert cycle_to_dict(got) \
@@ -1167,57 +1262,52 @@ class TestSignTest:
     def test_curve_times_hypersurface_matches_simplex(self, pair, seed):
         curve, surface = pair
         for a, b in ((curve, surface), (surface, curve)):
-            assert cycle_to_dict(stable_intersection(a, b, seed=seed)) \
+            assert cycle_to_dict(stable_intersection(a, b)) \
                 == cycle_to_dict(reference_stable_intersection(a, b, seed))
 
 
 class TestSolveShift:
-    """The one elimination per pair and draw: a pair whose equation rows
-    are dependent is skipped (False) when v lies outside the joint span and
-    makes v not generic (None) when v lies in it; a pair whose spans fill
-    the space gives x in span a with x - s v in span b."""
+    """The one elimination per pair: a pair whose equation rows are
+    dependent is skipped (False), as its spans do not fill the space; a
+    pair whose spans fill it gives, for each unit vector e_k, xs[k] in
+    span a with xs[k] - s e_k in span b."""
 
     @settings(max_examples=60, deadline=None)
-    @given(hypersurface_pairs(), st.lists(st.integers(-3, 3), min_size=4,
-                                          max_size=4))
-    def test_against_ranks(self, ab, v):
+    @given(hypersurface_pairs())
+    def test_against_ranks(self, ab):
         a, b = ab
-        v = tuple(v[:a.ambient_dim])
+        n = a.ambient_dim
         for ca in fan_cones(a.fan):
             for cb in fan_cones(b.fan):
-                got = _solve_shift(ca, cb, v)
+                got = _solve_shift(ca, cb)
                 eqs = ca.equations.entries + cb.equations.entries
-                if rational_rank(eqs) == len(eqs):
-                    x, s = got
-                    assert s > 0
+                if rational_rank(eqs) < len(eqs):
+                    assert got is False
+                    continue
+                xs, s = got
+                assert s > 0 and len(xs) == n
+                for k, x in enumerate(xs):
                     assert not any(dot(e, x) for e in ca.equations.entries)
-                    y = [xi - s * vi for xi, vi in zip(x, v)]
+                    y = [xi - s * (i == k) for i, xi in enumerate(x)]
                     assert not any(dot(e, y) for e in cb.equations.entries)
-                else:
-                    span = [list(g) for c in (ca, cb) for g in
-                            c.rays.columns() + c.lineality.columns()]
-                    inside = rational_rank(span + [list(v)]) \
-                        == rational_rank(span)
-                    assert got is (None if inside else False)
 
     def test_rays_of_the_line(self):
         line = tropical_hypersurface(P("x+y+1", XY))
         cones = {c.rays.columns()[0]: c for c in fan_cones(line.fan)}
         diagonal = cones[(-1, -1)]
-        assert _solve_shift(diagonal, diagonal, (-3, -3)) is None
-        assert _solve_shift(diagonal, diagonal, (3, 3)) is None
-        assert _solve_shift(diagonal, diagonal, (1, 0)) is False
-        # the x-axis ray and the y-axis ray fill the plane
-        x, s = _solve_shift(cones[(1, 0)], cones[(0, 1)], (5, -3))
-        assert x[1] == 0 and x[0] - s * 5 == 0 and s > 0
+        assert _solve_shift(diagonal, diagonal) is False
+        # the x-axis ray and the y-axis ray fill the plane: (t, t^2) is
+        # (t, 0) - (0, -t^2)
+        xs, s = _solve_shift(cones[(1, 0)], cones[(0, 1)])
+        assert s > 0 and xs == [(s, 0), (0, 0)]
 
 
 class TestDisplacementOnAWall:
-    """Seed 990257 draws v = (-928225, -928225) first. It is parallel to the
-    ray (-1, -1) of Trop(x + y + 1), in no span of a pair whose spans do not
-    fill the plane, and on the boundary of cone_a - cone_b for the pairs at
-    that ray; counting them gave weight 4. The sign test finds the wall and
-    the next draw is used, which gives the Bezout number 2, as seed 0 does."""
+    """Seed 990257 drew v = (-928225, -928225) first, when the displacement
+    was random. It is parallel to the ray (-1, -1) of Trop(x + y + 1) and on
+    the boundary of cone_a - cone_b for the pairs at that ray; counting them
+    gave weight 4. The moment curve lies on no wall: no coefficient vector
+    the sign test reads is zero, and the weight is the Bezout number 2."""
 
     def test_first_draw_is_on_a_wall(self):
         rng = random.Random(990257)
@@ -1225,39 +1315,70 @@ class TestDisplacementOnAWall:
         assert v == (-928225, -928225)
         line = tropical_hypersurface(P("x+y+1", XY))
         other = tropical_hypersurface(P("x*y+x+1", XY))
-        walls = [f for verdict, f in verdicts(line, other, v)
-                 if verdict is None]
-        assert walls and all(walls)
+        walls = 0
+        for ca, cb, tau, split in sign_test_pairs(line, other):
+            rays, lin = displacement_difference(ca, cb)
+            facets, _ = reference_dd(rays.columns(), lin.columns(), 2)
+            walls += reference_cone_feasible(rays, lin, v) \
+                and any(dot(h, v) == 0 for h in facets)
+            assert all(any(w) for w in sign_vectors(ca, cb, tau, split))
+        assert walls
 
-    def test_wall_is_redrawn(self):
+    @settings(max_examples=60, deadline=None)
+    @given(hypersurface_pairs())
+    def test_no_sign_is_zero(self, ab):
+        for ca, cb, tau, split in sign_test_pairs(*ab):
+            assert all(any(w) for w in sign_vectors(ca, cb, tau, split))
+
+    def test_weight_is_the_bezout_number(self):
         line = tropical_hypersurface(P("x+y+1", XY))
         other = tropical_hypersurface(P("x*y+x+1", XY))
-        got = stable_intersection(line, other, seed=990257)
+        got = stable_intersection(line, other)
         assert got.multiplicities == (2,)
         assert cycle_to_dict(got) \
-            == cycle_to_dict(stable_intersection(line, other, seed=0))
+            == cycle_to_dict(reference_stable_intersection(line, other, 0))
 
 
 class TestDisplacementInADeficientSpan:
-    """Seed 990257 draws v = (-928225, -928225) first, which lies in the
-    span of the pair of (-1, -1) rays of Trop(x + y + 1) and itself. Their
-    spans do not fill the plane and no row separates them, so v is not
-    generic, and the second draw gives the origin with weight 1."""
+    """The pair of (-1, -1) rays of Trop(x + y + 1) and itself has spans
+    that do not fill the plane. Seed 990257 drew a random displacement in
+    their joint span, which was not generic and was drawn again. The moment
+    curve leaves that span, so the pair is skipped, and the line meets
+    itself at the origin with weight 1."""
 
-    def test_second_draw_is_used(self, draws):
+    def test_diagonal_pair_is_skipped(self):
         line = tropical_hypersurface(P("x+y+1", XY))
-        got = stable_intersection(line, line, seed=990257)
-        assert len(draws) == 2 * 2  # two draws of two coordinates
-        v = tuple(draws[:2])
-        assert v == (-928225, -928225)
         cones = fan_cones(line.fan)
         k = next(i for i, c in enumerate(cones)
                  if c.rays.columns() == [(-1, -1)])
-        assert not _separated_pairs(line.fan, line.fan, v)(k, k)
-        assert _solve_shift(cones[k], cones[k], v) is None
+        assert _solve_shift(cones[k], cones[k]) is False
+        assert not curve_feasible(cones[k], cones[k])
+        got = stable_intersection(line, line)
         assert got.fan.maximal_cones == ((),)
         assert got.fan.rays.ncols == 0 and got.fan.lineality.ncols == 0
         assert got.multiplicities == (1,)
+
+
+class TestVariableOrderInvariance:
+    """The moment curve depends on the order of the variables; the answer
+    must not. Permuting the variables of both inputs, and swapping the
+    arguments, gives the same canonical JSON once the permutation is
+    undone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(hypersurface_pairs(), curve_hypersurface_pairs()),
+           st.data())
+    def test_permuted_and_swapped(self, ab, data):
+        a, b = ab
+        n = a.ambient_dim
+        perm = data.draw(st.permutations(range(n)))
+        back = [perm.index(k) for k in range(n)]
+        want = cycle_to_dict(stable_intersection(a, b))
+        assert cycle_to_dict(stable_intersection(b, a)) == want
+        pa, pb = permuted_cycle(a, perm), permuted_cycle(b, perm)
+        for x, y in ((pa, pb), (pb, pa)):
+            assert cycle_to_dict(permuted_cycle(stable_intersection(x, y),
+                                                back)) == want
 
 
 class TestLinearSpaceOracle:
@@ -1278,9 +1399,7 @@ class TestLinearSpaceOracle:
         want = cycle_to_dict(tropical_variety(ideal(vs, tuple(polys)),
                                               strategy="groebner"))
         hypersurfaces = [tropical_hypersurface(f) for f in polys]
-        for seed in (0, 1, 7, 990257):
-            assert cycle_to_dict(stable_intersection(*hypersurfaces,
-                                                     seed=seed)) == want
+        assert cycle_to_dict(stable_intersection(*hypersurfaces)) == want
 
 
 class TestVarietySupportOracle:
