@@ -19,12 +19,12 @@ proper and maximal, and the remaining space, lineality or equations, is an
 integer kernel; no second pass runs. A caller that knows a cone's rays,
 lineality and their incidences with rows cutting it out, as a pass leaves
 them, builds it with no pass (cone_from_incidence): a hypersurface's edge
-cones come so from the pass over its Newton polytope. A caller that keeps
-only cones full-dimensional in the kernel of their equations (the pieces of
-a stable intersection) asks cone_from_halfspaces or intersect for such a
-cone: the pass then stops, and returns None, at the first inserted row that
-drops the dimension, and a cone that reaches the end has the kernel's
-dimension, with no rank computed.
+cones come so from the pass over its Newton polytope. A stable
+intersection keeps a piece only when it is full-dimensional in the kernel
+of the pair's joint equations, which its own elimination reads; it hands
+that kernel to _cone_from_kernel, whose pass then stops, and returns None,
+at the first row that drops the dimension, and a cone that reaches the end
+has the kernel's dimension, with no rank computed.
 
 A cone's faces come by incidence. face_lattice is the one walk of a face
 lattice: a face is the bit mask of the cone's rays it contains, its facets
@@ -221,26 +221,25 @@ def _v_description(ray_vecs, lineality: IntMatrix, n, dim=None):
     return IntMatrix.from_columns(rays, n), lineality, dim
 
 
-def cone_from_halfspaces(ineq_rows, eq_rows, ambient_dim: int,
-                         full: bool = False) -> Cone | None:
-    """The canonical cone {x : eq_rows . x = 0, ineq_rows . x >= 0}; with
-    full, None unless it is full-dimensional in the kernel of eq_rows.
+def cone_from_halfspaces(ineq_rows, eq_rows, ambient_dim: int) -> Cone:
+    """The canonical cone {x : eq_rows . x = 0, ineq_rows . x >= 0}: the
+    pass of _cone_from_kernel, from _echelon_kernel of eq_rows."""
+    kernel = _echelon_kernel(IntMatrix.from_rows(list(eq_rows), ambient_dim))
+    return _cone_from_kernel(list(ineq_rows), kernel, ambient_dim)
 
-    One double description pass from a rational basis of that kernel gives
-    the canonical rays and lineality, and the ray-inequality incidences,
-    with no second pass. With full, the pass stops at the first dimension
-    drop, and a cone that reaches the end has the kernel's dimension;
-    otherwise the dimension is a rank. The facets, read on first use, are
-    the inequalities whose sets of tight rays are proper and maximal.
-    """
-    n = ambient_dim
-    ineq_rows = list(ineq_rows)
-    kernel = _echelon_kernel(IntMatrix.from_rows(list(eq_rows), n))
+
+def _cone_from_kernel(ineq_rows, kernel, ambient_dim: int, full=False):
+    """The canonical cone {x in span(kernel) : ineq_rows . x >= 0}, kernel a
+    basis over Q of the subspace, by one double description pass; the
+    facets, read on first use, are the inequalities whose sets of tight rays
+    are proper and maximal. With full, the pass returns None at the first
+    dimension drop, and a finished cone has dimension len(kernel); otherwise
+    the dimension is a rank."""
     passed = _dd(ineq_rows, kernel, full=full)
     if passed is None:
         return None
     ray_vecs, lin_vecs, masks = passed
-    lineality = saturate_lattice(IntMatrix.from_columns(lin_vecs, n))
+    lineality = saturate_lattice(IntMatrix.from_columns(lin_vecs, ambient_dim))
     return cone_from_incidence(ray_vecs, lineality, ineq_rows, masks,
                                len(kernel) if full else None)
 
@@ -280,16 +279,13 @@ def cone_from_generators(ray_cols, lineality_cols, ambient_dim: int) -> Cone:
                 facet_rows=partial(list, facet_vecs))
 
 
-def intersect(c1: Cone, c2: Cone, full: bool = False) -> Cone | None:
-    """The intersection of two cones, as cone_from_halfspaces gives it from
-    their joint rows: with full, None unless it is full-dimensional in the
-    kernel of their joint equations."""
+def intersect(c1: Cone, c2: Cone) -> Cone:
+    """The intersection of two cones, built from their joint rows."""
     if c1.ambient_dim != c2.ambient_dim:
         raise DimMismatchError("cones live in different ambient spaces")
     return cone_from_halfspaces(
         c1.inequalities.entries + c2.inequalities.entries,
-        c1.equations.entries + c2.equations.entries,
-        c1.ambient_dim, full=full)
+        c1.equations.entries + c2.equations.entries, c1.ambient_dim)
 
 
 def _negated_rows(c: Cone) -> list:

@@ -395,22 +395,27 @@ def int_inverse(m: IntMatrix) -> IntMatrix:
     return u
 
 
-def _echelon_kernel(m: IntMatrix) -> list:
-    """A basis over Q, not of the lattice, of the kernel of m, read off one
-    reduced integer echelon form: for each free column f, the primitive
-    vector with x_f = L and x_p = -(row entry at f) L / pivot at each pivot
-    column p, for L the lcm of the pivots."""
-    rows = [list(r) for r in m.entries]
-    pivots = _row_echelon(rows, reduced=True)
+def _kernel_off_echelon(rows, pivots, ncols: int) -> list:
+    """A basis over Q of the kernel of the first ncols columns of reduced
+    echelon rows with these pivots, all among those columns: for each free
+    column f, the primitive vector with x_f = L and x_p = -(row entry at f)
+    L / pivot at each pivot column p, for L the lcm of the pivots."""
     scale = lcm(*(rows[r][j] for r, j in enumerate(pivots)))
     out = []
-    for f in sorted(set(range(m.ncols)) - set(pivots)):
-        x = [0] * m.ncols
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        x = [0] * ncols
         x[f] = scale
         for r, j in enumerate(pivots):
             x[j] = -rows[r][f] * (scale // rows[r][j])
         out.append(primitive_vector(x))
     return out
+
+
+def _echelon_kernel(m: IntMatrix) -> list:
+    """A basis over Q, not of the lattice, of the kernel of m, read off one
+    reduced integer echelon form (_kernel_off_echelon)."""
+    rows = [list(r) for r in m.entries]
+    return _kernel_off_echelon(rows, _row_echelon(rows, reduced=True), m.ncols)
 
 
 def _kernel_columns(m: IntMatrix) -> list:

@@ -6,16 +6,17 @@ polytope's vertices and facets: the edges come from the vertex-facet
 incidences, and each edge's normal cone from the facets containing it, so
 no other pass and no linear program runs.
 
-The variety pipeline is the exhaustive one: homogenize, enumerate the whole
-Gröbner fan, and walk its face lattice by ray masks, building no face. The
-variety is a closed subfan of the Gröbner fan, so faces are decided by
-ascending dimension, and only a face whose facets are all kept is tested: it
-is kept when its initial ideal stays monomial-free under saturation. The
-lineality face, whose initial ideal is the whole ideal, is not tested again:
-the entry test has decided it. The maximal kept faces, those that are no
-kept face's facet, are the only ones built; slice the homogenizing
-coordinate back out of each, and compute one multiplicity per maximal cell
-as the degree of the saturated initial ideal in quotient coordinates. Stable
+The variety of a principal ideal is its hypersurface. Any other ideal takes
+the exhaustive pipeline: homogenize, enumerate the whole Gröbner fan, and
+walk its face lattice by ray masks, building no face. The variety is a
+closed subfan of the Gröbner fan, so faces are decided by ascending
+dimension, and only a face whose facets are all kept is tested: it is kept
+when its initial ideal stays monomial-free under saturation. The lineality
+face, whose initial ideal is the whole ideal, is not tested again: the
+entry test has decided it. The maximal kept faces, those that are no kept
+face's facet, are the only ones built; slice the homogenizing coordinate
+back out of each, and compute one multiplicity per maximal cell as the
+degree of the saturated initial ideal in quotient coordinates. Stable
 intersections of pure cycles use the fan displacement rule, displaced along
 the moment curve v(t) = (t, t^2, ..., t^n) as t -> 0+, with lattice-index
 weights: the sign of a row y on v(t) is that of y's first nonzero entry, so
@@ -23,10 +24,11 @@ nothing is drawn and no pair is left undecided. A pair of cones is rejected
 first by rows: bit masks over the other fan's rays give, per cone row, the
 pairs it separates by a Farkas certificate. Every other pair takes one
 elimination of its joint equation rows, with one right-hand side per power
-of t, which skips it or splits the displacement between the two spans; the
-latter are intersected by a pass that stops at the first dimension drop,
-and decided at an intersection of the expected dimension by the leading
-signs of a few integer vectors. No linear program and no rank runs.
+of t, which skips it or splits the displacement between the two spans and
+starts the piece's pass from a basis of their intersection. The pass stops
+at the first dimension drop, and a piece of the expected dimension is
+decided by the leading signs of a few integer vectors. No linear program
+and no rank runs.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .cycles import (
 from .fans import (
     Cone,
     Fan,
+    _cone_from_kernel,
     common_refinement,
     cone_from_incidence,
     face_lattice,
@@ -78,6 +81,7 @@ from .groebner import (
 from .linalg import (
     IntMatrix,
     Lattice,
+    _kernel_off_echelon,
     _row_echelon,
     dot,
     hnf_completion,
@@ -211,34 +215,23 @@ def _validated(spec: IdealSpec):
         raise UnitIdealError("the unit ideal has an empty variety")
 
 
-def tropical_variety(spec: IdealSpec, convention: str = "min",
-                     strategy: str = "auto") -> TropicalCycle:
+def tropical_variety(spec: IdealSpec,
+                     convention: str = "min") -> TropicalCycle:
     """The tropical variety of the torus part of V(spec), with multiplicities.
 
-    strategy "groebner" runs the exhaustive Gröbner fan pipeline, "newton"
-    the Newton polytope route for principal ideals, "auto" picks for you.
-    Both are correct for prime and non-prime input alike; a variety with
-    components of different dimensions comes back as a cycle whose `pure`
-    is false.
+    A principal ideal takes the Newton polytope route, any other the
+    exhaustive Gröbner fan pipeline, prime or not; a variety with components
+    of different dimensions comes back as a cycle whose `pure` is false.
     """
     check_convention(convention)
     _validated(spec)
-    n = len(spec.variables)
     if not is_monomial_free(spec):
-        return weighted_from_cones(n, (), convention)
+        return weighted_from_cones(len(spec.variables), (), convention)
     gens = [g for g in spec.generators if not g.is_zero()]
-    if strategy == "auto":
-        strategy = "newton" if len(gens) == 1 else "groebner"
-    if strategy not in ("newton", "groebner"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "newton":
-        if len(gens) != 1:
-            raise DimMismatchError("the Newton strategy needs a principal ideal")
+    if len(gens) == 1:
         return tropical_hypersurface(gens[0], convention)
     result = _groebner_variety(IdealSpec(spec.variables, tuple(gens)))
-    if convention == "max":
-        result = swap_convention(result)
-    return result
+    return swap_convention(result) if convention == "max" else result
 
 
 def _kept_faces(fan_data):
@@ -301,7 +294,7 @@ def is_tropical_basis(polys) -> bool:
         raise ZeroIdealError("empty generating set")
     variables = polys[0].variables
     spec = IdealSpec(variables, tuple(polys))
-    variety = tropical_variety(spec, strategy="groebner")  # validates spec
+    variety = tropical_variety(spec)  # validates spec
     prevariety = tropical_prevariety(polys)
     if variety.fan.is_empty():
         return prevariety.is_empty()
@@ -376,8 +369,11 @@ def _solve_shift(ca: Cone, cb: Cone):
     False when the spans do not fill Q^n: the equation bases are
     independent, so a dependency among the rows leaves a zero left-hand row
     with a nonzero right-hand side, and v(t) leaves span ca + span cb. Else
-    (xs, s), with s > 0 the lcm of the pivots, xs[k] in span ca and
-    xs[k] - s e_(k+1) in span cb, so that s x(t) = sum_k t^(k+1) xs[k]."""
+    (kernel, (xs, s)). The left-hand block has the pivots of an echelon form
+    of [E_a; E_b] alone, and positive multiples of its rows, so kernel is
+    what _echelon_kernel gives for the joint rows. s > 0 is the lcm of the
+    pivots, xs[k] lies in span ca and xs[k] - s e_(k+1) in span cb, and
+    s x(t) = sum_k t^(k+1) xs[k]."""
     n = ca.ambient_dim
     rows = [list(e) + [0] * n for e in ca.equations.entries] \
         + [list(e) * 2 for e in cb.equations.entries]
@@ -388,13 +384,13 @@ def _solve_shift(ca: Cone, cb: Cone):
     x = [[0] * n for _ in range(n)]
     for r, j in enumerate(pivots):
         x[j] = [c * (scale // rows[r][j]) for c in rows[r][n:]]
-    return list(zip(*x)), scale
+    return _kernel_off_echelon(rows, pivots, n), (list(zip(*x)), scale)
 
 
 def _displacement_verdict(ca: Cone, cb: Cone, tau: Cone, split) -> bool:
     """Does v(t) lie in ca - cb for small t > 0? For a pair whose spans fill
     Q^n and whose intersection tau has the expected dimension; split is
-    _solve_shift's.
+    the (xs, s) of _solve_shift.
 
     The split v(t) = x(t) - y(t) is unique modulo span tau, and v(t) lies in
     ca - cb exactly when x(t) lies in ca + span tau and y(t) in cb + span
@@ -424,12 +420,12 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle) -> TropicalCycle:
     nothing is drawn. A pair meets after the shift when v(t) lies in
     cone_a - cone_b. Most pairs that do not are rejected by a separating row
     (_separated_pairs). Every other pair is split by _solve_shift, which
-    skips it when the spans do not fill the space; otherwise it is
-    intersected by a pass that stops as soon as the piece falls below the
-    dimension of the joint span, since only a piece of the expected
-    dimension carries weight, and decided by the sign test of
-    _displacement_verdict. The pieces are handed over with their facets
-    underived."""
+    skips it when the spans do not fill the space. Otherwise the kernel it
+    read off its elimination starts the piece's pass (_cone_from_kernel),
+    which stops as soon as the piece falls below the dimension of the joint
+    span, since only a piece of the expected dimension carries weight, and
+    the pair is decided by the sign test of _displacement_verdict. The
+    pieces are handed over with their facets underived."""
     if a.convention != b.convention:
         raise ConventionMismatchError("cycles use different conventions")
     if a.ambient_dim != b.ambient_dim:
@@ -456,10 +452,12 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle) -> TropicalCycle:
         for j, cb in enumerate(cones_b):
             if separated(i, j):
                 continue
-            split = _solve_shift(ca, cb)
-            if split is False:
+            shift = _solve_shift(ca, cb)
+            if shift is False:
                 continue
-            tau = intersect(ca, cb, full=True)
+            kernel, split = shift
+            rows = ca.inequalities.entries + cb.inequalities.entries
+            tau = _cone_from_kernel(rows, kernel, n, full=True)
             if tau is None:
                 continue  # a lower-dimensional meeting carries no weight
             if _displacement_verdict(ca, cb, tau, split):

@@ -49,8 +49,12 @@ from tropfan.linalg import (
     smith_normal_form,
     vec_neg,
 )
-from tropfan.polynomials import edge_lattice_length
-from tropfan.tropical import _multiplicity_from_initial
+from tropfan.polynomials import IdealSpec, edge_lattice_length
+from tropfan.tropical import (
+    _groebner_variety,
+    _multiplicity_from_initial,
+    _validated,
+)
 
 
 def optimum_attained_twice(f, w, convention="min") -> bool:
@@ -85,6 +89,20 @@ def multiplicity_at(spec_homogeneous, sigma) -> int:
     return _multiplicity_from_initial(initial_ideal(gb, w), sigma)
 
 
+def groebner_route_variety(spec, convention="min"):
+    """The tropical variety by the exhaustive Gröbner fan pipeline whatever
+    the number of generators. tropical_variety takes it for an ideal that is
+    not principal; on a principal ideal it cross-checks the Newton route
+    that tropical_variety takes there."""
+    _validated(spec)
+    n = len(spec.variables)
+    if not is_monomial_free(spec):
+        return weighted_from_cones(n, (), convention)
+    gens = tuple(g for g in spec.generators if not g.is_zero())
+    cycle = _groebner_variety(IdealSpec(spec.variables, gens))
+    return swap_convention(cycle) if convention == "max" else cycle
+
+
 def reference_newton_polytope(f):
     """Vertices of the Newton polytope, in descending graded lexicographic
     order, by one phase-1 simplex per support point: a point is a vertex
@@ -103,10 +121,11 @@ def reference_newton_polytope(f):
 
 
 def reference_tropical_hypersurface(f, convention="min"):
-    """The tropical hypersurface by one double description pass per vertex
-    pair of reference_newton_polytope: the pair spans an edge when its
-    normal cone is full-dimensional in the hyperplane of its one equation
-    (the earlier implementation)."""
+    """The tropical hypersurface by one whole double description pass per
+    vertex pair of reference_newton_polytope: the pair spans an edge when
+    its normal cone is full-dimensional in the hyperplane of its one
+    equation (the earlier implementation, which stopped the pass at the
+    first dimension drop)."""
     n = len(f.variables)
     vertices = reference_newton_polytope(f)
     pairs = []
@@ -114,8 +133,8 @@ def reference_tropical_hypersurface(f, convention="min"):
         rows = [tuple(u[k] - vi[k] for k in range(n)) for u in vertices]
         for vj in vertices[i + 1:]:
             cone = cone_from_halfspaces(
-                rows, [tuple(vi[k] - vj[k] for k in range(n))], n, full=True)
-            if cone is not None:
+                rows, [tuple(vi[k] - vj[k] for k in range(n))], n)
+            if cone.dim == n - 1:
                 pairs.append((cone, edge_lattice_length(vi, vj)))
     cycle = weighted_from_cones(n, pairs, "min", merge_duplicates=False)
     return swap_convention(cycle) if convention == "max" else cycle
@@ -294,7 +313,10 @@ def displacement_difference(ca, cb):
 
 def reference_stable_intersection(a, b, seed=0):
     """The fan displacement rule with the exact simplex on every pair whose
-    spans fill the space, and no separating-row test before it."""
+    spans fill the space, and no separating-row test before it. The random
+    displacement v is drawn again while it lies in the joint span of a pair
+    whose spans do not fill the space, or on a facet hyperplane of ca - cb
+    for a pair whose spans do: such a v is not generic."""
     if not (a.pure and b.pure):
         raise NotPureError("stable intersection needs pure cycles")
     n = a.ambient_dim
@@ -313,11 +335,15 @@ def reference_stable_intersection(a, b, seed=0):
     rng = random.Random(seed)
     deficient = []
     full = []
+    walls = set()
     for ca, ma in cones_a:
         for cb, mb in cones_b:
             eqs = ca.equations.entries + cb.equations.entries
             if rational_rank(eqs) == len(eqs):
                 full.append((ca, ma, cb, mb))
+                rays, lin = displacement_difference(ca, cb)
+                walls.update(reference_cone_from_generators(
+                    rays.columns(), lin.columns(), n).inequalities.entries)
             else:
                 deficient.append(span(ca) + span(cb))
     v = None
@@ -326,7 +352,8 @@ def reference_stable_intersection(a, b, seed=0):
         if all(x == 0 for x in cand):
             continue
         if all(rational_rank(s + [list(cand)]) > rational_rank(s)
-               for s in deficient):
+               for s in deficient) \
+                and all(dot(h, cand) for h in walls):
             v = cand
             break
     if v is None:

@@ -35,7 +35,7 @@ from tropfan.tropical import (
     tropical_variety,
 )
 
-from oracles import optimum_attained_twice
+from oracles import groebner_route_variety, optimum_attained_twice
 
 
 def P(text, vs):
@@ -51,7 +51,7 @@ def report(n, label, started, budget):
 def test_criterion_1_tropical_line_reproduction():
     started = time.monotonic()
     spec = ideal(("x", "y"), (P("x+y+1", ("x", "y")),))
-    cycle = tropical_variety(spec, strategy="groebner")
+    cycle = groebner_route_variety(spec)
     assert set(cycle.fan.rays.columns()) == {(-1, -1), (1, 0), (0, 1)}
     assert cycle.fan.lineality.ncols == 0
     assert sorted(len(c) for c in cycle.fan.maximal_cones) == [1, 1, 1]
@@ -80,7 +80,7 @@ def test_criterion_3_prevariety_vs_variety():
     g = P("x^2+y^2+z^2", vs)
     pre = tropical_prevariety([f, g])
     assert fan_dim(pre) == 2
-    variety = tropical_variety(ideal(vs, (f, g)), strategy="groebner")
+    variety = tropical_variety(ideal(vs, (f, g)))
     assert cycle_dim(variety) == 1
     assert not is_tropical_basis([f, g])
     assert variety.fan.maximal_cones == ((),)
@@ -94,10 +94,8 @@ def test_criterion_3_prevariety_vs_variety():
 def test_criterion_4_tropical_bezout():
     started = time.monotonic()
     vs = ("x", "y", "z")
-    deg1 = tropical_variety(ideal(vs, (P("x+2*y+3*z", vs),)),
-                            strategy="groebner")
-    deg2 = tropical_variety(ideal(vs, (P("x^2+5*y^2+7*z^2", vs),)),
-                            strategy="groebner")
+    deg1 = groebner_route_variety(ideal(vs, (P("x+2*y+3*z", vs),)))
+    deg2 = groebner_route_variety(ideal(vs, (P("x^2+5*y^2+7*z^2", vs),)))
     got = stable_intersection(deg1, deg2)
     assert got.fan.rays.ncols == 0
     assert got.fan.maximal_cones == ((),)
@@ -117,7 +115,7 @@ def test_criterion_5_balancing_over_prime_corpus():
     started = time.monotonic()
     assert len(PRIME_CORPUS) >= 8
     for entry in PRIME_CORPUS:
-        cycle = tropical_variety(entry.ideal(), strategy="groebner")
+        cycle = groebner_route_variety(entry.ideal())
         assert is_balanced(cycle), entry.name
     report(5, f"all {len(PRIME_CORPUS)} prime-corpus varieties balanced",
            started, 600.0)
@@ -130,7 +128,7 @@ def test_criterion_6_hypersurface_membership_oracle():
     checked = 0
     for vs, text in ORACLE_POLYNOMIALS:
         f = P(text, vs)
-        fan = tropical_variety(ideal(vs, (f,)), strategy="newton").fan
+        fan = tropical_variety(ideal(vs, (f,))).fan
         for _ in range(1000):
             w = tuple(Fraction(rng.randint(-10 ** 4, 10 ** 4),
                                rng.randint(1, 8)) for _ in vs)
@@ -148,8 +146,8 @@ def test_criterion_7_principal_ideal_consistency():
     for vs, text in PRINCIPAL_POLYNOMIALS:
         f = P(text, vs)
         spec = ideal(vs, (f,))
-        via_groebner = tropical_variety(spec, strategy="groebner")
-        via_newton = tropical_variety(spec, strategy="newton")
+        via_groebner = groebner_route_variety(spec)
+        via_newton = tropical_variety(spec)
         assert via_groebner == via_newton, text
         # multiplicities match the lattice lengths of the dual Newton edges
         n = len(vs)

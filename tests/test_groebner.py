@@ -43,7 +43,12 @@ from tropfan.polynomials import (
     parse_polynomial,
 )
 
-from oracles import leading_term, reference_is_monomial_free, relint_contains
+from oracles import (
+    groebner_route_variety,
+    leading_term,
+    reference_is_monomial_free,
+    relint_contains,
+)
 
 
 def P(text, vs):
@@ -624,8 +629,6 @@ class TestEngineBuiltPolynomials:
     def test_corpus(self, monkeypatch):
         import sys
 
-        from tropfan.tropical import tropical_variety
-
         built = {}
         make = Polynomial._from_terms.__func__
 
@@ -640,7 +643,7 @@ class TestEngineBuiltPolynomials:
         monkeypatch.setattr(Polynomial, "_from_terms", classmethod(recording))
         for entry in PRIME_CORPUS:
             spec = entry.ideal()
-            tropical_variety(spec, strategy="groebner")
+            groebner_route_variety(spec)
             g = spec.generators[-1]
             x = Polynomial.variable(spec.variables, spec.variables[0])
             normal_form(g * x + x, spec.generators, TermOrder())

@@ -30,6 +30,7 @@ from tropfan.linalg import (
 )
 
 from oracles import (
+    groebner_route_variety,
     invariant_factors,
     reference_cone_feasible,
     reference_hermite_normal_form,
@@ -757,9 +758,8 @@ class TestSmithWitnessesOncePerLattice:
         # while every face of the Gröbner fans was built, and 61 while the
         # sliced cells reduced their inequalities, which no caller reads,
         # modulo their equations
-        from tropfan.tropical import tropical_variety
         for entry in PRIME_CORPUS:
-            tropical_variety(entry.ideal(), strategy="groebner")
+            groebner_route_variety(entry.ideal())
         assert smith_calls[0] == 46
 
 

@@ -40,7 +40,7 @@ from tropfan.groebner import (
     saturate,
     vector_space_dimension,
 )
-from tropfan.linalg import dot, rational_rank
+from tropfan.linalg import IntMatrix, _echelon_kernel, dot, rational_rank
 from tropfan.polynomials import (
     Polynomial,
     homogenize,
@@ -62,6 +62,7 @@ from tropfan.tropical import (
 
 from oracles import (
     displacement_difference,
+    groebner_route_variety,
     multiplicity_at,
     optimum_attained_twice,
     reference_cone_feasible,
@@ -219,7 +220,7 @@ class TestPrevariety:
 
 class TestVariety:
     def test_tropical_line(self):
-        c = tropical_variety(ideal(XY, (P("x+y+1", XY),)), strategy="groebner")
+        c = groebner_route_variety(ideal(XY, (P("x+y+1", XY),)))
         assert c.fan.rays.columns() == [(-1, -1), (0, 1), (1, 0)]
         assert c.fan.lineality.ncols == 0
         assert c.fan.maximal_cones == ((0,), (1,), (2,))
@@ -228,7 +229,7 @@ class TestVariety:
 
     def test_line_and_quadric(self):
         spec = ideal(XYZ, (P("x+y+z", XYZ), P("x^2+y^2+z^2", XYZ)))
-        c = tropical_variety(spec, strategy="groebner")
+        c = tropical_variety(spec)
         assert isinstance(c, TropicalCycle)
         assert c.fan.rays.ncols == 0
         assert c.fan.lineality.columns() == [(1, 1, 1)]
@@ -237,7 +238,7 @@ class TestVariety:
         assert cycle_dim(c) == 1
 
     def test_binomial_lineality(self):
-        c = tropical_variety(ideal(XY, (P("x*y-1", XY),)), strategy="groebner")
+        c = groebner_route_variety(ideal(XY, (P("x*y-1", XY),)))
         assert c.fan.rays.ncols == 0
         assert c.fan.lineality.columns() == [(1, -1)]
         assert c.multiplicities == (1,)
@@ -262,7 +263,7 @@ class TestVariety:
 
     def test_containment_chain_sampled(self):
         spec = ideal(XYZ, (P("x+y+z", XYZ), P("x^2+y^2+z^2", XYZ)))
-        variety = tropical_variety(spec, strategy="groebner")
+        variety = tropical_variety(spec)
         pre = tropical_prevariety(list(spec.generators))
         hyps = [tropical_hypersurface(g).fan for g in spec.generators]
         rng = random.Random(7)
@@ -278,7 +279,7 @@ class TestVariety:
 
     def test_exact_containment_per_cone(self):
         spec = ideal(XYZ, (P("x+y+z", XYZ), P("x^2+y^2+z^2", XYZ)))
-        variety = tropical_variety(spec, strategy="groebner")
+        variety = tropical_variety(spec)
         pre = tropical_prevariety(list(spec.generators))
         from tropfan.fans import relative_interior_point
         for c in fan_cones(variety.fan):
@@ -404,7 +405,7 @@ class TestTropicalDegree:
             self, name, variables, generators, degree):
         vs = tuple(variables)
         spec = ideal(vs, tuple(P(g, vs) for g in generators))
-        cycle = tropical_variety(spec, strategy="groebner")
+        cycle = groebner_route_variety(spec)
         d = cycle_dim(cycle)
         hyperplane = tropical_hypersurface(P("+".join(("1",) + vs), vs))
         point = reduce(stable_intersection, [hyperplane] * d, cycle)
@@ -476,8 +477,8 @@ class TestFansKeepTheirCones:
         from tropfan.corpus import PRIME_CORPUS
         for entry in PRIME_CORPUS:
             for convention in ("min", "max"):
-                assert_fan_keeps_its_cones(tropical_variety(
-                    entry.ideal(), convention, strategy="groebner").fan)
+                assert_fan_keeps_its_cones(groebner_route_variety(
+                    entry.ideal(), convention).fan)
 
     def test_stable_intersections(self):
         a = tropical_hypersurface(P(A4, XYZW))
@@ -805,8 +806,7 @@ class TestPrincipalConsistency:
     def test_paths_agree(self):
         for text, vs in [("x+y+1", XY), ("x^2+y^2+z^2", XYZ), ("x*y-1", XY)]:
             spec = ideal(vs, (P(text, vs),))
-            assert tropical_variety(spec, strategy="groebner") == \
-                tropical_variety(spec, strategy="newton")
+            assert groebner_route_variety(spec) == tropical_variety(spec)
 
 
 class TestMultiplicityAt:
@@ -821,8 +821,7 @@ class TestMultiplicityAt:
     def test_quadric_cells(self):
         hv = ("h", "x", "y", "z")
         spec = homogenize(ideal(XYZ, (P("x^2+y^2+z^2", XYZ),)))
-        c = tropical_variety(ideal(XYZ, (P("x^2+y^2+z^2", XYZ),)),
-                             strategy="groebner")
+        c = groebner_route_variety(ideal(XYZ, (P("x^2+y^2+z^2", XYZ),)))
         assert set(c.multiplicities) == {2}
 
     def test_homogeneity_space_cell(self):
@@ -846,8 +845,8 @@ class TestMultiplicityAt:
         for text, vs in [("x+y+1", XY), ("x^3+y^3+1", XY),
                          ("y^2-x^3+x", XY), ("x^2+x*y+y^2", XY)]:
             spec = ideal(vs, (P(text, vs),))
-            groebner_route = tropical_variety(spec, strategy="groebner")
-            newton_route = tropical_variety(spec, strategy="newton")
+            groebner_route = groebner_route_variety(spec)
+            newton_route = tropical_variety(spec)
             assert groebner_route == newton_route
             assert all(m >= 1 for m in groebner_route.multiplicities)
 
@@ -1092,12 +1091,14 @@ class TestSeparatingRows:
 
 class TestOneEliminationPerPair:
     """Tripwire: one pass decides A5 . B5, and each of the 268 pairs no row
-    separates takes one elimination of its joint equation rows and one
-    double description pass, whose kernel is another echelon form of the
-    same rows. No rank is computed: 536 eliminations in all, where 548 ran
-    under the random displacement of seed 0 (274 pairs), and 789 while
-    every pair's rows were ranked up front (424 ranks) and the sign test
-    eliminated the rows of the 91 full pieces once more."""
+    separates takes one elimination of its joint equation rows, whose
+    left-hand block also gives the kernel that starts the piece's double
+    description pass. No rank is computed and no other echelon form runs:
+    268 eliminations in all, where 536 ran while each pass read its kernel
+    off a second echelon form of the same rows (268 + 268), 548 under the
+    random displacement of seed 0 (274 pairs), and 789 while every pair's
+    rows were ranked up front (424 ranks) and the sign test eliminated the
+    rows of the 91 full pieces once more."""
 
     def test_a5_b5(self, monkeypatch):
         import tropfan.cycles
@@ -1109,7 +1110,8 @@ class TestOneEliminationPerPair:
         b = tropical_hypersurface(P(B5, tuple("abcde")))
         calls = {"rational_rank": 0, "_row_echelon": 0, "_echelon_kernel": 0}
         # the joint eliminations are the echelon forms stable_intersection
-        # runs itself, the passes' kernels those fans runs
+        # runs itself; a pass whose kernel fans read off a second echelon
+        # form would show as a call of _echelon_kernel
         homes = {"rational_rank": (tropfan.linalg, tropfan.fans,
                                    tropfan.cycles, tropfan.tropical),
                  "_row_echelon": (tropfan.tropical,),
@@ -1125,8 +1127,9 @@ class TestOneEliminationPerPair:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         stable_intersection(a, b)
+        # _echelon_kernel: 268 before the pieces took _solve_shift's kernel
         assert calls == {"rational_rank": 0, "_row_echelon": 268,
-                         "_echelon_kernel": 268}
+                         "_echelon_kernel": 0}
 
 
 def sign_vectors(ca, cb, tau, split):
@@ -1151,12 +1154,12 @@ def sign_test_pairs(a, b):
     out = []
     for ca in cones_a:
         for cb in cones_b:
-            split = _solve_shift(ca, cb)
-            if split is False:
+            shift = _solve_shift(ca, cb)
+            if shift is False:
                 continue
             tau = intersect(ca, cb)
             if tau.dim >= expected:
-                out.append((ca, cb, tau, split))
+                out.append((ca, cb, tau, shift[1]))
     return out
 
 
@@ -1244,9 +1247,9 @@ class TestSignTest:
         solve = tropfan.tropical._solve_shift
 
         def counted(ca, cb):
-            split = solve(ca, cb)
-            skipped.append(split is False)
-            return split
+            shift = solve(ca, cb)
+            skipped.append(shift is False)
+            return shift
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tropfan.tropical, "_solve_shift", counted)
@@ -1270,7 +1273,8 @@ class TestSolveShift:
     """The one elimination per pair: a pair whose equation rows are
     dependent is skipped (False), as its spans do not fill the space; a
     pair whose spans fill it gives, for each unit vector e_k, xs[k] in
-    span a with xs[k] - s e_k in span b."""
+    span a with xs[k] - s e_k in span b, and the kernel of the joint rows
+    that a separate echelon form of them gives."""
 
     @settings(max_examples=60, deadline=None)
     @given(hypersurface_pairs())
@@ -1284,12 +1288,28 @@ class TestSolveShift:
                 if rational_rank(eqs) < len(eqs):
                     assert got is False
                     continue
-                xs, s = got
+                _, (xs, s) = got
                 assert s > 0 and len(xs) == n
                 for k, x in enumerate(xs):
                     assert not any(dot(e, x) for e in ca.equations.entries)
                     y = [xi - s * (i == k) for i, xi in enumerate(x)]
                     assert not any(dot(e, y) for e in cb.equations.entries)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(hypersurface_pairs(), curve_hypersurface_pairs()))
+    def test_kernel_is_the_joint_rows_echelon_kernel(self, ab):
+        # the same primitive vectors in the same order, so the pass that
+        # starts from them builds the piece a separate elimination built
+        a, b = ab
+        n = a.ambient_dim
+        for ca in fan_cones(a.fan):
+            for cb in fan_cones(b.fan):
+                got = _solve_shift(ca, cb)
+                if got is False:
+                    continue
+                eqs = ca.equations.entries + cb.equations.entries
+                assert got[0] == _echelon_kernel(IntMatrix.from_rows(eqs, n))
+                assert len(got[0]) == n - len(eqs)
 
     def test_rays_of_the_line(self):
         line = tropical_hypersurface(P("x+y+1", XY))
@@ -1298,8 +1318,9 @@ class TestSolveShift:
         assert _solve_shift(diagonal, diagonal) is False
         # the x-axis ray and the y-axis ray fill the plane: (t, t^2) is
         # (t, 0) - (0, -t^2)
-        xs, s = _solve_shift(cones[(1, 0)], cones[(0, 1)])
+        kernel, (xs, s) = _solve_shift(cones[(1, 0)], cones[(0, 1)])
         assert s > 0 and xs == [(s, 0), (0, 0)]
+        assert kernel == []  # the two rays meet at the origin
 
 
 class TestDisplacementOnAWall:
@@ -1337,6 +1358,17 @@ class TestDisplacementOnAWall:
         assert got.multiplicities == (2,)
         assert cycle_to_dict(got) \
             == cycle_to_dict(reference_stable_intersection(line, other, 0))
+
+    def test_reference_draws_again_off_the_wall(self):
+        # the reference's first draw at seed 990257 is the wall vector
+        # above; counting its wall pairs gave weight 4 until the reference
+        # rejected a draw on a facet hyperplane of some ca - cb
+        line = tropical_hypersurface(P("x+y+1", XY))
+        other = tropical_hypersurface(P("x*y+x+1", XY))
+        got = reference_stable_intersection(line, other, 990257)
+        assert got.multiplicities == (2,)
+        assert cycle_to_dict(got) \
+            == cycle_to_dict(stable_intersection(line, other))
 
 
 class TestDisplacementInADeficientSpan:
@@ -1396,8 +1428,7 @@ class TestLinearSpaceOracle:
     def test_stable_intersection_is_the_variety(self, variables, forms):
         vs = tuple(variables)
         polys = [P(f, vs) for f in forms]
-        want = cycle_to_dict(tropical_variety(ideal(vs, tuple(polys)),
-                                              strategy="groebner"))
+        want = cycle_to_dict(tropical_variety(ideal(vs, tuple(polys))))
         hypersurfaces = [tropical_hypersurface(f) for f in polys]
         assert cycle_to_dict(stable_intersection(*hypersurfaces)) == want
 
@@ -1417,7 +1448,7 @@ class TestVarietySupportOracle:
         for entry in PRIME_CORPUS:
             spec = entry.ideal()
             spec_h = homogenize(spec)
-            cycle = tropical_variety(spec, strategy="groebner")
+            cycle = groebner_route_variety(spec)
             n = len(spec.variables)
             for _ in range(40):
                 if rng.random() < 0.5:
@@ -1437,35 +1468,30 @@ class TestTorusCurveCounts:
     # subgroup translates: the cell is the diagonal line, the weight counts
     # the translates
     def test_diagonal_line(self):
-        c = tropical_variety(ideal(XYZ, (P("x-y", XYZ), P("y-z", XYZ))),
-                             strategy="groebner")
+        c = tropical_variety(ideal(XYZ, (P("x-y", XYZ), P("y-z", XYZ))))
         assert c.fan.lineality.columns() == [(1, 1, 1)]
         assert c.fan.maximal_cones == ((),)
         assert c.multiplicities == (1,)
         assert is_balanced(c)
 
     def test_square_root_pair(self):
-        c = tropical_variety(ideal(XYZ, (P("x^2-y^2", XYZ), P("y-z", XYZ))),
-                             strategy="groebner")
+        c = tropical_variety(ideal(XYZ, (P("x^2-y^2", XYZ), P("y-z", XYZ))))
         assert c.multiplicities == (2,)
         assert c.fan.lineality.columns() == [(1, 1, 1)]
 
     def test_cube_root_triple(self):
-        c = tropical_variety(ideal(XYZ, (P("x^3-y^3", XYZ), P("y-z", XYZ))),
-                             strategy="groebner")
+        c = tropical_variety(ideal(XYZ, (P("x^3-y^3", XYZ), P("y-z", XYZ))))
         assert c.multiplicities == (3,)
 
     def test_plane_section_of_conic(self):
         c = tropical_variety(
-            ideal(XYZ, (P("x-y", XYZ), P("x^2+y^2+z^2", XYZ))),
-            strategy="groebner")
+            ideal(XYZ, (P("x-y", XYZ), P("x^2+y^2+z^2", XYZ))))
         assert c.multiplicities == (2,)
         assert is_balanced(c)
 
     def test_quadric_pair_three_lines(self):
         c = tropical_variety(
-            ideal(XYZ, (P("x^2-y*z", XYZ), P("x*y-z^2", XYZ))),
-            strategy="groebner")
+            ideal(XYZ, (P("x^2-y*z", XYZ), P("x*y-z^2", XYZ))))
         assert c.multiplicities == (3,)
         assert c.fan.lineality.columns() == [(1, 1, 1)]
         assert is_balanced(c)
@@ -1477,7 +1503,7 @@ class TestNonPureVariety:
         # variety is a 2-dimensional fan plus one isolated downward ray
         g1 = P("(x+y+z+1)*(x-2)", XYZ)
         g2 = P("(x+y+z+1)*(y-3)", XYZ)
-        c = tropical_variety(ideal(XYZ, (g1, g2)), strategy="groebner")
+        c = tropical_variety(ideal(XYZ, (g1, g2)))
         assert isinstance(c, TropicalCycle)
         assert not c.pure
         dims = sorted({cone.dim for cone in fan_cones(c.fan)})
@@ -1499,7 +1525,7 @@ class TestVarietyBalancing:
         ]
         for vs, texts in cases:
             spec = ideal(vs, tuple(P(t, vs) for t in texts))
-            c = tropical_variety(spec, strategy="groebner")
+            c = groebner_route_variety(spec)
             assert is_balanced(c), texts
 
 
@@ -1557,7 +1583,7 @@ class TestGrassmannian25:
 
     @pytest.fixture(scope="class")
     def cycle(self):
-        return tropical_variety(plucker_ideal(), strategy="groebner")
+        return tropical_variety(plucker_ideal())
 
     def test_petersen_graph(self, cycle):
         fan = cycle.fan
@@ -1589,6 +1615,5 @@ class TestGrassmannian25:
         # swapping p12 and p45 alone is no symmetry of the ideal: the walk
         # meets another Gröbner fan, whose variety is the permuted cycle
         perm = (9,) + tuple(range(1, 9)) + (0,)
-        assert cycle_to_dict(tropical_variety(
-            plucker_ideal(perm), strategy="groebner")) \
+        assert cycle_to_dict(tropical_variety(plucker_ideal(perm))) \
             == cycle_to_dict(permuted_cycle(cycle, perm))
