@@ -4,7 +4,9 @@ Subcommands mirror the library surface: hypersurface, variety, prevariety,
 is-tropical-basis, is-balanced, stable-intersection, and eval. Text output
 echoes the session accessor layout (rays as columns, brace lists); JSON output
 is the canonical cycle schema with sorted keys and no whitespace variance.
-Exit codes: 0 success, 1 domain error, 2 parse or usage error.
+Exit codes: 0 success, 1 domain error, 2 parse or usage error. A command
+builds only its own subparser; --help, an unknown command or a leading option
+gets the parser of all seven, with the same usage and errors.
 """
 
 from __future__ import annotations
@@ -157,7 +159,32 @@ def _parse_vars(text: str):
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (help, positionals, required options as (flag, help)), each taking
+# the shared options of build_parser before its own
+COMMANDS = {
+    "hypersurface": ("tropical hypersurface of one polynomial", ("poly",),
+                     (("--vars", "comma-separated names"),)),
+    "variety": ("tropical variety of an ideal file", ("ideal_file",), ()),
+    "prevariety": ("tropical prevariety of an ideal file", ("ideal_file",),
+                   ()),
+    "is-tropical-basis": ("do the generators cut out the tropical variety?",
+                          ("ideal_file",), ()),
+    "is-balanced": ("check the balancing condition of a cycle file",
+                    ("cycle_file",), ()),
+    "stable-intersection": ("stable intersection of two cycle files",
+                            ("cycle_a", "cycle_b"), ()),
+    "eval": ("evaluate the tropicalization at a point", ("poly",),
+             (("--vars", None),
+              ("--point", "comma-separated rational coordinates; use "
+                          "--point=-1,-4 for a leading minus"))),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone, which parses
+    its argv and prints its help and errors as the full one does. The
+    subparsers copy the shared options from a parent: argparse builds a
+    help formatter per add_argument call, so adding them to each costs more."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max", action="store_true",
                         help="use the max convention (default: min)")
@@ -168,45 +195,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="no effect: stable intersection draws nothing")
     common.add_argument("--time", action="store_true",
                         help="report elapsed wall time on stderr")
-
     parser = argparse.ArgumentParser(
         prog="tropfan",
         description="Exact tropical geometry over Q with trivial valuation.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("hypersurface", parents=[common],
-                       help="tropical hypersurface of one polynomial")
-    p.add_argument("poly")
-    p.add_argument("--vars", required=True, help="comma-separated names")
-
-    p = sub.add_parser("variety", parents=[common],
-                       help="tropical variety of an ideal file")
-    p.add_argument("ideal_file")
-
-    p = sub.add_parser("prevariety", parents=[common],
-                       help="tropical prevariety of an ideal file")
-    p.add_argument("ideal_file")
-
-    p = sub.add_parser("is-tropical-basis", parents=[common],
-                       help="do the generators cut out the tropical variety?")
-    p.add_argument("ideal_file")
-
-    p = sub.add_parser("is-balanced", parents=[common],
-                       help="check the balancing condition of a cycle file")
-    p.add_argument("cycle_file")
-
-    p = sub.add_parser("stable-intersection", parents=[common],
-                       help="stable intersection of two cycle files")
-    p.add_argument("cycle_a")
-    p.add_argument("cycle_b")
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="evaluate the tropicalization at a point")
-    p.add_argument("poly")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--point", required=True,
-                   help="comma-separated rational coordinates; use "
-                        "--point=-1,-4 for a leading minus")
+    # the lean usage lists every subcommand; the full parser keeps the
+    # default, which its invalid-choice error names `command`
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_text, positionals, options = COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for dest in positionals:
+            p.add_argument(dest)
+        for flag, option_help in options:
+            p.add_argument(flag, required=True, help=option_help)
     return parser
 
 
@@ -250,8 +253,9 @@ def dispatch(args) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     started = time.monotonic()
     try:
         output = dispatch(args)

@@ -275,14 +275,15 @@ def is_monomial_free(spec: IdealSpec) -> bool:
     """True when saturating by the product of all variables stays proper,
     i.e. the ideal contains no monomial.
 
-    An ideal <f> with one nonzero generator needs no saturation: it contains
-    a monomial exactly when f is one, since the divisors of a monomial are
-    monomials times units."""
+    A generator with one term is a monomial of the ideal, so no saturation
+    runs then. Nor does it for an ideal <f> with one nonzero generator of
+    several terms: a monomial in <f> would make f a divisor of a monomial,
+    hence a monomial times a unit."""
     nonzero = [g for g in spec.generators if not g.is_zero()]
-    if not nonzero:
+    if any(g.num_terms() == 1 for g in nonzero):
+        return False
+    if len(nonzero) <= 1:
         return True
-    if len(nonzero) == 1:
-        return nonzero[0].num_terms() > 1
     sat = saturate(spec, product_of_variables(spec.variables))
     return not any(not g.is_zero() and g.total_degree() == 0
                    for g in sat.generators)

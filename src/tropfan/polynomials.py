@@ -128,13 +128,15 @@ class Polynomial:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, Fraction(0)) + c
-        return Polynomial(self.variables, terms)
+        return Polynomial._from_terms(
+            self.variables, {e: c for e, c in terms.items() if c})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._from_terms(
+            self.variables, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "Polynomial":
         self._check_same_ring(other)
@@ -143,7 +145,8 @@ class Polynomial:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.variables, terms)
+        return Polynomial._from_terms(
+            self.variables, {e: c for e, c in terms.items() if c})
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)

@@ -288,7 +288,8 @@ def is_tropical_basis(polys) -> bool:
     The prevariety always contains the variety; equality is decided exactly
     by refining each prevariety cone against the complete sliced Gröbner fan
     (so membership is constant on each piece) and testing one relative
-    interior point per piece against the variety support.
+    interior point per piece against the variety support. One polynomial
+    needs no fan: its hypersurface is the variety of the ideal it generates.
     """
     if not polys:
         raise ZeroIdealError("empty generating set")
@@ -296,6 +297,8 @@ def is_tropical_basis(polys) -> bool:
     spec = IdealSpec(variables, tuple(polys))
     variety = tropical_variety(spec)  # validates spec
     prevariety = tropical_prevariety(polys)
+    if len(polys) == 1:
+        return True
     if variety.fan.is_empty():
         return prevariety.is_empty()
     spec_h = homogenize(spec)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from tropfan.cli import main, read_ideal_file
+from tropfan.cli import COMMANDS, build_parser, main, read_ideal_file
 from tropfan.cycles import cycle_to_dict, make_cycle
 from tropfan.errors import IdealFileError
 from tropfan.fans import cone_from_generators, fan_from_cones
@@ -482,3 +483,89 @@ class TestStartup:
                              env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, check=True)
         assert out.stdout == "[]\n"
+
+
+# one argv per subcommand, with shared and own options
+REPRESENTATIVE_ARGVS = (
+    ["hypersurface", "x^2+y^2+z^2", "--vars", "x,y,z", "--max"],
+    ["variety", "line.ideal", "--format", "json", "--out", "o.json", "--time"],
+    ["prevariety", "sys.ideal", "--seed", "3"],
+    ["is-tropical-basis", "--max", "sys.ideal"],
+    ["is-balanced", "cycle.json", "--format", "text"],
+    ["stable-intersection", "a.json", "b.json", "--seed", "7"],
+    ["eval", "x+y+1", "--vars", "x,y", "--point=-1,-4"],
+)
+
+USAGE_ERRORS = (
+    ["varietyy", "line.ideal"],                  # an unknown subcommand
+    ["--max", "variety", "line.ideal"],          # a leading option
+    ["variety", "line.ideal", "--bogus"],        # a bad option
+    ["variety", "line.ideal", "extra"],          # refused by the top parser
+    ["variety", "line.ideal", "--format", "xml"],
+    ["variety"],
+    ["hypersurface"],
+    ["hypersurface", "x+y"],
+    ["eval", "x+y"],
+    ["eval", "x+y", "--vars", "x,y", "--point"],
+    [],
+)
+
+
+def exits(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as e:
+        parse(argv)
+    out = capsys.readouterr()
+    return e.value.code, out.out, out.err
+
+
+class TestLeanParser:
+    """main builds only the subparser of the command it runs, and it parses,
+    helps and refuses as the parser of all seven subcommands does."""
+
+    def test_the_full_parser_has_every_subcommand(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(COMMANDS) == [
+            argv[0] for argv in REPRESENTATIVE_ARGVS]
+
+    @pytest.mark.parametrize("argv", REPRESENTATIVE_ARGVS,
+                             ids=[argv[0] for argv in REPRESENTATIVE_ARGVS])
+    def test_same_namespace(self, argv):
+        assert build_parser(argv[0]).parse_args(argv) \
+            == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [["--help"]] + [
+        [name, "--help"] for name in COMMANDS])
+    def test_same_help(self, capsys, argv):
+        got = exits(capsys, main, argv)
+        assert got == exits(capsys, build_parser().parse_args, argv)
+        assert got[0] == 0 and got[1].startswith("usage: tropfan ")
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS)
+    def test_same_usage_errors(self, capsys, argv):
+        got = exits(capsys, main, argv)
+        assert got == exits(capsys, build_parser().parse_args, argv)
+        assert got[0] == 2 and got[1] == "" and "error: " in got[2]
+
+    def test_required_arguments_in_declaration_order(self, capsys):
+        # a command's positionals come before its own options
+        code, _, err = exits(capsys, main, ["eval"])
+        assert code == 2
+        assert err.endswith("tropfan eval: error: the following arguments "
+                            "are required: poly, --vars, --point\n")
+
+    def test_a_command_builds_one_subparser(self, capsys, monkeypatch):
+        # tripwire: the full parser builds seven
+        built = []
+        original = argparse._SubParsersAction.add_parser
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            lambda self, name, **kw: built.append(name)
+                            or original(self, name, **kw))
+        monkeypatch.setattr(sys, "argv", ["tropfan", "eval", "x+y+1",
+                                          "--vars", "x,y", "--point=-1,-4"])
+        assert main() == 0
+        assert capsys.readouterr().out == "-4\n"
+        assert built == ["eval"]
+        build_parser()
+        assert built == ["eval"] + list(COMMANDS)

@@ -365,6 +365,27 @@ class TestMonomialFree:
         assert not saturate_calls.called
         assert got == reference_is_monomial_free(spec) == (len(terms) > 1)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.tuples(*[st.integers(0, 2)] * n), st.integers(-3, 3).filter(bool),
+        st.lists(st.dictionaries(st.tuples(*[st.integers(0, 2)] * n),
+                                 st.integers(-3, 3), max_size=4),
+                 min_size=1, max_size=2),
+        st.integers(0, 2))))
+    @example(((0, 0), 2, [{(1, 0): 1, (0, 1): 1}], 1))  # a unit among others
+    def test_a_one_term_generator_needs_no_saturation(self, case):
+        exps, coeff, others, at = case
+        vs = tuple("xyz"[:len(exps)])
+        gens = [Polynomial(vs, terms) for terms in others]
+        gens.insert(min(at, len(gens)), Polynomial(vs, {exps: coeff}))
+        spec = ideal(vs, gens)
+        with mock.patch.object(groebner, "saturate",
+                               wraps=groebner.saturate) as saturate_calls:
+            got = is_monomial_free(spec)
+        assert saturate_calls.call_count == 0
+        assert got is False
+        assert reference_is_monomial_free(spec) is False
+
     def test_binomial(self):
         xy = ("x", "y")
         assert is_monomial_free(ideal(xy, (P("x+y", xy),)))
@@ -648,9 +669,11 @@ class TestEngineBuiltPolynomials:
             x = Polynomial.variable(spec.variables, spec.variables[0])
             normal_form(g * x + x, spec.generators, TermOrder())
             s_polynomial(g, x, TermOrder())
+        # parsing the corpus runs the arithmetic: sums, products, negations
         assert set(built) == {"reduced_groebner_basis", "saturate",
                               "initial_form", "_multiplicity_from_initial",
-                              "normal_form", "s_polynomial"}
+                              "normal_form", "s_polynomial",
+                              "__add__", "__mul__", "__neg__"}
         for p in (p for ps in built.values() for p in ps):
             assert type(p.variables) is tuple
             assert p == Polynomial(p.variables, dict(p.terms))

@@ -298,9 +298,11 @@ class TestFaceWalk:
     saturates only the faces whose facets were all kept (55 and 81
     saturations, one per face, before that pruning), except the lineality
     face, whose initial ideal is the whole ideal, found monomial-free at
-    entry (13 and 21 saturations while it was tested again); it runs no
-    double description and reduces modulo lattices with no unimodular
-    completion or inverse."""
+    entry (13 and 21 saturations while it was tested again), and the faces
+    whose initial ideal has a one-term generator, a monomial (12 and 20
+    saturations while those were saturated too); it runs no double
+    description and reduces modulo lattices with no unimodular completion
+    or inverse."""
 
     def walk(self, spec, monkeypatch, facet_counts):
         import tropfan.fans
@@ -341,13 +343,13 @@ class TestFaceWalk:
 
         entry = next(e for e in PRIME_CORPUS if e.name == "space_conic")
         assert self.walk(entry.ideal(), monkeypatch, facet_counts) \
-            == (16, {"keyed": 0, "built": 0}, 12, 5)
+            == (16, {"keyed": 0, "built": 0}, 8, 5)
 
     def test_linear5_derives_each_face_once(self, monkeypatch, facet_counts):
         vs = tuple("abcde")
         spec = ideal(vs, (P("a+b+c+d+e", vs), P("a+2*b+3*c+5*d+7*e", vs)))
         assert self.walk(spec, monkeypatch, facet_counts) \
-            == (10, {"keyed": 0, "built": 0}, 20, 16)
+            == (10, {"keyed": 0, "built": 0}, 15, 16)
 
 
 # (name, variables, generators): the heavier probes of the goldens
@@ -875,6 +877,34 @@ class TestTropicalBasis:
 
     def test_principal_always_true(self):
         assert is_tropical_basis([P("x+y+1", XY)])
+
+    def test_one_polynomial_walks_no_fan(self, monkeypatch):
+        # its hypersurface is the variety of the ideal it generates; a second
+        # copy of f generates the same ideal and takes the refinement path
+        import tropfan.tropical
+
+        walks = []
+        original = tropfan.tropical.groebner_fan
+        monkeypatch.setattr(tropfan.tropical, "groebner_fan",
+                            lambda spec: walks.append(spec) or original(spec))
+        for text, vs in [("x+y+1", XY), ("y^2-x^3+x", XY),
+                         ("x^3+y^3+1", XY), ("x*y-z^2", XYZ),
+                         ("x*(y+z+1)", XYZ)]:
+            f = P(text, vs)
+            walks.clear()
+            assert is_tropical_basis([f]) is True
+            assert walks == []
+            assert is_tropical_basis([f, f]) is True
+            assert walks
+
+    @pytest.mark.parametrize("text, error", [
+        ("x*y", MonomialHypersurfaceError),
+        ("-2*x^2", MonomialHypersurfaceError),
+        ("3", UnitIdealError),
+        ("0", ZeroIdealError)])
+    def test_one_polynomial_errors(self, text, error):
+        with pytest.raises(error):
+            is_tropical_basis([P(text, XY)])
 
     def test_linear_forms_true(self):
         assert is_tropical_basis([P("x+y", XYZ), P("y+z", XYZ)])
