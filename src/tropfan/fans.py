@@ -174,7 +174,10 @@ class Cone(namedtuple("Cone", "ambient_dim rays lineality dim")):
     @cached_property
     def _equation_basis(self) -> IntMatrix:
         """The canonical basis (columns) of the integer kernel of the
-        generators: saturated already."""
+        generators: saturated already. A full-dimensional cone has none,
+        with no elimination."""
+        if self.dim == self.ambient_dim:
+            return IntMatrix.from_columns([], self.ambient_dim)
         gens = self.rays.columns() + self.lineality.columns()
         return integer_kernel_basis(
             IntMatrix(len(gens), self.ambient_dim, tuple(gens)))

@@ -7,14 +7,15 @@ exactly the leading forms seen by the engine. Division, S-polynomials and
 interreduction work on plain {exponent: Fraction} dicts, each Buchberger run
 computing a monomial's key once; a Polynomial is built only for a result.
 On top of reduced bases sit saturation, monomial-freeness, dimension counts,
-and the Gröbner fan walk, which crosses each facet once. TermOrder and
+and the Gröbner fan walk, which runs Buchberger once per Gröbner cone: it
+crosses a facet only while a single found cone bounds it. TermOrder and
 GroebnerBasis are named tuples with nothing beside their fields.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import namedtuple
+from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -27,8 +28,8 @@ from .errors import (
     UnitIdealError,
     ZeroPolynomialError,
 )
-from .fans import Cone, cone_from_halfspaces, cone_key, facets_by_key
-from .linalg import clear_denominators, vec_neg
+from .fans import Cone, _cone_from_kernel, cone_key, facets_by_key
+from .linalg import IntMatrix, clear_denominators, vec_neg
 from .polynomials import IdealSpec, Polynomial, fresh_variable, initial_form
 
 
@@ -316,26 +317,35 @@ def groebner_cone(gb: GroebnerBasis) -> Cone:
     """The closed cone of weight vectors selecting the basis' markings.
 
     The smaller weight leads: w.lead <= w.u for every trailing exponent u,
-    encoded as rows (u - lead) with nonnegative pairing.
+    encoded as rows (u - lead) with nonnegative pairing. The leads come
+    from a term order, which some weight vector refines strictly on the
+    basis' finitely many terms, so the cone has interior points: it is
+    full-dimensional, its pass starts from the identity, and no rank is
+    computed.
     """
     rows = []
     for g, lead in zip(gb.elements, gb.leading_exponents):
         for e in g.terms:
             if e != lead:
                 rows.append(tuple(a - b for a, b in zip(e, lead)))
-    return cone_from_halfspaces(rows, [], len(gb.variables()))
+    n = len(gb.variables())
+    return _cone_from_kernel(rows, IntMatrix.identity(n).columns(), n,
+                             full=True)
 
 
 def groebner_fan(spec: IdealSpec):
     """All maximal Gröbner cones of a homogeneous ideal with their reduced
-    bases, enumerated by breadth-first facet crossing.
+    bases, enumerated by breadth-first facet crossing, one Buchberger run
+    per cone.
 
-    Each facet is crossed once, by rerunning Buchberger with weight rows
-    (p, nu): p the sum of the facet's rays, a relative interior point, and
-    nu the outward normal. Both come from the facet's key and inequality, so
-    no facet is built. The fan of a homogeneous ideal is complete, so a
-    facet borders exactly two cones, and the cone beyond a facet already
-    crossed is already seen.
+    A cone's facets are keyed as soon as the cone is found, and each key
+    counts the found cones it bounds. The fan of a homogeneous ideal is
+    complete, so a facet borders exactly two cones: a facet that one found
+    cone bounds leads to a cone not yet found, and one that two bound is
+    not crossed. A crossing reruns Buchberger with weight rows (p, nu): p
+    the sum of the facet's rays, a relative interior point, and nu the
+    outward normal. Both come from the facet's key and inequality, so no
+    facet is built.
     """
     if not all(g.is_homogeneous() for g in spec.generators):
         raise RequiresHomogeneousError("the Gröbner fan needs homogeneous input")
@@ -344,23 +354,23 @@ def groebner_fan(spec: IdealSpec):
     start = reduced_groebner_basis(spec, TermOrder())
     if is_unit_basis(start):
         raise UnitIdealError("unit ideal has no Gröbner fan")
-    first_cone = groebner_cone(start)
-    seen = {start.marked_key(): (start, first_cone)}
-    queue = [start.marked_key()]
-    crossed = set()
+    bounded = Counter()
+
+    def found(gb):
+        cone = groebner_cone(gb)
+        facets = facets_by_key(cone)
+        bounded.update(key for key, _, _ in facets)
+        return gb, cone, facets
+
+    queue = deque([found(start)])
+    fan = []
     while queue:
-        key = queue.pop(0)
-        _, cone = seen[key]
-        for facet_key, inward, _ in facets_by_key(cone):
-            if facet_key in crossed:
-                continue
-            crossed.add(facet_key)
-            facet_rays, _ = facet_key
-            p = tuple(sum(row) for row in facet_rays)
-            neighbor = reduced_groebner_basis(
-                spec, TermOrder((p, vec_neg(inward))))
-            nk = neighbor.marked_key()
-            if nk not in seen:
-                seen[nk] = (neighbor, groebner_cone(neighbor))
-                queue.append(nk)
-    return sorted(seen.values(), key=lambda gc: cone_key(gc[1]))
+        gb, cone, facets = queue.popleft()
+        fan.append((gb, cone))
+        for facet_key, inward, _ in facets:
+            if bounded[facet_key] == 1:
+                facet_rays, _ = facet_key
+                p = tuple(sum(row) for row in facet_rays)
+                queue.append(found(reduced_groebner_basis(
+                    spec, TermOrder((p, vec_neg(inward))))))
+    return sorted(fan, key=lambda gc: cone_key(gc[1]))

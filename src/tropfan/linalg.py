@@ -442,9 +442,21 @@ def hermite_basis(m: IntMatrix) -> IntMatrix:
 
 
 def saturate_lattice(m: IntMatrix) -> IntMatrix:
-    """Canonical basis of span_Q(columns of m) intersected with Z^n."""
+    """Canonical basis of span_Q(columns of m) intersected with Z^n.
+
+    One column needs no elimination: its saturation is spanned by the
+    column made primitive, and the canonical sign puts the first nonzero
+    entry, the Hermite pivot, positive; a zero column spans nothing."""
     if m.ncols == 0:
         return m
+    if m.ncols == 1:
+        col = m.column(0)
+        if not any(col):
+            return _from_int_columns([], m.nrows)
+        col = primitive_vector(col)
+        if next(x for x in col if x) < 0:
+            col = vec_neg(col)
+        return _from_int_columns([col], m.nrows)
     # rows orthogonal to the column span (any basis), then their integer kernel
     orth = _kernel_columns(m.transpose())
     return integer_kernel_basis(IntMatrix(len(orth), m.nrows, tuple(orth)))

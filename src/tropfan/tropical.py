@@ -208,10 +208,17 @@ def _multiplicity_from_initial(inw: IdealSpec, sigma: Cone) -> int:
 
 
 def _validated(spec: IdealSpec):
-    if all(g.is_zero() for g in spec.generators):
+    """Refuse the zero ideal and the unit ideal. An ideal with one nonzero
+    generator is the unit ideal exactly when that generator is a constant,
+    so only an ideal with several runs Buchberger."""
+    gens = [g for g in spec.generators if not g.is_zero()]
+    if not gens:
         raise ZeroIdealError("the zero ideal has no tropical variety")
-    gb = reduced_groebner_basis(spec, TermOrder())
-    if is_unit_basis(gb):
+    if len(gens) == 1:
+        unit = gens[0].total_degree() == 0
+    else:
+        unit = is_unit_basis(reduced_groebner_basis(spec, TermOrder()))
+    if unit:
         raise UnitIdealError("the unit ideal has an empty variety")
 
 
@@ -289,16 +296,20 @@ def is_tropical_basis(polys) -> bool:
     by refining each prevariety cone against the complete sliced Gröbner fan
     (so membership is constant on each piece) and testing one relative
     interior point per piece against the variety support. One polynomial
-    needs no fan: its hypersurface is the variety of the ideal it generates.
+    needs no fan and no prevariety: its hypersurface is the variety of the
+    ideal it generates, which a monomial, with no hypersurface, leaves empty.
     """
     if not polys:
         raise ZeroIdealError("empty generating set")
     variables = polys[0].variables
     spec = IdealSpec(variables, tuple(polys))
     variety = tropical_variety(spec)  # validates spec
-    prevariety = tropical_prevariety(polys)
     if len(polys) == 1:
+        if variety.fan.is_empty():
+            raise MonomialHypersurfaceError(
+                "a monomial has an empty tropical hypersurface")
         return True
+    prevariety = tropical_prevariety(polys)
     if variety.fan.is_empty():
         return prevariety.is_empty()
     spec_h = homogenize(spec)

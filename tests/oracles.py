@@ -1,5 +1,6 @@
 """Direct computations that cross-check the library's routes to the same
-answers. They are not part of the package: only the tests call them."""
+answers, and the G(2,5) ideal that several test modules walk. They are not
+part of the package: only the tests call them."""
 
 import random
 from fractions import Fraction
@@ -49,12 +50,34 @@ from tropfan.linalg import (
     smith_normal_form,
     vec_neg,
 )
-from tropfan.polynomials import IdealSpec, edge_lattice_length
+from tropfan.polynomials import (
+    IdealSpec,
+    edge_lattice_length,
+    ideal,
+    parse_polynomial,
+)
 from tropfan.tropical import (
     _groebner_variety,
     _multiplicity_from_initial,
     _validated,
 )
+
+# the Plücker coordinates p_ij (i < j) of G(2,5), in lexicographic order
+PLUCKER_PAIRS = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+PLUCKER_VARS = tuple(f"p{i}{j}" for i, j in PLUCKER_PAIRS)
+
+
+def plucker_ideal(perm=tuple(range(10))):
+    """The five three-term Plücker relations of G(2,5), with coordinate k
+    moved to coordinate perm[k]."""
+    def p(i, j):
+        return PLUCKER_VARS[perm[PLUCKER_PAIRS.index((i, j))]]
+
+    rels = [f"{p(i, j)}*{p(k, l)}-{p(i, k)}*{p(j, l)}+{p(i, l)}*{p(j, k)}"
+            for i in range(1, 6) for j in range(i + 1, 6)
+            for k in range(j + 1, 6) for l in range(k + 1, 6)]
+    return ideal(PLUCKER_VARS,
+                 tuple(parse_polynomial(r, PLUCKER_VARS) for r in rels))
 
 
 def optimum_attained_twice(f, w, convention="min") -> bool:

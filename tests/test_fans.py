@@ -29,7 +29,13 @@ from tropfan.fans import (
     slice_first_coordinate,
     support_contains,
 )
-from tropfan.linalg import IntMatrix, _echelon_kernel, dot, rational_rank
+from tropfan.linalg import (
+    IntMatrix,
+    _echelon_kernel,
+    dot,
+    integer_kernel_basis,
+    rational_rank,
+)
 
 from oracles import (
     reference_cone_from_generators,
@@ -621,6 +627,33 @@ class TestGeneratorDimension:
         lins = [l for l in lins if any(l)]
         c = cone_from_generators(rays, lins, n)
         assert c.dim == (rational_rank(rays + lins) if rays or lins else 0)
+
+
+class TestFullDimensionalEquations:
+    """A full-dimensional cone reads off its dimension that it has no
+    equations; the integer kernel of its generators, which a cone of lower
+    dimension takes, agrees."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cones_in_2_to_4)
+    # an orthant; a halfspace, with a lineality; all space
+    @example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [], False))
+    @example((3, [(1, 2, -1)], [], False))
+    @example((2, [], [(1, 0), (0, 1)], True))
+    def test_no_equations(self, case):
+        n, vecs, lins, from_generators = case
+        if from_generators:
+            units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+            c = cone_from_generators([v for v in vecs if any(v)] + units,
+                                     [l for l in lins if any(l)], n)
+        else:
+            # rows positive on (1, ..., 1), which lies in the interior
+            c = cone_from_halfspaces([v for v in vecs if sum(v) > 0], [], n)
+        assert c.dim == n
+        rays, lin = c.generators()
+        kernel = integer_kernel_basis(IntMatrix.from_rows(rays + lin, n))
+        assert c.equations == kernel.transpose()
+        assert c.equations == IntMatrix.from_rows([], n)
 
 
 class TestNegateCone:

@@ -696,6 +696,10 @@ class TestQuotientReps:
     @given(st.integers(1, 5).flatmap(lambda n: st.lists(
         st.lists(st.integers(-6, 6), min_size=n, max_size=n),
         min_size=1, max_size=5)))
+    # one column: zero, with a negative first nonzero entry, not primitive
+    @example([[0, 0, 0]])
+    @example([[0, -2, 4]])
+    @example([[3]])
     def test_saturation_matches_doubly_canonical_route(self, cols):
         m = IntMatrix.from_columns([tuple(c) for c in cols])
         assert saturate_lattice(m) == old_saturate_lattice(m)

@@ -61,10 +61,12 @@ from tropfan.tropical import (
 )
 
 from oracles import (
+    PLUCKER_PAIRS,
     displacement_difference,
     groebner_route_variety,
     multiplicity_at,
     optimum_attained_twice,
+    plucker_ideal,
     reference_cone_feasible,
     reference_dd,
     reference_fan_cone,
@@ -897,6 +899,29 @@ class TestTropicalBasis:
             assert is_tropical_basis([f, f]) is True
             assert walks
 
+    def test_one_polynomial_builds_one_hypersurface(self, monkeypatch):
+        # f's hypersurface is the variety, so no prevariety builds it again,
+        # and an ideal with one generator is proper when it is no constant
+        import tropfan.groebner
+        import tropfan.tropical
+
+        calls = {"tropical_hypersurface": 0, "reduced_groebner_basis": 0}
+        for name in calls:
+            for module in (tropfan.tropical, tropfan.groebner):
+                original = getattr(module, name, None)
+                if original is None:
+                    continue
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        f = P("x^2+y^2+z^2+w^2+x*y+1", XYZW)
+        assert is_tropical_basis([f]) is True
+        assert calls == {"tropical_hypersurface": 1,
+                         "reduced_groebner_basis": 0}
+
     @pytest.mark.parametrize("text, error", [
         ("x*y", MonomialHypersurfaceError),
         ("-2*x^2", MonomialHypersurfaceError),
@@ -1557,23 +1582,6 @@ class TestVarietyBalancing:
             spec = ideal(vs, tuple(P(t, vs) for t in texts))
             c = groebner_route_variety(spec)
             assert is_balanced(c), texts
-
-
-# the Plücker coordinates p_ij (i < j) of G(2,5), in lexicographic order
-PLUCKER_PAIRS = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
-PLUCKER_VARS = tuple(f"p{i}{j}" for i, j in PLUCKER_PAIRS)
-
-
-def plucker_ideal(perm=tuple(range(10))):
-    """The five three-term Plücker relations of G(2,5), with coordinate k
-    moved to coordinate perm[k]."""
-    def p(i, j):
-        return PLUCKER_VARS[perm[PLUCKER_PAIRS.index((i, j))]]
-
-    rels = [f"{p(i, j)}*{p(k, l)}-{p(i, k)}*{p(j, l)}+{p(i, l)}*{p(j, k)}"
-            for i in range(1, 6) for j in range(i + 1, 6)
-            for k in range(j + 1, 6) for l in range(k + 1, 6)]
-    return ideal(PLUCKER_VARS, tuple(P(r, PLUCKER_VARS) for r in rels))
 
 
 def plucker_permutation(sigma):
