@@ -4,8 +4,13 @@ Term orders are weight-row matrices refined by a fixed graded reverse
 lexicographic tie-break (first variable largest), with one direction: the
 smaller weight leads, so initial forms of tropical weight vectors (min) are
 exactly the leading forms seen by the engine. Division, S-polynomials and
-interreduction work on plain {exponent: Fraction} dicts, each Buchberger run
-computing a monomial's key once; a Polynomial is built only for a result.
+interreduction work on plain {exponent: coefficient} dicts, each Buchberger
+run computing a monomial's key once; a Polynomial is built only for a
+result. A run keeps its coefficients int while they are integral: inputs
+with integral coefficients enter as ints, a lead of -1 is negated rather
+than divided, and a sum that becomes integral goes back to int. Only a
+lead other than 1 and -1 divides, into Fractions. Every Polynomial the
+engine returns holds Fractions, as one built by parsing does.
 On top of reduced bases sit saturation, monomial-freeness, dimension counts,
 and the Gröbner fan walk, which runs Buchberger once per Gröbner cone: it
 crosses a facet only while a single found cone bounds it. TermOrder and
@@ -19,7 +24,7 @@ from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import add, le, sub
+from operator import add, le, mul, neg, sub
 
 from .errors import (
     DimMismatchError,
@@ -55,9 +60,8 @@ class TermOrder(namedtuple("TermOrder", "weight_rows")):
 
     def key(self, exps):
         """The larger key leads."""
-        weight = tuple(-sum(w * e for w, e in zip(row, exps))
-                       for row in self.weight_rows)
-        return weight + (sum(exps),) + tuple(-e for e in reversed(exps))
+        return (*[-sum(map(mul, row, exps)) for row in self.weight_rows],
+                sum(exps), *map(neg, reversed(exps)))
 
 
 class GroebnerBasis(namedtuple("GroebnerBasis",
@@ -79,26 +83,44 @@ class GroebnerBasis(namedtuple("GroebnerBasis",
         return tuple(sorted(items))
 
 
-# The engine works on {exponent: Fraction} term dicts; an element of a basis
-# under construction is a monic pair (lead, terms).
+# The engine works on {exponent: coefficient} term dicts, whose coefficients
+# are int while integral and Fraction otherwise; an element of a basis under
+# construction is a monic pair (lead, terms). Every Polynomial it returns
+# holds Fractions (_fractions).
 
 def _divides(a, b) -> bool:
     return all(map(le, a, b))
 
 
+def _integral(terms):
+    """The terms with each integral Fraction made an int."""
+    return {e: c.numerator if c.denominator == 1 else c
+            for e, c in terms.items()}
+
+
+def _fractions(terms):
+    """The terms with each int made a Fraction, as a Polynomial holds them."""
+    return {e: Fraction(c) if type(c) is int else c for e, c in terms.items()}
+
+
 def _monic(terms, key):
-    """(lead, terms scaled to leading coefficient 1). A dict that already
-    is monic is shared, not copied: the engine never mutates an element."""
+    """(lead, terms scaled to leading coefficient 1): negated when the lead
+    is -1, which keeps ints int, and divided only when it is not 1 either. A
+    dict that already is monic is shared, not copied: the engine never
+    mutates an element."""
     lead = max(terms, key=key)
     c = terms[lead]
-    if c != 1:
-        inv = 1 / c
+    if c == -1:
+        terms = {e: -v for e, v in terms.items()}
+    elif c != 1:
+        inv = Fraction(1, c)
         terms = {e: inv * v for e, v in terms.items()}
     return lead, terms
 
 
 def _add_multiple(work, terms, shift, factor):
-    """work += factor * x^shift * terms, in place, dropping cancelled terms."""
+    """work += factor * x^shift * terms, in place, dropping cancelled terms;
+    a sum that becomes integral goes back to int."""
     for e, c in terms.items():
         m = tuple(map(add, e, shift))
         v = work.get(m)
@@ -106,10 +128,12 @@ def _add_multiple(work, terms, shift, factor):
             work[m] = factor * c
         else:
             v += factor * c
-            if v:
+            if not v:
+                del work[m]
+            elif type(v) is int or v.denominator != 1:
                 work[m] = v
             else:
-                del work[m]
+                work[m] = v.numerator
 
 
 def _reduce(terms, reducers, key):
@@ -140,16 +164,16 @@ def _s_terms(f, g):
 def normal_form(p: Polynomial, basis, order: TermOrder) -> Polynomial:
     """Full remainder of p on division by the basis list."""
     reducers = [_monic(g.terms, order.key) for g in basis if not g.is_zero()]
-    return Polynomial._from_terms(p.variables,
-                                  _reduce(p.terms, reducers, order.key))
+    return Polynomial._from_terms(
+        p.variables, _fractions(_reduce(p.terms, reducers, order.key)))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomialError("zero polynomial has no leading term")
-    return Polynomial._from_terms(f.variables,
-                                  _s_terms(_monic(f.terms, order.key),
-                                           _monic(g.terms, order.key)))
+    return Polynomial._from_terms(
+        f.variables, _fractions(_s_terms(_monic(f.terms, order.key),
+                                         _monic(g.terms, order.key))))
 
 
 def _check_termination(spec: IdealSpec, order: TermOrder):
@@ -161,10 +185,12 @@ def _check_termination(spec: IdealSpec, order: TermOrder):
 
 
 def reduced_groebner_basis(spec: IdealSpec, order: TermOrder) -> GroebnerBasis:
-    """The unique reduced Gröbner basis of the ideal for the order."""
+    """The unique reduced Gröbner basis of the ideal for the order. The run
+    keeps integral coefficients as ints, which cost less than Fractions."""
     _check_termination(spec, order)
     key = lru_cache(maxsize=None)(order.key)  # a table for this run only
-    gens = [_monic(g.terms, key) for g in spec.generators if not g.is_zero()]
+    gens = [_monic(_integral(g.terms), key)
+            for g in spec.generators if not g.is_zero()]
     if not gens:
         z = Polynomial.zero(spec.variables)
         return GroebnerBasis(order, (z,), ((0,) * len(spec.variables),))
@@ -200,7 +226,8 @@ def reduced_groebner_basis(spec: IdealSpec, order: TermOrder) -> GroebnerBasis:
             push_pairs(len(basis) - 1)
     basis = _minimal_reduced(basis, key)
     return GroebnerBasis(
-        order, tuple(Polynomial._from_terms(spec.variables, t) for _, t in basis),
+        order, tuple(Polynomial._from_terms(spec.variables, _fractions(t))
+                     for _, t in basis),
         tuple(lead for lead, _ in basis))
 
 

@@ -441,12 +441,16 @@ def hermite_basis(m: IntMatrix) -> IntMatrix:
     return _from_int_columns([tuple(c) for c in cols if any(c)], m.nrows)
 
 
+@lru_cache(maxsize=1024)
 def saturate_lattice(m: IntMatrix) -> IntMatrix:
     """Canonical basis of span_Q(columns of m) intersected with Z^n.
 
     One column needs no elimination: its saturation is spanned by the
     column made primitive, and the canonical sign puts the first nonzero
-    entry, the Hermite pivot, positive; a zero column spans nothing."""
+    entry, the Hermite pivot, positive; a zero column spans nothing.
+    Memoized by the matrix, as _unit_smith is: every Gröbner cone of a walk
+    hands its pass the same lineality vectors, so they are saturated
+    once."""
     if m.ncols == 0:
         return m
     if m.ncols == 1:

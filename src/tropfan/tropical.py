@@ -16,7 +16,12 @@ face, whose initial ideal is the whole ideal, is not tested again: the
 entry test has decided it. The maximal kept faces, those that are no kept
 face's facet, are the only ones built; slice the homogenizing coordinate
 back out of each, and compute one multiplicity per maximal cell as the
-degree of the saturated initial ideal in quotient coordinates. Stable
+degree of the saturated initial ideal in quotient coordinates. A
+tropical-basis check reads supports only: it keeps the maximal cells
+unsliced and unweighted, lifts each prevariety cone into homogenized
+coordinates with x0 = 0, cuts it by every Gröbner cone, builds only the
+pieces of full dimension, and tests one relative interior point of each
+against the cells. Stable
 intersections of pure cycles use the fan displacement rule, displaced along
 the moment curve v(t) = (t, t^2, ..., t^n) as t -> 0+, with lattice-index
 weights: the sign of a row y on v(t) is that of y's first nonzero entry, so
@@ -62,10 +67,8 @@ from .fans import (
     cone_from_incidence,
     face_lattice,
     fan_cones,
-    intersect,
     relative_interior_point,
     slice_first_coordinate,
-    support_contains,
 )
 from .groebner import (
     TermOrder,
@@ -81,6 +84,7 @@ from .groebner import (
 from .linalg import (
     IntMatrix,
     Lattice,
+    _echelon_kernel,
     _kernel_off_echelon,
     _row_echelon,
     dot,
@@ -207,19 +211,24 @@ def _multiplicity_from_initial(inw: IdealSpec, sigma: Cone) -> int:
     return vector_space_dimension(residual)
 
 
-def _validated(spec: IdealSpec):
-    """Refuse the zero ideal and the unit ideal. An ideal with one nonzero
-    generator is the unit ideal exactly when that generator is a constant,
-    so only an ideal with several runs Buchberger."""
+def _validated(spec: IdealSpec) -> bool:
+    """Refuse the zero ideal and the unit ideal, and tell whether the ideal
+    is monomial-free. A monomial-free ideal is proper, so the unit ideal is
+    looked for only when the ideal holds a monomial: an ideal with one
+    nonzero generator is the unit ideal exactly when that generator is a
+    constant, so only an ideal with several runs Buchberger for it."""
     gens = [g for g in spec.generators if not g.is_zero()]
     if not gens:
         raise ZeroIdealError("the zero ideal has no tropical variety")
-    if len(gens) == 1:
-        unit = gens[0].total_degree() == 0
-    else:
-        unit = is_unit_basis(reduced_groebner_basis(spec, TermOrder()))
-    if unit:
-        raise UnitIdealError("the unit ideal has an empty variety")
+    free = is_monomial_free(spec)
+    if not free:
+        if len(gens) == 1:
+            unit = gens[0].total_degree() == 0
+        else:
+            unit = is_unit_basis(reduced_groebner_basis(spec, TermOrder()))
+        if unit:
+            raise UnitIdealError("the unit ideal has an empty variety")
+    return free
 
 
 def tropical_variety(spec: IdealSpec,
@@ -231,8 +240,7 @@ def tropical_variety(spec: IdealSpec,
     of different dimensions comes back as a cycle whose `pure` is false.
     """
     check_convention(convention)
-    _validated(spec)
-    if not is_monomial_free(spec):
+    if not _validated(spec):
         return weighted_from_cones(len(spec.variables), (), convention)
     gens = [g for g in spec.generators if not g.is_zero()]
     if len(gens) == 1:
@@ -271,54 +279,74 @@ def _kept_faces(fan_data):
     return [(face, kept[face.key]) for face, _ in walked if face.key in kept]
 
 
-def _groebner_variety(spec: IdealSpec):
-    """The exhaustive pipeline on the kept faces. A kept face lies in a
-    larger kept one exactly when it is a facet of a kept face (every face
-    between them is in the closed subfan), so the maximal cells are the kept
-    faces no kept face lists among its facets. Only they are built."""
+def _maximal_kept_faces(spec: IdealSpec):
+    """The maximal cells of Trop(I^h), unsliced: (Face, initial ideal) pairs
+    of the kept faces (_kept_faces) of the Gröbner fan of I^h. A kept face
+    lies in a larger kept one exactly when it is a facet of a kept face
+    (every face between them is in the closed subfan), so the maximal cells
+    are the kept faces no kept face lists among its facets. None is built."""
     kept = _kept_faces(groebner_fan(homogenize(spec)))
     covered = {k for face, _ in kept for k in face.facets}
+    return [(face, inw) for face, inw in kept if face.key not in covered]
+
+
+def _groebner_variety(spec: IdealSpec):
+    """The exhaustive pipeline: each maximal kept face is built, weighted
+    by its multiplicity and sliced."""
     pairs = []
-    for face, inw in kept:
-        if face.key not in covered:
-            sigma = face.build()
-            mult = _multiplicity_from_initial(inw, sigma)
-            pairs.append((slice_first_coordinate(sigma), mult))
+    for face, inw in _maximal_kept_faces(spec):
+        sigma = face.build()
+        mult = _multiplicity_from_initial(inw, sigma)
+        pairs.append((slice_first_coordinate(sigma), mult))
     return weighted_from_cones(len(spec.variables), pairs, "min",
                                merge_duplicates=False)
 
 
 def is_tropical_basis(polys) -> bool:
     """Do the hypersurfaces of these polynomials cut out the tropical
-    variety of the ideal they generate?
+    variety of the ideal they generate? The answer reads supports only: no
+    multiplicity is computed.
 
-    The prevariety always contains the variety; equality is decided exactly
-    by refining each prevariety cone against the complete sliced Gröbner fan
-    (so membership is constant on each piece) and testing one relative
-    interior point per piece against the variety support. One polynomial
-    needs no fan and no prevariety: its hypersurface is the variety of the
-    ideal it generates, which a monomial, with no hypersurface, leaves empty.
+    The prevariety always contains the variety, and equality is decided
+    exactly in homogenized coordinates. Each maximal prevariety cone sigma,
+    lifted with x0 = 0, is cut by every cone gamma of the Gröbner fan of
+    I^h, and only the pieces of sigma's dimension are built: their pass
+    starts from a kernel basis of sigma's equations and stops at the first
+    dimension drop. Those pieces cover sigma, since the lower-dimensional
+    ones lie in their closures. A piece's relative interior lies in the
+    relative interior of one face of gamma, on which membership in the
+    closed subfan Trop(I^h) is constant, so one relative interior point per
+    piece is tested against the unsliced maximal cells: (0, w) lies in a
+    cell exactly when w lies in its slice. One polynomial needs no fan and
+    no prevariety: its hypersurface is the variety of the ideal it
+    generates, which a monomial, with no hypersurface, leaves empty.
     """
     if not polys:
         raise ZeroIdealError("empty generating set")
     variables = polys[0].variables
     spec = IdealSpec(variables, tuple(polys))
-    variety = tropical_variety(spec)  # validates spec
     if len(polys) == 1:
-        if variety.fan.is_empty():
+        if tropical_variety(spec).fan.is_empty():  # validates spec
             raise MonomialHypersurfaceError(
                 "a monomial has an empty tropical hypersurface")
         return True
+    free = _validated(spec)
     prevariety = tropical_prevariety(polys)
-    if variety.fan.is_empty():
+    if not free:
         return prevariety.is_empty()
-    spec_h = homogenize(spec)
-    sliced = [slice_first_coordinate(cone)
-              for _, cone in groebner_fan(spec_h)]
+    cells = [face.build() for face, _ in _maximal_kept_faces(spec)]
+    gammas = [gamma.inequalities.entries
+              for _, gamma in groebner_fan(homogenize(spec))]
+    n = len(variables) + 1
     for sigma in fan_cones(prevariety):
-        for gamma in sliced:
-            w = relative_interior_point(intersect(sigma, gamma))
-            if not support_contains(variety.fan, w):
+        rows = tuple((0,) + a for a in sigma.inequalities.entries)
+        kernel = [(0,) + k for k in _echelon_kernel(sigma.equations)]
+        for gamma_rows in gammas:
+            piece = _cone_from_kernel(rows + gamma_rows, kernel, n, full=True)
+            if piece is None:
+                continue  # a lower-dimensional piece lies in a full one
+            w = relative_interior_point(piece)
+            if not any(cell.contains(w) for cell in cells):
                 return False
     return True
 

@@ -14,6 +14,7 @@ from tropfan.cycles import (
 from tropfan.errors import (
     DimMismatchError,
     GenericityError,
+    MonomialHypersurfaceError,
     NotFullRankError,
     NotPureError,
     ZeroPolynomialError,
@@ -27,9 +28,12 @@ from tropfan.fans import (
     fan_cones,
     intersect,
     relative_interior_point,
+    slice_first_coordinate,
+    support_contains,
 )
 from tropfan.groebner import (
     TermOrder,
+    groebner_fan,
     initial_ideal,
     is_monomial_free,
     product_of_variables,
@@ -53,6 +57,7 @@ from tropfan.linalg import (
 from tropfan.polynomials import (
     IdealSpec,
     edge_lattice_length,
+    homogenize,
     ideal,
     parse_polynomial,
 )
@@ -60,6 +65,8 @@ from tropfan.tropical import (
     _groebner_variety,
     _multiplicity_from_initial,
     _validated,
+    tropical_prevariety,
+    tropical_variety,
 )
 
 # the Plücker coordinates p_ij (i < j) of G(2,5), in lexicographic order
@@ -124,6 +131,28 @@ def groebner_route_variety(spec, convention="min"):
     gens = tuple(g for g in spec.generators if not g.is_zero())
     cycle = _groebner_variety(IdealSpec(spec.variables, gens))
     return swap_convention(cycle) if convention == "max" else cycle
+
+
+def reference_is_tropical_basis(polys) -> bool:
+    """is_tropical_basis through the whole weighted variety: each maximal
+    prevariety cone is intersected with every cone of the sliced Gröbner
+    fan of I^h, and every piece, of any dimension, is tested at one
+    relative interior point against the variety's support."""
+    spec = IdealSpec(polys[0].variables, tuple(polys))
+    variety = tropical_variety(spec)
+    if len(polys) == 1:
+        if variety.fan.is_empty():
+            raise MonomialHypersurfaceError(
+                "a monomial has an empty tropical hypersurface")
+        return True
+    prevariety = tropical_prevariety(polys)
+    if variety.fan.is_empty():
+        return prevariety.is_empty()
+    sliced = [slice_first_coordinate(cone)
+              for _, cone in groebner_fan(homogenize(spec))]
+    return all(support_contains(variety.fan,
+                                relative_interior_point(intersect(sigma, gamma)))
+               for sigma in fan_cones(prevariety) for gamma in sliced)
 
 
 def reference_newton_polytope(f):

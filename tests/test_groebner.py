@@ -29,6 +29,7 @@ from tropfan.groebner import (
     is_monomial_free,
     is_unit_basis,
     normal_form,
+    product_of_variables,
     reduced_groebner_basis,
     s_polynomial,
     saturate,
@@ -546,6 +547,14 @@ class TestAgainstReferenceEngine:
                                  P("3*x^2+3*x*y-3*y^2", ("x", "y")),
                                  P("x*y^2", ("x", "y")))),
               TermOrder(((-2, -1),)), P("x^2*y", ("x", "y"))))
+    # leads of -1 are negated, and coefficients stay int
+    @example((ideal(("x", "y"), (P("-x^2+y^2", ("x", "y")),
+                                 P("-x*y+2*y^2-y", ("x", "y")))),
+              TermOrder(), P("-x^3+x*y", ("x", "y"))))
+    # leads of 2 and 1/2 divide, and the runs pass through Fraction
+    @example((ideal(("x", "y"), (P("2*x-3*y", ("x", "y")),
+                                 P("x^2/2+y", ("x", "y")))),
+              TermOrder(((-1, -2),)), P("x^2*y/3-2*y^2+x", ("x", "y"))))
     def test_same_reduced_basis_and_normal_forms(self, case):
         spec, order, p = case
         gb = reduced_groebner_basis(spec, order)
@@ -662,11 +671,21 @@ class TestFacetsCrossedOnce:
         assert facet_counts == {"keyed": cones, "built": 0}
 
 
+def assert_clean(p):
+    """p equals what the checking constructor makes of its terms, and has
+    int exponents of the ring's length and nonzero Fraction coefficients."""
+    assert type(p.variables) is tuple
+    assert p == Polynomial(p.variables, dict(p.terms))
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == len(p.variables)
+        assert all(type(k) is int and k >= 0 for k in e)
+        assert type(c) is Fraction and c != 0
+
+
 class TestEngineBuiltPolynomials:
     """The engine builds its results from term dicts it keeps clean, with no
-    check (Polynomial._from_terms). Each equals what the checking
-    constructor makes of its terms, and has int exponents of the ring's
-    length and nonzero Fraction coefficients."""
+    check (Polynomial._from_terms), and keeps integral coefficients int
+    inside a run. Each result is clean (assert_clean)."""
 
     def test_corpus(self, monkeypatch):
         import sys
@@ -696,9 +715,22 @@ class TestEngineBuiltPolynomials:
                               "normal_form", "s_polynomial",
                               "__add__", "__mul__", "__neg__"}
         for p in (p for ps in built.values() for p in ps):
-            assert type(p.variables) is tuple
-            assert p == Polynomial(p.variables, dict(p.terms))
-            for e, c in p.terms.items():
-                assert type(e) is tuple and len(e) == len(p.variables)
-                assert all(type(k) is int and k >= 0 for k in e)
-                assert type(c) is Fraction and c != 0
+            assert_clean(p)
+
+    def test_linear5(self):
+        # leads 2, 3, 5 and 7 divide into Fractions, whose sums may become
+        # integral again inside a run
+        vs = tuple("abcde")
+        f, g = P("a+b+c+d+e", vs), P("a+2*b+3*c+5*d+7*e", vs)
+        spec = ideal(vs, (f, g))
+        x = Polynomial.variable(vs, "e")
+        results = list(saturate(spec, product_of_variables(vs)).generators)
+        for order in (TermOrder(), TermOrder(((7, 5, 3, 2, 1),))):
+            gb = reduced_groebner_basis(spec, order)
+            results += gb.elements
+            for basis in (spec.generators, gb.elements):
+                results.append(normal_form(g * g * x + f * x, basis, order))
+            results += [s_polynomial(f, g, order), s_polynomial(g, x, order),
+                        s_polynomial(g * x, f * f, order)]
+        for p in results:
+            assert_clean(p)

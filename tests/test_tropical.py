@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tropfan.cli import dumps_canonical
 from tropfan.cycles import (
     TropicalCycle,
     cycle_dim,
@@ -20,6 +22,7 @@ from tropfan.errors import (
     DimMismatchError,
     MonomialHypersurfaceError,
     NotPureError,
+    TropfanError,
     UnitIdealError,
     ZeroIdealError,
 )
@@ -71,6 +74,7 @@ from oracles import (
     reference_dd,
     reference_fan_cone,
     reference_is_balanced,
+    reference_is_tropical_basis,
     reference_kept_faces,
     reference_newton_polytope,
     reference_stable_intersection,
@@ -935,6 +939,65 @@ class TestTropicalBasis:
         assert is_tropical_basis([P("x+y", XYZ), P("y+z", XYZ)])
 
 
+# the ideals of the goldens and the benchmark's is-tropical-basis commands
+BASIS_CASES = _variety_cases() + [("line_conic", "xyz", ("x+y+z", "x^2+y^2+z^2"))]
+
+
+def basis_outcome(decide, polys):
+    """decide(polys), or the type of the error it raises."""
+    try:
+        return decide(polys)
+    except TropfanError as e:
+        return type(e)
+
+
+@st.composite
+def small_pairs(draw):
+    """Two polynomials in 2-3 variables, each of 2-3 terms (before equal
+    monomials merge) of degree at most 2 with coefficients in -2..2."""
+    n = draw(st.integers(2, 3))
+    variables = ("x", "y", "z")[:n]
+    monomial = st.lists(st.integers(0, n - 1), max_size=2).map(
+        lambda idx: tuple(idx.count(i) for i in range(n)))
+    term = st.tuples(monomial, st.integers(-2, 2).filter(bool))
+    poly = st.lists(term, min_size=2, max_size=3).map(
+        lambda terms: Polynomial(variables, dict(terms)))
+    return [draw(poly), draw(poly)]
+
+
+class TestTropicalBasisAgainstReference:
+    """is_tropical_basis decides on supports, from the full-dimensional
+    pieces in homogenized coordinates; the reference refines each
+    prevariety cone against the whole sliced Gröbner fan and tests every
+    piece against the weighted variety."""
+
+    @pytest.mark.parametrize("case", BASIS_CASES, ids=lambda c: c[0])
+    def test_named_ideals(self, case):
+        _, variables, generators = case
+        polys = [P(g, tuple(variables)) for g in generators]
+        assert is_tropical_basis(polys) == reference_is_tropical_basis(polys)
+
+    def test_known_answers(self):
+        # the benchmark's references for its four commands; two generic
+        # linear forms miss circuits of their linear space
+        cases = {c[0]: c for c in BASIS_CASES}
+        answers = {name: is_tropical_basis(
+            [P(g, tuple(cases[name][1])) for g in cases[name][2]])
+            for name in ("line_conic", "twisted_cubic", "space_conic",
+                         "curve3", "linear5", "linear_pair4")}
+        assert answers == {"line_conic": False, "twisted_cubic": True,
+                           "space_conic": True, "curve3": True,
+                           "linear5": False, "linear_pair4": False}
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_pairs())
+    @example([P("x+y+1", XY), P("x+2*y+3", XY)])
+    @example([P("x*y+x", XY), P("y+1", XY)])
+    def test_drawn_pairs(self, polys):
+        assert basis_outcome(is_tropical_basis, polys) \
+            == basis_outcome(reference_is_tropical_basis, polys)
+
+
 class TestStableIntersection:
     def test_line_times_conic(self):
         tl = tropical_variety(ideal(XYZ, (P("x+y+z", XYZ),)))
@@ -1622,6 +1685,17 @@ class TestGrassmannian25:
     @pytest.fixture(scope="class")
     def cycle(self):
         return tropical_variety(plucker_ideal())
+
+    def test_canonical_bytes(self, cycle):
+        # the bytes `variety --format json` writes for the ideal
+        text = dumps_canonical(cycle_to_dict(cycle))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "e8a79da7b8beb08a1fc21d5a811f6b65720482e70efa3d967f126da776532be2"
+
+    def test_plucker_relations_are_a_tropical_basis(self):
+        # Speyer and Sturmfels: the three-term Plücker relations form a
+        # tropical basis of the Grassmannian G(2,n)
+        assert is_tropical_basis(list(plucker_ideal().generators))
 
     def test_petersen_graph(self, cycle):
         fan = cycle.fan
