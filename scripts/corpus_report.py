@@ -7,7 +7,8 @@ Gröbner fan is counted outside that window)."""
 import time
 
 from tropfan.corpus import PRIME_CORPUS
-from tropfan.cycles import cycle_dim, is_balanced
+from tropfan.cycles import is_balanced
+from tropfan.fans import fan_dim
 from tropfan.groebner import groebner_fan
 from tropfan.polynomials import homogenize
 from tropfan.tropical import tropical_variety
@@ -29,7 +30,7 @@ def main():
         total += elapsed
         weights = ",".join(str(m) for m in cycle.multiplicities)
         print(f"{entry.name:14s} {len(entry.variables):>4d} {gf_size:>8d} "
-              f"{len(cycle.fan.maximal_cones):>5d} {cycle_dim(cycle):>3d} "
+              f"{len(cycle.fan.maximal_cones):>5d} {fan_dim(cycle.fan):>3d} "
               f"{weights:20s} {str(balanced):>8s} {elapsed:>6.2f}")
     print(f"\ntotal: {total:.2f}s over {len(PRIME_CORPUS)} ideals")
 

@@ -28,10 +28,8 @@ from .errors import (
 )
 from .linalg import (
     IntMatrix,
-    Lattice,
     cone_feasible,
     hermite_normal_form,
-    lattice_from_generators,
     lattice_index,
     primitive_vector,
     smith_normal_form,
@@ -70,15 +68,10 @@ from .fans import (
 )
 from .cycles import (
     TropicalCycle,
-    cycle_dim,
     cycle_from_dict,
     cycle_to_dict,
     is_balanced,
-    lineality_space,
     make_cycle,
-    max_cones,
-    multiplicities,
-    rays,
     swap_convention,
 )
 from .tropical import (

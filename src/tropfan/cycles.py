@@ -25,7 +25,6 @@ from .fans import (
     cone_from_generators,
     cone_key,
     facets_by_key,
-    fan_cones,
     fan_dim,
     fan_from_cones,
     is_pure,
@@ -35,14 +34,9 @@ from .linalg import (
     IntMatrix,
     _kernel_columns,
     dot,
-    integer_kernel_basis,
     primitive_vector,
 )
-
-
-def check_convention(convention) -> None:
-    if convention not in ("min", "max"):
-        raise ValueError("convention must be 'min' or 'max'")
+from .polynomials import check_convention
 
 
 class TropicalCycle(namedtuple("TropicalCycle",
@@ -53,9 +47,10 @@ class TropicalCycle(namedtuple("TropicalCycle",
 
     def __new__(cls, fan, multiplicities, convention):
         check_convention(convention)
-        if len(multiplicities) != fan.n_maximal():
+        n = len(fan.maximal_cones)
+        if len(multiplicities) != n:
             raise MultiplicityMismatchError(
-                f"{fan.n_maximal()} maximal cones but "
+                f"{n} maximal cones but "
                 f"{len(multiplicities)} multiplicities")
         return super().__new__(cls, fan, multiplicities, convention)
 
@@ -116,7 +111,7 @@ def make_cycle(fan: Fan, multiplicities, convention: str = "min") -> TropicalCyc
         raise NotPureError("fan is not pure")
     if all(m > 0 for m in mults):
         return cycle
-    cycle = weighted_from_cones(fan.ambient_dim, zip(fan_cones(fan), mults),
+    cycle = weighted_from_cones(fan.ambient_dim, zip(fan.cones, mults),
                                 convention)
     if not cycle.pure:
         raise NotPureError("fan is not pure after dropping zero weights")
@@ -130,33 +125,8 @@ def swap_convention(cycle):
     if fan.is_empty():
         return TropicalCycle(fan, cycle.multiplicities, flipped)
     pairs = [(negate_cone(c), m)
-             for c, m in zip(fan_cones(fan), cycle.multiplicities)]
+             for c, m in zip(fan.cones, cycle.multiplicities)]
     return weighted_from_cones(fan.ambient_dim, pairs, flipped)
-
-
-def rays(cycle) -> IntMatrix:
-    return cycle.fan.rays
-
-
-def lineality_space(cycle) -> IntMatrix:
-    return cycle.fan.lineality
-
-
-def max_cones(cycle) -> list:
-    return [list(c) for c in cycle.fan.maximal_cones]
-
-
-def multiplicities(cycle) -> list:
-    return list(cycle.multiplicities)
-
-
-def cycle_dim(cycle) -> int:
-    return fan_dim(cycle.fan)
-
-
-def span_lattice_basis(cone) -> IntMatrix:
-    """Saturated basis (columns) of span(cone) intersected with Z^n."""
-    return integer_kernel_basis(cone.equations)
 
 
 def is_balanced(cycle) -> bool:
@@ -175,7 +145,7 @@ def is_balanced(cycle) -> bool:
         raise NotPureError("balancing is defined for pure cycles only")
     fan = cycle.fan
     sums = {}       # facet key -> (E, weighted sum of the normal vectors)
-    for c, m in zip(fan_cones(fan), cycle.multiplicities):
+    for c, m in zip(fan.cones, cycle.multiplicities):
         rays, lin = c.generators()
         for key, a, _ in facets_by_key(c):
             if key not in sums:
@@ -207,7 +177,8 @@ def cycle_to_dict(cycle) -> dict:
 
 
 def fan_to_dict(fan: Fan, convention: str) -> dict:
-    d = cycle_to_dict(TropicalCycle(fan, (1,) * fan.n_maximal(), convention))
+    d = cycle_to_dict(TropicalCycle(fan, (1,) * len(fan.maximal_cones),
+                                    convention))
     del d["multiplicities"]
     return d
 

@@ -35,7 +35,8 @@ each facet keyed by the same masks and built only on demand. A face is built
 from its rays with no double description, and its inequalities are the rows
 of the cone cutting out its facets. Fans share one ray matrix and one
 lineality space; maximal cones are index sets into the shared rays, and a
-fan keeps the canonical cones it was assembled from, so none is built again.
+fan keeps the canonical cones it was assembled from, in maximal_cones order,
+as its attribute cones, so none is built again.
 Cone, Face and Fan are named tuples: a value also equals the plain tuple of
 its fields and iterates over them, which no code relies on. A Cone or a Fan
 keeps state beyond its fields, so namedtuple's _make and _replace, which
@@ -151,9 +152,10 @@ class Cone(namedtuple("Cone", "ambient_dim rays lineality dim")):
     rays and lineality hold generator columns; with ambient_dim and dim they
     are the fields, which alone decide equality, hashing and the repr.
     inequalities (rows a with a.x >= 0) and equations (rows with a.x = 0)
-    cut out the same set; they are derived on first read and cached. The
-    attribute facet_rows() gives rows, from the construction, that cut out
-    the facets modulo the equations.
+    cut out the same set; they are derived on first read and cached, as is
+    span_lattice, the saturated lattice of the cone's span. The attribute
+    facet_rows() gives rows, from the construction, that cut out the facets
+    modulo the equations.
     """
 
     def __new__(cls, ambient_dim, rays, lineality, dim, facet_rows):
@@ -185,6 +187,11 @@ class Cone(namedtuple("Cone", "ambient_dim rays lineality dim")):
     @cached_property
     def equations(self) -> IntMatrix:
         return self._equation_basis.transpose()
+
+    @cached_property
+    def span_lattice(self) -> IntMatrix:
+        """Canonical basis (columns) of span(cone) intersected with Z^n."""
+        return integer_kernel_basis(self.equations)
 
     @cached_property
     def inequalities(self) -> IntMatrix:
@@ -493,9 +500,6 @@ class Fan(namedtuple("Fan", "ambient_dim rays lineality maximal_cones")):
         """For copy and pickle."""
         return (*self, self.cones)
 
-    def n_maximal(self) -> int:
-        return len(self.maximal_cones)
-
     def is_empty(self) -> bool:
         return not self.maximal_cones
 
@@ -508,10 +512,6 @@ def fan_cone(fan: Fan, index: int) -> Cone:
     benchmark's tracer (perfbench/tracer.py) reports fan_cone.cache_info().
     """
     return fan.cones[index]
-
-
-def fan_cones(fan: Fan) -> list:
-    return list(fan.cones)
 
 
 def fan_from_cones(ambient_dim: int, cones, drop_contained: bool = True):
@@ -574,8 +574,8 @@ def common_refinement(f1: Fan, f2: Fan) -> Fan:
     if f1.ambient_dim != f2.ambient_dim:
         raise DimMismatchError("fans live in different ambient spaces")
     pieces = {}
-    for c1 in fan_cones(f1):
-        for c2 in fan_cones(f2):
+    for c1 in f1.cones:
+        for c2 in f2.cones:
             piece = intersect(c1, c2)
             pieces.setdefault(cone_key(piece), piece)
     fan, _ = fan_from_cones(f1.ambient_dim, list(pieces.values()),
@@ -587,19 +587,19 @@ def support_contains(fan: Fan, point) -> bool:
     """Exact test: does the point lie in some cone of the fan?"""
     if len(point) != fan.ambient_dim:
         raise DimMismatchError("point dimension mismatch")
-    return any(c.contains(point) for c in fan_cones(fan))
+    return any(c.contains(point) for c in fan.cones)
 
 
 def fan_dim(fan: Fan) -> int:
     if fan.is_empty():
         return -1
-    return max(c.dim for c in fan_cones(fan))
+    return max(c.dim for c in fan.cones)
 
 
 def is_pure(fan: Fan) -> bool:
     if fan.is_empty():
         return True
-    dims = {c.dim for c in fan_cones(fan)}
+    dims = {c.dim for c in fan.cones}
     return len(dims) == 1
 
 

@@ -161,8 +161,17 @@ def _s_terms(f, g):
     return s
 
 
+def _check_order(order: TermOrder, variables):
+    """A weight row that key zips with a shorter or longer exponent vector
+    would be cut silently, so its length must match the ring's."""
+    if any(len(row) != len(variables) for row in order.weight_rows):
+        raise DimMismatchError("weight row length differs from the number "
+                               "of variables")
+
+
 def normal_form(p: Polynomial, basis, order: TermOrder) -> Polynomial:
     """Full remainder of p on division by the basis list."""
+    _check_order(order, p.variables)
     reducers = [_monic(g.terms, order.key) for g in basis if not g.is_zero()]
     return Polynomial._from_terms(
         p.variables, _fractions(_reduce(p.terms, reducers, order.key)))
@@ -171,6 +180,7 @@ def normal_form(p: Polynomial, basis, order: TermOrder) -> Polynomial:
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomialError("zero polynomial has no leading term")
+    _check_order(order, f.variables)
     return Polynomial._from_terms(
         f.variables, _fractions(_s_terms(_monic(f.terms, order.key),
                                          _monic(g.terms, order.key))))
@@ -187,6 +197,7 @@ def _check_termination(spec: IdealSpec, order: TermOrder):
 def reduced_groebner_basis(spec: IdealSpec, order: TermOrder) -> GroebnerBasis:
     """The unique reduced Gröbner basis of the ideal for the order. The run
     keeps integral coefficients as ints, which cost less than Fractions."""
+    _check_order(order, spec.variables)
     _check_termination(spec, order)
     key = lru_cache(maxsize=None)(order.key)  # a table for this run only
     gens = [_monic(_integral(g.terms), key)

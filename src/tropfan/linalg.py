@@ -19,8 +19,9 @@ hermite_normal_form, which stacks the witness under the columns, and
 hermite_basis and lattice_index, which need no witness. The Smith witnesses
 of a saturated basis, which quotient_reps and hnf_completion use, are
 memoized by the basis together with the rows quotient_reps multiplies by.
-IntMatrix and Lattice are named tuples: a value also equals the plain tuple
-of its fields and iterates over them, which no code relies on.
+IntMatrix is a named tuple: a value also equals the plain tuple of its
+fields and iterates over them, which no code relies on. A lattice is the
+IntMatrix of its generator columns; lattice_index takes any two.
 """
 
 from __future__ import annotations
@@ -466,33 +467,14 @@ def saturate_lattice(m: IntMatrix) -> IntMatrix:
     return integer_kernel_basis(IntMatrix(len(orth), m.nrows, tuple(orth)))
 
 
-class Lattice(namedtuple("Lattice", "ambient_dim basis")):
-    """A subgroup of Z^n given by a canonical column-HNF basis."""
-
-    __slots__ = ()
-
-    @property
-    def rank(self) -> int:
-        return self.basis.ncols
-
-
-def lattice_from_generators(ambient_dim: int, columns) -> Lattice:
-    cols = list(columns)
-    for c in cols:
-        if len(c) != ambient_dim:
-            raise DimMismatchError("generator length mismatch")
-    basis = hermite_basis(IntMatrix.from_columns(cols, ambient_dim))
-    return Lattice(ambient_dim, basis)
-
-
-def lattice_index(l1: Lattice, l2: Lattice) -> int:
-    """Index [Z^n : L1 + L2], defined when the two lattices jointly span Q^n:
-    the product of the pivots of the Hermite basis of L1 + L2."""
-    if l1.ambient_dim != l2.ambient_dim:
+def lattice_index(b1: IntMatrix, b2: IntMatrix) -> int:
+    """Index [Z^n : L1 + L2] of the lattices spanned by the columns of b1
+    and b2, any generators, defined when they jointly span Q^n: the product
+    of the pivots of the Hermite basis of the joint columns."""
+    if b1.nrows != b2.nrows:
         raise DimMismatchError("lattices live in different ambient spaces")
-    n = l1.ambient_dim
-    joint = hermite_basis(
-        _from_int_columns(l1.basis.columns() + l2.basis.columns(), n))
+    n = b1.nrows
+    joint = hermite_basis(_from_int_columns(b1.columns() + b2.columns(), n))
     if joint.ncols < n:
         raise NotFullRankError("lattices do not jointly span the ambient space")
     return prod(joint.entries[i][i] for i in range(n))

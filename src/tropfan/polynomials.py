@@ -25,6 +25,11 @@ from .fans import Cone, cone_from_generators
 VAR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
+def check_convention(convention) -> None:
+    if convention not in ("min", "max"):
+        raise ValueError("convention must be 'min' or 'max'")
+
+
 def _grade_key(exps):
     return (sum(exps), exps)
 
@@ -413,6 +418,7 @@ def newton_polytope(f: Polynomial) -> list:
 
 def initial_form(f: Polynomial, w, convention: str = "min") -> Polynomial:
     """Sum of the terms of f whose weight w.u is optimal."""
+    check_convention(convention)
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no initial form")
     if len(w) != len(f.variables):

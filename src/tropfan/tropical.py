@@ -54,8 +54,6 @@ from .errors import (
 )
 from .cycles import (
     TropicalCycle,
-    check_convention,
-    span_lattice_basis,
     swap_convention,
     weighted_from_cones,
 )
@@ -66,7 +64,6 @@ from .fans import (
     common_refinement,
     cone_from_incidence,
     face_lattice,
-    fan_cones,
     relative_interior_point,
     slice_first_coordinate,
 )
@@ -83,7 +80,6 @@ from .groebner import (
 )
 from .linalg import (
     IntMatrix,
-    Lattice,
     _echelon_kernel,
     _kernel_off_echelon,
     _row_echelon,
@@ -96,6 +92,7 @@ from .linalg import (
 from .polynomials import (
     IdealSpec,
     Polynomial,
+    check_convention,
     edge_lattice_length,
     homogenize,
     newton_cone,
@@ -178,7 +175,7 @@ def _multiplicity_from_initial(inw: IdealSpec, sigma: Cone) -> int:
     cell: quotient out the span lattice, drop those variables, saturate by
     the remaining ones, and count standard monomials."""
     n = sigma.ambient_dim
-    basis = span_lattice_basis(sigma)
+    basis = sigma.span_lattice
     d = basis.ncols
     v = hnf_completion(basis)
     vt = v.transpose()
@@ -317,20 +314,21 @@ def is_tropical_basis(polys) -> bool:
     relative interior of one face of gamma, on which membership in the
     closed subfan Trop(I^h) is constant, so one relative interior point per
     piece is tested against the unsliced maximal cells: (0, w) lies in a
-    cell exactly when w lies in its slice. One polynomial needs no fan and
-    no prevariety: its hypersurface is the variety of the ideal it
-    generates, which a monomial, with no hypersurface, leaves empty.
+    cell exactly when w lies in its slice. One polynomial needs no fan, no
+    prevariety and no hypersurface: its hypersurface is the variety of the
+    ideal it generates, and it is empty exactly when that ideal holds a
+    monomial, which _validated decides.
     """
     if not polys:
         raise ZeroIdealError("empty generating set")
     variables = polys[0].variables
     spec = IdealSpec(variables, tuple(polys))
+    free = _validated(spec)
     if len(polys) == 1:
-        if tropical_variety(spec).fan.is_empty():  # validates spec
+        if not free:
             raise MonomialHypersurfaceError(
                 "a monomial has an empty tropical hypersurface")
         return True
-    free = _validated(spec)
     prevariety = tropical_prevariety(polys)
     if not free:
         return prevariety.is_empty()
@@ -338,7 +336,7 @@ def is_tropical_basis(polys) -> bool:
     gammas = [gamma.inequalities.entries
               for _, gamma in groebner_fan(homogenize(spec))]
     n = len(variables) + 1
-    for sigma in fan_cones(prevariety):
+    for sigma in prevariety.cones:
         rows = tuple((0,) + a for a in sigma.inequalities.entries)
         kernel = [(0,) + k for k in _echelon_kernel(sigma.equations)]
         for gamma_rows in gammas:
@@ -368,7 +366,7 @@ def _separating_rows(fan: Fan, other: Fan, side: int) -> list:
     rays = other.rays.columns()
     lin = other.lineality.columns()
     out = []
-    for cone in fan_cones(fan):
+    for cone in fan.cones:
         eqs = cone.equations.entries
         masks = set()
         for y in cone.inequalities.entries + eqs + tuple(map(vec_neg, eqs)):
@@ -477,18 +475,11 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle) -> TropicalCycle:
     n = a.ambient_dim
     if a.fan.is_empty() or b.fan.is_empty():
         return weighted_from_cones(n, (), a.convention)
-    cones_a, cones_b = fan_cones(a.fan), fan_cones(b.fan)
+    cones_a, cones_b = a.fan.cones, b.fan.cones
     expected_dim = cones_a[0].dim + cones_b[0].dim - n
     if expected_dim < 0:
         return weighted_from_cones(n, (), a.convention)
     separated = _separated_pairs(a.fan, b.fan)
-    lattices = {}
-
-    def span_lattice(cone):
-        if cone not in lattices:
-            lattices[cone] = Lattice(n, span_lattice_basis(cone))
-        return lattices[cone]
-
     pairs = []
     for i, ca in enumerate(cones_a):
         for j, cb in enumerate(cones_b):
@@ -504,9 +495,9 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle) -> TropicalCycle:
                 continue  # a lower-dimensional meeting carries no weight
             if _displacement_verdict(ca, cb, tau, split):
                 weight = a.multiplicities[i] * b.multiplicities[j] \
-                    * lattice_index(span_lattice(ca), span_lattice(cb))
+                    * lattice_index(ca.span_lattice, cb.span_lattice)
                 pairs.append((tau, weight))
     result = weighted_from_cones(n, pairs, a.convention, merge_duplicates=True)
-    if any(c.dim != expected_dim for c in fan_cones(result.fan)):
+    if any(c.dim != expected_dim for c in result.fan.cones):
         raise GenericityError("displacement produced cells of unexpected dimension")
     return result

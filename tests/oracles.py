@@ -7,7 +7,6 @@ from fractions import Fraction
 from math import prod
 
 from tropfan.cycles import (
-    span_lattice_basis,
     swap_convention,
     weighted_from_cones,
 )
@@ -25,7 +24,6 @@ from tropfan.fans import (
     cone_from_halfspaces,
     cone_key,
     facets_by_key,
-    fan_cones,
     intersect,
     relative_interior_point,
     slice_first_coordinate,
@@ -45,7 +43,6 @@ from tropfan.linalg import (
     clear_denominators,
     dot,
     integer_kernel_basis,
-    lattice_from_generators,
     lattice_index,
     primitive_vector,
     quotient_reps,
@@ -152,7 +149,7 @@ def reference_is_tropical_basis(polys) -> bool:
               for _, cone in groebner_fan(homogenize(spec))]
     return all(support_contains(variety.fan,
                                 relative_interior_point(intersect(sigma, gamma)))
-               for sigma in fan_cones(prevariety) for gamma in sliced)
+               for sigma in prevariety.cones for gamma in sliced)
 
 
 def reference_newton_polytope(f):
@@ -267,6 +264,13 @@ def _saturate(vecs, n):
     return saturate_lattice(IntMatrix.from_columns([tuple(v) for v in vecs], n))
 
 
+def _span_lattice(cone):
+    """The saturated lattice of a cone's span, saturated from its generators
+    rather than read off its equations as Cone.span_lattice is."""
+    rays, lin = cone.generators()
+    return _saturate(rays + lin, cone.ambient_dim)
+
+
 def _two_pass_cone(ray_vecs, lin_vecs, facet_vecs, eq_vecs, n):
     """The canonical cone from both descriptions of a two-pass reference.
     Its inequalities and equations are set from the reference's own facets
@@ -322,7 +326,7 @@ def reference_is_balanced(cycle) -> bool:
     if not cycle.pure:
         raise NotPureError("balancing is defined for pure cycles only")
     fan = cycle.fan
-    cones = [reference_fan_cone(fan, i) for i in range(fan.n_maximal())]
+    cones = [reference_fan_cone(fan, i) for i in range(len(fan.maximal_cones))]
     facet_map = {}
     for c in cones:
         for key, _, build in sorted(facets_by_key(c), key=lambda t: t[0]):
@@ -351,7 +355,7 @@ def quotient_normal_vector(sigma, tau):
             for a in sigma.inequalities.entries):
         raise DimMismatchError("tau is not a codimension-one face of sigma")
     off_tau = next(r for r in rays if r not in on_tau)
-    return quotient_reps([off_tau], span_lattice_basis(tau))[0]
+    return quotient_reps([off_tau], _span_lattice(tau))[0]
 
 
 def displacement_difference(ca, cb):
@@ -374,8 +378,8 @@ def reference_stable_intersection(a, b, seed=0):
     n = a.ambient_dim
     if a.fan.is_empty() or b.fan.is_empty():
         return weighted_from_cones(n, (), a.convention)
-    cones_a = list(zip(fan_cones(a.fan), a.multiplicities))
-    cones_b = list(zip(fan_cones(b.fan), b.multiplicities))
+    cones_a = list(zip(a.fan.cones, a.multiplicities))
+    cones_b = list(zip(b.fan.cones, b.multiplicities))
     expected_dim = (max(c.dim for c, _ in cones_a)
                     + max(c.dim for c, _ in cones_b) - n)
     if expected_dim < 0:
@@ -417,9 +421,8 @@ def reference_stable_intersection(a, b, seed=0):
         piece = intersect(ca, cb)
         if piece.dim < expected_dim:
             continue
-        weight = ma * mb * lattice_index(
-            lattice_from_generators(n, span_lattice_basis(ca).columns()),
-            lattice_from_generators(n, span_lattice_basis(cb).columns()))
+        weight = ma * mb * lattice_index(_span_lattice(ca),
+                                         _span_lattice(cb))
         pairs.append((piece, weight))
     if not pairs:
         return weighted_from_cones(n, (), a.convention)
@@ -527,11 +530,12 @@ def invariant_factors(m) -> tuple:
     return tuple(f for f in facs if f != 0)
 
 
-def reference_lattice_index(l1, l2):
-    """[Z^n : L1 + L2] as the product of the invariant factors of the joint
-    basis (the earlier implementation)."""
-    n = l1.ambient_dim
-    joint = IntMatrix.from_columns(l1.basis.columns() + l2.basis.columns(), n)
+def reference_lattice_index(b1, b2):
+    """[Z^n : L1 + L2] for the lattices spanned by the columns of b1 and b2,
+    as the product of the invariant factors of the joint columns (the
+    earlier implementation)."""
+    n = b1.nrows
+    joint = IntMatrix.from_columns(b1.columns() + b2.columns(), n)
     facs = invariant_factors(joint)
     if len(facs) < n:
         raise NotFullRankError("lattices do not jointly span the ambient space")
@@ -613,7 +617,7 @@ def reference_cone_feasible(rays, lineality, target) -> bool:
 def validate_fan(fan) -> bool:
     """Desk-scale fan axiom check: pairwise intersections are faces of both
     cones."""
-    cones = fan_cones(fan)
+    cones = fan.cones
     for i, c1 in enumerate(cones):
         for c2 in cones[i + 1:]:
             meet = intersect(c1, c2)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from tropfan.cli import main
 from tropfan.corpus import ORACLE_POLYNOMIALS, PRIME_CORPUS, PRINCIPAL_POLYNOMIALS
-from tropfan.cycles import cycle_dim, cycle_to_dict, is_balanced, make_cycle
+from tropfan.cycles import cycle_to_dict, is_balanced, make_cycle
 from tropfan.fans import (
     cone_from_generators,
     cone_from_halfspaces,
@@ -56,7 +56,7 @@ def test_criterion_1_tropical_line_reproduction():
     assert cycle.fan.lineality.ncols == 0
     assert sorted(len(c) for c in cycle.fan.maximal_cones) == [1, 1, 1]
     assert cycle.multiplicities == (1, 1, 1)
-    assert cycle_dim(cycle) == 1
+    assert fan_dim(cycle.fan) == 1
     report(1, "variety of <x+y+1> is the standard tropical line", started, 5.0)
 
 
@@ -81,7 +81,7 @@ def test_criterion_3_prevariety_vs_variety():
     pre = tropical_prevariety([f, g])
     assert fan_dim(pre) == 2
     variety = tropical_variety(ideal(vs, (f, g)))
-    assert cycle_dim(variety) == 1
+    assert fan_dim(variety.fan) == 1
     assert not is_tropical_basis([f, g])
     assert variety.fan.maximal_cones == ((),)
     assert variety.fan.rays.ncols == 0
@@ -162,9 +162,8 @@ def test_criterion_7_principal_ideal_consistency():
                 if cone.dim == n - 1:
                     key = (cone.rays.entries, cone.lineality.entries)
                     edge_weights[key] = edge_lattice_length(vi, vj)
-        from tropfan.fans import fan_cones
         got = {}
-        for cone, m in zip(fan_cones(via_groebner.fan),
+        for cone, m in zip(via_groebner.fan.cones,
                            via_groebner.multiplicities):
             got[(cone.rays.entries, cone.lineality.entries)] = m
         assert got == edge_weights, text

@@ -8,17 +8,11 @@ from hypothesis import strategies as st
 from tropfan.corpus import PRIME_CORPUS
 from tropfan.cycles import (
     TropicalCycle,
-    cycle_dim,
     cycle_from_dict,
     cycle_to_dict,
     fan_to_dict,
     is_balanced,
-    lineality_space,
     make_cycle,
-    max_cones,
-    multiplicities,
-    rays,
-    span_lattice_basis,
     swap_convention,
     weighted_from_cones,
 )
@@ -32,7 +26,7 @@ from tropfan.fans import (
     cone_from_generators,
     faces,
     facets_by_key,
-    fan_cones,
+    fan_dim,
     fan_from_cones,
 )
 from tropfan.linalg import (
@@ -67,12 +61,12 @@ def plane_curve_cycle(mults=(1, 1, 1)):
 class TestMakeCycle:
     def test_line_cycle(self):
         c = make_cycle(line_fan(), [1, 1, 1], "min")
-        assert multiplicities(c) == [1, 1, 1]
-        assert cycle_dim(c) == 1
+        assert list(c.multiplicities) == [1, 1, 1]
+        assert fan_dim(c.fan) == 1
 
     def test_unbalanced_construction_succeeds(self):
         c = make_cycle(line_fan(), [2, 1, 1], "min")
-        assert multiplicities(c) == [2, 1, 1]
+        assert list(c.multiplicities) == [2, 1, 1]
 
     def test_count_mismatch(self):
         # counted before any zero weight drops its cone
@@ -97,7 +91,7 @@ class TestMakeCycle:
     def test_zero_weight_cone_dropped(self):
         c = make_cycle(line_fan(), [1, 0, 1], "min")
         assert len(c.fan.maximal_cones) == 2
-        assert multiplicities(c) == [1, 1]
+        assert list(c.multiplicities) == [1, 1]
 
     def test_non_pure_rejected(self):
         mixed, _ = fan_from_cones(
@@ -177,8 +171,8 @@ class TestSwapConvention:
         c = make_cycle(line_fan(), [1, 1, 1], "min")
         sw = swap_convention(c)
         assert sw.convention == "max"
-        assert rays(sw).columns() == [(-1, 0), (0, -1), (1, 1)]
-        assert multiplicities(sw) == [1, 1, 1]
+        assert sw.fan.rays.columns() == [(-1, 0), (0, -1), (1, 1)]
+        assert list(sw.multiplicities) == [1, 1, 1]
 
     def test_involution(self):
         c = make_cycle(line_fan(), [3, 1, 2], "min")
@@ -195,14 +189,14 @@ class TestSwapConvention:
 class TestAccessors:
     def test_line_accessors(self):
         c = make_cycle(line_fan(), [1, 1, 1], "min")
-        assert sorted(rays(c).columns()) == [(-1, -1), (0, 1), (1, 0)]
-        assert lineality_space(c).ncols == 0
-        assert max_cones(c) == [[0], [1], [2]]
-        assert multiplicities(c) == [1, 1, 1]
-        assert cycle_dim(c) == 1
+        assert sorted(c.fan.rays.columns()) == [(-1, -1), (0, 1), (1, 0)]
+        assert c.fan.lineality.ncols == 0
+        assert c.fan.maximal_cones == ((0,), (1,), (2,))
+        assert list(c.multiplicities) == [1, 1, 1]
+        assert fan_dim(c.fan) == 1
 
     def test_plane_curve_dim_counts_lineality(self):
-        assert cycle_dim(plane_curve_cycle()) == 2
+        assert fan_dim(plane_curve_cycle().fan) == 2
 
 
 class TestJson:
@@ -268,7 +262,7 @@ class TestJson:
             "pure": True,
         }
         c = cycle_from_dict(d)
-        assert rays(c).columns() == [(-1, -1), (0, 1), (1, 0)]
+        assert c.fan.rays.columns() == [(-1, -1), (0, 1), (1, 0)]
 
 
 class TestWeightedFromCones:
@@ -277,7 +271,7 @@ class TestWeightedFromCones:
         b = cone_from_generators([(1, 0)], [], 2)
         c = weighted_from_cones(2, [(a, 2), (b, 3)], "min",
                                 merge_duplicates=True)
-        assert multiplicities(c) == [5]
+        assert list(c.multiplicities) == [5]
 
     def test_duplicate_error(self):
         a = cone_from_generators([(1, 0)], [], 2)
@@ -291,7 +285,7 @@ class TestWeightedFromCones:
         out = weighted_from_cones(2, cones, "min")
         assert isinstance(out, TropicalCycle)
         assert not out.pure
-        assert multiplicities(out) == [1, 1]
+        assert list(out.multiplicities) == [1, 1]
         # its JSON round trip keeps the cycle and the flag
         data = cycle_to_dict(out)
         assert data["pure"] is False
@@ -303,8 +297,8 @@ def reference_quotient_normal_vector(sigma, tau):
     tau's basis in sigma's coordinates, a Smith form whose last column
     completes it, and the sign taken from an inequality of sigma tight on
     tau."""
-    b_sigma = span_lattice_basis(sigma)
-    b_tau = span_lattice_basis(tau)
+    b_sigma = sigma.span_lattice
+    b_tau = tau.span_lattice
     d = b_sigma.ncols
     assert b_tau.ncols == d - 1
     coords = []
@@ -325,7 +319,7 @@ def reference_quotient_normal_vector(sigma, tau):
 
 def facet_pairs(cycle):
     """The (sigma, tau) pairs that is_balanced visits."""
-    cones = fan_cones(cycle.fan)
+    cones = cycle.fan.cones
     taus = {}
     for c in cones:
         if c.dim > 0:
@@ -413,7 +407,7 @@ class TestBalancingByIncidence:
         for entry in PRIME_CORPUS:
             cycle = tropical_variety(entry.ideal())
             assert is_balanced(cycle) == reference_is_balanced(cycle) is True
-            for i in range(cycle.fan.n_maximal()):
+            for i in range(len(cycle.fan.maximal_cones)):
                 mults = list(cycle.multiplicities)
                 mults[i] += 1
                 bumped = make_cycle(cycle.fan, mults, "min")
@@ -432,7 +426,8 @@ class TestBalancingByIncidence:
         # at most 5 terms, so at most 10 maximal cones
         cycle = tropical_hypersurface(
             Polynomial(("x", "y", "z"), {e: 1 for e in support}))
-        reweighted = make_cycle(cycle.fan, weights[:cycle.fan.n_maximal()])
+        reweighted = make_cycle(cycle.fan,
+                                weights[:len(cycle.fan.maximal_cones)])
         for c in (cycle, reweighted):
             assert is_balanced(c) == reference_is_balanced(c)
 
@@ -458,7 +453,7 @@ def non_primitive_incidences(cycle):
     lattice that is not saturated."""
     n = cycle.ambient_dim
     count = 0
-    for c in fan_cones(cycle.fan):
+    for c in cycle.fan.cones:
         rays, lin = c.generators()
         for _, a, _ in facets_by_key(c):
             tight = [r for r in rays if dot(a, r) == 0]
@@ -513,7 +508,7 @@ class TestBalancingByEquationImages:
         cycle = tropical_hypersurface(Polynomial(
             ("x", "y", "z", "w"), {e: 1 for e in LINEALITY_SUPPORT}))
         assert cycle.fan.lineality.ncols == 1
-        assert cycle.fan.n_maximal() == 6
+        assert len(cycle.fan.maximal_cones) == 6
         assert non_primitive_incidences(cycle) == 12
 
     @settings(max_examples=40, deadline=None)
@@ -527,6 +522,7 @@ class TestBalancingByEquationImages:
         cycle = tropical_hypersurface(
             Polynomial(("x", "y", "z", "w"), {e: 1 for e in support}))
         assert is_balanced(cycle)
-        reweighted = make_cycle(cycle.fan, weights[:cycle.fan.n_maximal()])
+        reweighted = make_cycle(cycle.fan,
+                                weights[:len(cycle.fan.maximal_cones)])
         for c in (cycle, reweighted):
             assert is_balanced(c) == reference_is_balanced(c)

@@ -19,7 +19,6 @@ from tropfan.fans import (
     facets_by_key,
     facets_with_normals,
     fan_cone,
-    fan_cones,
     fan_dim,
     fan_from_cones,
     intersect,
@@ -35,6 +34,7 @@ from tropfan.linalg import (
     dot,
     integer_kernel_basis,
     rational_rank,
+    saturate_lattice,
 )
 
 from oracles import (
@@ -463,7 +463,7 @@ class TestFanAssembly:
         fan, kept = fan_from_cones(2, [c2, c3, c1])
         assert kept == [0, 2]
         assert fan.cones == (c2, c1)
-        assert_same_cones(fan_cones(fan),
+        assert_same_cones(fan.cones,
                           [reference_fan_cone(fan, i) for i in (0, 1)])
         assert fan_cone(fan, 0) is c2
         # the cones are fixed by the other fields, so equality ignores them
@@ -654,6 +654,27 @@ class TestFullDimensionalEquations:
         kernel = integer_kernel_basis(IntMatrix.from_rows(rays + lin, n))
         assert c.equations == kernel.transpose()
         assert c.equations == IntMatrix.from_rows([], n)
+
+
+class TestSpanLattice:
+    """A cone's span lattice, read off its equations, is the saturation of
+    its generators, which may span less."""
+
+    def test_saturates_the_generators(self):
+        # (1, 1, 0) and (1, -1, 0) span a sublattice of index 2
+        c = cone_from_generators([(1, 1, 0), (1, -1, 0)], [], 3)
+        assert c.span_lattice.columns() == [(1, 0, 0), (0, 1, 0)]
+        assert c.span_lattice is c.span_lattice
+
+    @settings(max_examples=100, deadline=None)
+    @given(cones_in_2_to_4)
+    def test_matches_saturation(self, case):
+        n, vecs, lins, _ = case
+        c = cone_from_generators([v for v in vecs if any(v)],
+                                 [l for l in lins if any(l)], n)
+        rays, lin = c.generators()
+        assert c.span_lattice == saturate_lattice(
+            IntMatrix.from_columns(rays + lin, n))
 
 
 class TestNegateCone:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import tropfan.groebner as groebner
 from tropfan.corpus import PRIME_CORPUS
 from tropfan.errors import (
+    DimMismatchError,
     NotZeroDimensionalError,
     RequiresHomogeneousError,
     ZeroPolynomialError,
@@ -233,6 +234,20 @@ class TestReducedBasis:
         # nonpositive rows, under which larger degrees lead, are fine on
         # non-homogeneous input
         reduced_groebner_basis(spec, TermOrder(((-1, -1),)))
+
+    def test_weight_rows_must_match_the_ring(self):
+        # key zips a row with the exponents, so a short or long row would be
+        # cut silently instead of refused
+        vs = ("x", "y", "z")
+        f, g = P("x+y+z", vs), P("x*y-z^2", vs)
+        for row in [(-1,), (-1, 0, 0, 5)]:
+            order = TermOrder((row,))
+            with pytest.raises(DimMismatchError):
+                reduced_groebner_basis(ideal(vs, (f, g)), order)
+            with pytest.raises(DimMismatchError):
+                normal_form(g, [f], order)
+            with pytest.raises(DimMismatchError):
+                s_polynomial(f, g, order)
 
     def test_leading_term_conventions(self):
         xy = ("x", "y")

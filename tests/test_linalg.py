@@ -19,7 +19,6 @@ from tropfan.linalg import (
     hnf_completion,
     int_inverse,
     integer_kernel_basis,
-    lattice_from_generators,
     lattice_index,
     primitive_vector,
     quotient_reps,
@@ -329,32 +328,33 @@ class TestEchelonKernel:
         assert rational_rank(got + want) == len(want)
 
 
+def columns(n, cols):
+    return IntMatrix.from_columns(cols, n)
+
+
 class TestLatticeIndex:
     def test_unit_axes(self):
-        l1 = lattice_from_generators(2, [(1, 0)])
-        l2 = lattice_from_generators(2, [(0, 1)])
-        assert lattice_index(l1, l2) == 1
+        assert lattice_index(columns(2, [(1, 0)]), columns(2, [(0, 1)])) == 1
 
     def test_det_two(self):
-        l1 = lattice_from_generators(2, [(1, 1)])
-        l2 = lattice_from_generators(2, [(1, -1)])
-        assert lattice_index(l1, l2) == 2
+        assert lattice_index(columns(2, [(1, 1)]), columns(2, [(1, -1)])) == 2
 
     def test_full_lattice(self):
-        l1 = lattice_from_generators(2, [(1, 0), (0, 1)])
-        l2 = lattice_from_generators(2, [(5, 7)])
-        assert lattice_index(l1, l2) == 1
+        l1 = columns(2, [(1, 0), (0, 1)])
+        assert lattice_index(l1, columns(2, [(5, 7)])) == 1
 
     def test_symmetry(self):
-        l1 = lattice_from_generators(3, [(1, 2, 0), (0, 3, 1)])
-        l2 = lattice_from_generators(3, [(2, 0, 5)])
+        l1 = columns(3, [(1, 2, 0), (0, 3, 1)])
+        l2 = columns(3, [(2, 0, 5)])
         assert lattice_index(l1, l2) == lattice_index(l2, l1)
 
     def test_not_full_rank(self):
-        l1 = lattice_from_generators(2, [(1, 1)])
-        l2 = lattice_from_generators(2, [(2, 2)])
         with pytest.raises(NotFullRankError):
-            lattice_index(l1, l2)
+            lattice_index(columns(2, [(1, 1)]), columns(2, [(2, 2)]))
+
+    def test_ambient_mismatch(self):
+        with pytest.raises(DimMismatchError):
+            lattice_index(columns(2, [(1, 0)]), columns(3, [(0, 1, 0)]))
 
 
 class TestSolveRational:
@@ -846,10 +846,12 @@ class TestKernelsMatchReferences:
     @example(([(1, 1)], [(1, -1)], 2))
     @example(([(2, 0, 0)], [(0, 3, 0), (0, 0, 5)], 3))
     @example(([(1, 1)], [(2, 2)], 2))
+    # redundant generators, not a Hermite basis
+    @example(([(2, 2), (4, 4), (0, 0)], [(0, 3), (0, 6)], 2))
     def test_lattice_index(self, case):
         cols1, cols2, n = case
-        l1 = lattice_from_generators(n, [tuple(c) for c in cols1])
-        l2 = lattice_from_generators(n, [tuple(c) for c in cols2])
+        l1 = columns(n, [tuple(c) for c in cols1])
+        l2 = columns(n, [tuple(c) for c in cols2])
 
         def index(route):
             try:

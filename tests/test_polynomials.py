@@ -180,6 +180,12 @@ class TestInitialForm:
         f = P("x+y+1", ("x", "y"))
         assert initial_form(f, (1, 1), "min") == P("1", ("x", "y"))
 
+    def test_unknown_convention_refused(self):
+        # as tropical_evaluate refuses it, not read as "max"
+        f = P("x+y+1", ("x", "y"))
+        with pytest.raises(ValueError, match="convention must be"):
+            initial_form(f, (1, 1), "mim")
+
     @settings(max_examples=60, deadline=None)
     @given(small_polys, st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
     def test_min_max_duality(self, terms, w):

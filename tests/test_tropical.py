@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from tropfan.cli import dumps_canonical
 from tropfan.cycles import (
     TropicalCycle,
-    cycle_dim,
     cycle_to_dict,
     is_balanced,
     make_cycle,
@@ -29,7 +29,6 @@ from tropfan.errors import (
 from tropfan.fans import (
     cone_from_generators,
     cone_from_halfspaces,
-    fan_cones,
     fan_dim,
     fan_from_cones,
     intersect,
@@ -121,7 +120,7 @@ class TestHypersurface:
         assert len(c.fan.maximal_cones) == 3
         assert c.fan.lineality.columns() == [(1, 1, 1)]
         assert c.multiplicities == (2, 2, 2)
-        assert cycle_dim(c) == 2
+        assert fan_dim(c.fan) == 2
 
     def test_linear_same_fan_as_quadric(self):
         cl = tropical_hypersurface(P("x+y+z", XYZ))
@@ -197,7 +196,7 @@ class TestOnePassHypersurface:
         want = reference_tropical_hypersurface(f, convention)
         assert got == want
         assert got.multiplicities == want.multiplicities
-        for a, b in zip(fan_cones(got.fan), fan_cones(want.fan), strict=True):
+        for a, b in zip(got.fan.cones, want.fan.cones, strict=True):
             assert a == b
             assert a.inequalities == b.inequalities
             assert a.equations == b.equations
@@ -231,7 +230,7 @@ class TestVariety:
         assert c.fan.lineality.ncols == 0
         assert c.fan.maximal_cones == ((0,), (1,), (2,))
         assert c.multiplicities == (1, 1, 1)
-        assert cycle_dim(c) == 1
+        assert fan_dim(c.fan) == 1
 
     def test_line_and_quadric(self):
         spec = ideal(XYZ, (P("x+y+z", XYZ), P("x^2+y^2+z^2", XYZ)))
@@ -241,7 +240,7 @@ class TestVariety:
         assert c.fan.lineality.columns() == [(1, 1, 1)]
         assert c.fan.maximal_cones == ((),)
         assert c.multiplicities == (2,)
-        assert cycle_dim(c) == 1
+        assert fan_dim(c.fan) == 1
 
     def test_binomial_lineality(self):
         c = groebner_route_variety(ideal(XY, (P("x*y-1", XY),)))
@@ -260,7 +259,7 @@ class TestVariety:
     def test_monomial_containing_ideal_is_empty(self):
         c = tropical_variety(ideal(XY, (P("x", XY),)))
         assert c.fan.is_empty()
-        assert cycle_dim(c) == -1
+        assert fan_dim(c.fan) == -1
 
     def test_max_convention(self):
         spec = ideal(XY, (P("x+y+1", XY),))
@@ -288,7 +287,7 @@ class TestVariety:
         variety = tropical_variety(spec)
         pre = tropical_prevariety(list(spec.generators))
         from tropfan.fans import relative_interior_point
-        for c in fan_cones(variety.fan):
+        for c in variety.fan.cones:
             w = relative_interior_point(c)
             assert support_contains(pre, w)
             for g in c.rays.columns():
@@ -414,7 +413,7 @@ class TestTropicalDegree:
         vs = tuple(variables)
         spec = ideal(vs, tuple(P(g, vs) for g in generators))
         cycle = groebner_route_variety(spec)
-        d = cycle_dim(cycle)
+        d = fan_dim(cycle.fan)
         hyperplane = tropical_hypersurface(P("+".join(("1",) + vs), vs))
         point = reduce(stable_intersection, [hyperplane] * d, cycle)
         assert point.fan.maximal_cones == ((),)
@@ -462,8 +461,8 @@ XYZW = ("x", "y", "z", "w")
 def assert_fan_keeps_its_cones(fan):
     """Each kept cone equals the reference's, and so does the H-description
     it derives on first read (equality reads the V-description only)."""
-    assert len(fan.cones) == fan.n_maximal()
-    for i, cone in enumerate(fan_cones(fan)):
+    assert len(fan.cones) == len(fan.maximal_cones)
+    for i, cone in enumerate(fan.cones):
         want = reference_fan_cone(fan, i)
         assert cone == want
         assert cone.inequalities == want.inequalities
@@ -903,9 +902,10 @@ class TestTropicalBasis:
             assert is_tropical_basis([f, f]) is True
             assert walks
 
-    def test_one_polynomial_builds_one_hypersurface(self, monkeypatch):
-        # f's hypersurface is the variety, so no prevariety builds it again,
-        # and an ideal with one generator is proper when it is no constant
+    def test_one_polynomial_builds_no_hypersurface(self, monkeypatch):
+        # f's hypersurface is the variety, nonempty when the ideal holds no
+        # monomial, so neither it nor a prevariety is built; and an ideal
+        # with one generator is proper when it is no constant
         import tropfan.groebner
         import tropfan.tropical
 
@@ -923,7 +923,7 @@ class TestTropicalBasis:
                 monkeypatch.setattr(module, name, counted)
         f = P("x^2+y^2+z^2+w^2+x*y+1", XYZW)
         assert is_tropical_basis([f]) is True
-        assert calls == {"tropical_hypersurface": 1,
+        assert calls == {"tropical_hypersurface": 0,
                          "reduced_groebner_basis": 0}
 
     @pytest.mark.parametrize("text, error", [
@@ -1007,7 +1007,7 @@ class TestStableIntersection:
         assert got.fan.lineality.columns() == [(1, 1, 1)]
         assert got.fan.maximal_cones == ((),)
         assert got.multiplicities == (2,)
-        assert cycle_dim(got) == 1
+        assert fan_dim(got.fan) == 1
 
     @pytest.mark.parametrize("seed", [0, 2, 4])
     def test_lower_cones_of_a_non_pure_cycle_carry_no_weight(self, seed):
@@ -1036,7 +1036,7 @@ class TestStableIntersection:
         assert got.fan.rays.ncols == 0
         assert got.fan.lineality.ncols == 0
         assert got.multiplicities == (1,)
-        assert cycle_dim(got) == 0
+        assert fan_dim(got.fan) == 0
 
     def test_full_space_is_identity(self):
         fs, _ = fan_from_cones(2, [cone_from_halfspaces([], [], 2)])
@@ -1097,7 +1097,7 @@ class TestStableIntersection:
     def test_plane_self_intersection_is_a_curve(self):
         plane = tropical_variety(ideal(XYZ, (P("x+y+z+1", XYZ),)))
         got = stable_intersection(plane, plane)
-        assert cycle_dim(got) == 1
+        assert fan_dim(got.fan) == 1
         assert got.fan.rays.columns() == [(-1, -1, -1), (0, 0, 1),
                                           (0, 1, 0), (1, 0, 0)]
         assert got.multiplicities == (1, 1, 1, 1)
@@ -1187,8 +1187,8 @@ class TestSeparatingRows:
     def test_rejected_pairs_are_infeasible(self, ab):
         a, b = ab
         separated = _separated_pairs(a.fan, b.fan)
-        for i, ca in enumerate(fan_cones(a.fan)):
-            for j, cb in enumerate(fan_cones(b.fan)):
+        for i, ca in enumerate(a.fan.cones):
+            for j, cb in enumerate(b.fan.cones):
                 if separated(i, j):
                     assert not curve_feasible(ca, cb)
 
@@ -1197,8 +1197,8 @@ class TestSeparatingRows:
         b = tropical_hypersurface(P(B5, tuple("abcde")))
         separated = _separated_pairs(a.fan, b.fan)
         verdicts = [(separated(i, j), curve_feasible(ca, cb))
-                    for i, ca in enumerate(fan_cones(a.fan))
-                    for j, cb in enumerate(fan_cones(b.fan))]
+                    for i, ca in enumerate(a.fan.cones)
+                    for j, cb in enumerate(b.fan.cones)]
         assert not any(rejected and feasible for rejected, feasible in verdicts)
         # of the 420 pairs, 221 do not meet after the shift; rows reject
         # 152 (237 and 145 at the displacement (5, -3, 2, 7, -11))
@@ -1266,7 +1266,7 @@ def sign_test_pairs(a, b):
     """(ca, cb, tau, split) for every pair of maximal cones of a and b that
     the sign test applies to: spans that fill the space, and an
     intersection tau of the expected dimension."""
-    cones_a, cones_b = fan_cones(a.fan), fan_cones(b.fan)
+    cones_a, cones_b = a.fan.cones, b.fan.cones
     expected = (max(c.dim for c in cones_a) + max(c.dim for c in cones_b)
                 - a.ambient_dim)
     out = []
@@ -1346,7 +1346,7 @@ class TestSignTest:
                                       tropical_hypersurface(P(B4, vs)))
         c4 = tropical_hypersurface(P(C4, vs))
         got = stable_intersection(surface, c4)
-        assert cycle_dim(got) == 1
+        assert fan_dim(got.fan) == 1
         assert cycle_to_dict(got) \
             == cycle_to_dict(reference_stable_intersection(surface, c4, seed))
 
@@ -1373,7 +1373,7 @@ class TestSignTest:
             mp.setattr(tropfan.tropical, "_solve_shift", counted)
             got = stable_intersection(ab, ac)
         assert sum(skipped) == 12
-        assert cycle_dim(got) == 0
+        assert fan_dim(got.fan) == 0
         assert got.multiplicities == (58,)
         assert cycle_to_dict(got) \
             == cycle_to_dict(reference_stable_intersection(ab, ac, seed))
@@ -1399,8 +1399,8 @@ class TestSolveShift:
     def test_against_ranks(self, ab):
         a, b = ab
         n = a.ambient_dim
-        for ca in fan_cones(a.fan):
-            for cb in fan_cones(b.fan):
+        for ca in a.fan.cones:
+            for cb in b.fan.cones:
                 got = _solve_shift(ca, cb)
                 eqs = ca.equations.entries + cb.equations.entries
                 if rational_rank(eqs) < len(eqs):
@@ -1420,8 +1420,8 @@ class TestSolveShift:
         # starts from them builds the piece a separate elimination built
         a, b = ab
         n = a.ambient_dim
-        for ca in fan_cones(a.fan):
-            for cb in fan_cones(b.fan):
+        for ca in a.fan.cones:
+            for cb in b.fan.cones:
                 got = _solve_shift(ca, cb)
                 if got is False:
                     continue
@@ -1431,7 +1431,7 @@ class TestSolveShift:
 
     def test_rays_of_the_line(self):
         line = tropical_hypersurface(P("x+y+1", XY))
-        cones = {c.rays.columns()[0]: c for c in fan_cones(line.fan)}
+        cones = {c.rays.columns()[0]: c for c in line.fan.cones}
         diagonal = cones[(-1, -1)]
         assert _solve_shift(diagonal, diagonal) is False
         # the x-axis ray and the y-axis ray fill the plane: (t, t^2) is
@@ -1498,7 +1498,7 @@ class TestDisplacementInADeficientSpan:
 
     def test_diagonal_pair_is_skipped(self):
         line = tropical_hypersurface(P("x+y+1", XY))
-        cones = fan_cones(line.fan)
+        cones = line.fan.cones
         k = next(i for i, c in enumerate(cones)
                  if c.rays.columns() == [(-1, -1)])
         assert _solve_shift(cones[k], cones[k]) is False
@@ -1624,7 +1624,7 @@ class TestNonPureVariety:
         c = tropical_variety(ideal(XYZ, (g1, g2)))
         assert isinstance(c, TropicalCycle)
         assert not c.pure
-        dims = sorted({cone.dim for cone in fan_cones(c.fan)})
+        dims = sorted({cone.dim for cone in c.fan.cones})
         assert dims == [1, 2]
         assert support_contains(c.fan, (0, 0, -1))
         assert support_contains(c.fan, (0, 0, 1))
@@ -1700,10 +1700,10 @@ class TestGrassmannian25:
     def test_petersen_graph(self, cycle):
         fan = cycle.fan
         assert fan.rays.ncols == 10
-        assert fan.n_maximal() == 15
+        assert len(fan.maximal_cones) == 15
         assert cycle.multiplicities == (1,) * 15
         assert fan.lineality.ncols == 5
-        assert cycle.pure and cycle_dim(cycle) == 7
+        assert cycle.pure and fan_dim(cycle.fan) == 7
         assert all(len(c) == 2 for c in fan.maximal_cones)
         neighbours = {v: set() for v in range(10)}
         for u, v in fan.maximal_cones:
@@ -1717,6 +1717,23 @@ class TestGrassmannian25:
                 common = neighbours[u] & neighbours[v]
                 assert len(common) <= (0 if v in neighbours[u] else 1)
         assert is_balanced(cycle)
+
+    def test_degree_in_one_stable_intersection(self, cycle):
+        # the 7-dimensional variety meets the tropical linear space L_3, the
+        # 3-dimensional cones on any 3 of the 11 rays e_1, ..., e_10,
+        # -(1, ..., 1) with weight 1, in the origin, weighted by the degree
+        # 5 of G(2,5) (Speyer, "Tropical linear spaces", 2008)
+        n = cycle.ambient_dim
+        rays = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        rays.append((-1,) * n)
+        linear = weighted_from_cones(
+            n, [(cone_from_generators(list(c), [], n), 1)
+                for c in combinations(rays, 3)], "min")
+        assert len(linear.fan.maximal_cones) == 165
+        point = stable_intersection(cycle, linear)
+        assert point.fan.maximal_cones == ((),)
+        assert point.fan.lineality.ncols == 0
+        assert point.multiplicities == (5,)
 
     @pytest.mark.parametrize("sigma", S5_GENERATORS)
     def test_symmetric_under_s5(self, cycle, sigma):

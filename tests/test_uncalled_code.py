@@ -2,14 +2,19 @@
 class of src/tropfan must be referenced by some library module, exported
 by tropfan/__init__.py, or read by the benchmark's tracer
 (perfbench/tracer.py); code that only the tests reach belongs in
-tests/oracles.py. Everything is read with ast, so nothing is imported."""
+tests/oracles.py. A name tropfan/__init__.py exports must in turn be read
+by another library module or the tracer, or be written in backticks in
+README.md: an export that none of them names is a second name nobody
+documents. Everything is read with ast, so nothing is imported."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tropfan"
 TRACER = ROOT / "perfbench" / "tracer.py"
+README = ROOT / "README.md"
 
 
 def parse(path):
@@ -48,18 +53,25 @@ def imported(tree):
             for alias in node.names]
 
 
-def referenced(modules):
-    """(module, name) pairs that some library module reads: by name in its
-    own module, or through an import whose local name another one uses."""
+def read_by_importers(modules):
+    """(module, name) pairs that a library module imports and reads."""
     out = set()
-    for stem, tree in modules.items():
-        for node in definitions(tree):
-            if node.name in names_used(tree, skip=node):
-                out.add((stem, node.name))
+    for tree in modules.values():
         used = names_used(tree)
         for module, name, local in imported(tree):
             if local in used:
                 out.add((module, name))
+    return out
+
+
+def referenced(modules):
+    """(module, name) pairs that some library module reads: by name in its
+    own module, or through an import whose local name another one uses."""
+    out = read_by_importers(modules)
+    for stem, tree in modules.items():
+        for node in definitions(tree):
+            if node.name in names_used(tree, skip=node):
+                out.add((stem, node.name))
     return out
 
 
@@ -86,6 +98,14 @@ def traced():
     return out
 
 
+def documented():
+    """The identifiers written in backticks in the README: in inline code,
+    and in fenced code blocks, which a run of three backticks closes."""
+    spans = re.findall(r"(`+)(.+?)\1", README.read_text(), re.S)
+    return {name for _, span in spans
+            for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
 def test_every_library_definition_is_reached():
     modules = library_modules()
     reached = referenced(modules) | exported(modules) | traced()
@@ -102,3 +122,12 @@ def test_a_definition_only_tests_call_is_flagged():
     reached = referenced(modules) | exported(modules)
     assert [n.name for n in definitions(tree)
             if ("m", n.name) not in reached] == ["unused", "recursive"]
+
+
+def test_every_export_is_read_or_documented():
+    modules = library_modules()
+    reached = read_by_importers(modules) | traced()
+    readme = documented()
+    assert sorted(name for module, name in exported(modules)
+                  if (module, name) not in reached
+                  and name not in readme) == []
