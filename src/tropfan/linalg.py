@@ -7,9 +7,8 @@ linear solving. cone_feasible, a membership test no library code calls, reads
 its answer off the cone's double description pass in fans; it stays public
 because the benchmark's tracer (perfbench/tracer.py) lists it. Rational
 input is scaled to integers row by row (`clear_denominators`); elimination
-and inversion then run in integer arithmetic only: elimination by
-cross-multiplication with row gcds divided out, and inversion through the
-Hermite witness. Rationals appear only in that scaling and in the solution
+then runs in integer arithmetic only, by cross-multiplication with row gcds
+divided out. Rationals appear only in that scaling and in the solution
 vectors `solve_rational` returns. No floating point is used anywhere.
 
 IntMatrix.from_rows and from_columns check the shape and the integrality of
@@ -17,8 +16,10 @@ outside data; the matrices derived here from checked ones are built from
 their int tuples unchecked. One column Hermite elimination serves both
 hermite_normal_form, which stacks the witness under the columns, and
 hermite_basis and lattice_index, which need no witness. The Smith witnesses
-of a saturated basis, which quotient_reps and hnf_completion use, are
-memoized by the basis together with the rows quotient_reps multiplies by.
+of a saturated basis are memoized by the basis together with the rows
+quotient_reps multiplies by, which also give cell multiplicities their
+coordinates; no command forms an inverse, a completion or a determinant,
+and int_inverse, hnf_completion and det stay only for the tracer.
 IntMatrix is a named tuple: a value also equals the plain tuple of its
 fields and iterates over them, which no code relies on. A lattice is the
 IntMatrix of its generator columns; lattice_index takes any two.
@@ -486,8 +487,8 @@ def _unit_smith(basis: IntMatrix):
     columns: P, its first d rows, and the rows of B Q.
 
     Memoized by the basis: the cones of one fan share their lineality, and
-    quotient_reps and hnf_completion reduce modulo the same few lattices
-    many times."""
+    quotient_reps reduces modulo the same few lattices many times; a cell's
+    multiplicity reads the witness its inequalities took."""
     dmat, p, q = smith_normal_form(basis)
     if any(dmat.entries[i][i] != 1 for i in range(basis.ncols)):
         raise NotFullRankError("basis does not generate a saturated lattice")

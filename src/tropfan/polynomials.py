@@ -24,6 +24,11 @@ from .fans import Cone, cone_from_generators
 
 VAR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
+# The parser refuses, before multiplying, a product whose operands' term
+# counts multiply past this: (x+1)^2000 would take seconds to expand, and
+# (x+1)^99999999 would not end.
+MAX_TERM_PAIRS = 10_000
+
 
 def check_convention(convention) -> None:
     if convention not in ("min", "max"):
@@ -286,13 +291,21 @@ class _Parser:
             else:
                 return p
 
+    def product(self, p: Polynomial, q: Polynomial, pos: int) -> Polynomial:
+        """p * q, refused past MAX_TERM_PAIRS at the operator's position."""
+        if p.num_terms() * q.num_terms() > MAX_TERM_PAIRS:
+            raise PolynomialParseError(
+                f"product of {p.num_terms()} and {q.num_terms()} terms is too "
+                f"large to expand (more than {MAX_TERM_PAIRS} term pairs)", pos)
+        return p * q
+
     def term(self) -> Polynomial:
         p = self.factor()
         while True:
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.advance()
-                p = p * self.factor()
+                p = self.product(p, self.factor(), pos)
             elif kind == "op" and val == "/":
                 self.advance()
                 kind2, val2, pos2 = self.peek()
@@ -306,7 +319,7 @@ class _Parser:
             elif kind == "name":
                 # implicit product only after a numeric literal, e.g. 3x
                 if self.tokens[self.i - 1][0] == "num":
-                    p = p * self.factor()
+                    p = self.product(p, self.factor(), pos)
                 else:
                     raise PolynomialParseError(
                         "missing '*' between factors", pos)
@@ -314,17 +327,26 @@ class _Parser:
                 return p
 
     def factor(self) -> Polynomial:
+        """An atom, or an atom raised to a power by squaring and
+        multiplying, each product checked."""
         p = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            kind2, val2, pos2 = self.peek()
-            if kind2 != "num":
-                raise PolynomialParseError(
-                    "exponent must be a nonnegative integer literal", pos2)
-            self.advance()
-            p = p ** val2
-        return p
+        kind, val, pos = self.peek()
+        if kind != "op" or val != "^":
+            return p
+        self.advance()
+        kind2, k, pos2 = self.peek()
+        if kind2 != "num":
+            raise PolynomialParseError(
+                "exponent must be a nonnegative integer literal", pos2)
+        self.advance()
+        result = Polynomial.constant(self.variables, 1)
+        while k:
+            if k & 1:
+                result = self.product(result, p, pos)
+            k >>= 1
+            if k:
+                p = self.product(p, p, pos)
+        return result
 
     def atom(self) -> Polynomial:
         kind, val, pos = self.advance()

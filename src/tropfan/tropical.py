@@ -16,7 +16,8 @@ face, whose initial ideal is the whole ideal, is not tested again: the
 entry test has decided it. The maximal kept faces, those that are no kept
 face's facet, are the only ones built; slice the homogenizing coordinate
 back out of each, and compute one multiplicity per maximal cell as the
-degree of the saturated initial ideal in quotient coordinates. A
+degree of the saturated initial ideal in coordinates read off the cell's
+memoized Smith witness. A
 tropical-basis check reads supports only: it keeps the maximal cells
 unsliced and unweighted, lifts each prevariety cone into homogenized
 coordinates with x0 = 0, cuts it by every Gröbner cone, builds only the
@@ -83,8 +84,8 @@ from .linalg import (
     _echelon_kernel,
     _kernel_off_echelon,
     _row_echelon,
+    _unit_smith,
     dot,
-    hnf_completion,
     integer_kernel_basis,
     lattice_index,
     vec_neg,
@@ -171,39 +172,33 @@ def tropical_prevariety(polys, convention: str = "min") -> Fan:
 
 
 def _multiplicity_from_initial(inw: IdealSpec, sigma: Cone) -> int:
-    """Degree of the saturated initial ideal in coordinates adapted to the
-    cell: quotient out the span lattice, drop those variables, saturate by
-    the remaining ones, and count standard monomials."""
-    n = sigma.ambient_dim
-    basis = sigma.span_lattice
-    d = basis.ncols
-    v = hnf_completion(basis)
-    vt = v.transpose()
-    residual_vars = tuple(f"z{i}" for i in range(n - d))
+    """Degree of the saturated initial ideal in the cell's residual
+    coordinates: a generator's terms, which must pair alike with the cell's
+    rays and lineality, differ by vectors of its equation lattice, which the
+    first rows of that lattice's memoized Smith witness map onto Z^k. Shift
+    each image off the coordinate hyperplanes, saturate, and count standard
+    monomials; another basis would only substitute unimodularly."""
+    spanning = sigma.rays.columns() + sigma.lineality.columns()
+    coords = _unit_smith(sigma._equation_basis)[1]
+    k = len(coords)
+    residual_vars = tuple(f"z{i}" for i in range(k))
     gens = []
     for g in inw.generators:
         if g.is_zero():
             continue
-        imgs = {}
-        firsts = None
-        for e, c in g.terms.items():
-            img = vt.mul_vec(e)
-            if firsts is None:
-                firsts = img[:d]
-            elif img[:d] != firsts:
-                raise DimMismatchError(
-                    "cell is not a face of the initial ideal's Gröbner region")
-            imgs[img[d:]] = c
-        if not imgs:
-            continue
-        mins = [min(e[i] for e in imgs) for i in range(n - d)]
+        if len({tuple(dot(e, r) for r in spanning) for e in g.terms}) > 1:
+            raise DimMismatchError(
+                "cell is not a face of the initial ideal's Gröbner region")
+        imgs = {tuple(dot(row, e) for row in coords): c
+                for e, c in g.terms.items()}
+        mins = [min(e[i] for e in imgs) for i in range(k)]
         shifted = {tuple(x - m for x, m in zip(e, mins)): c
                    for e, c in imgs.items()}
         gens.append(Polynomial._from_terms(residual_vars, shifted))
     if not gens:
         gens = [Polynomial.zero(residual_vars)]
     residual = IdealSpec(residual_vars, tuple(gens))
-    if n - d > 0:
+    if k:
         residual = saturate(residual, product_of_variables(residual_vars))
     return vector_space_dimension(residual)
 

@@ -4,6 +4,7 @@ part of the package: only the tests call them."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 from tropfan.cycles import (
@@ -21,6 +22,7 @@ from tropfan.errors import (
 from tropfan.fans import (
     Cone,
     _v_description,
+    cone_from_generators,
     cone_from_halfspaces,
     cone_key,
     facets_by_key,
@@ -37,11 +39,13 @@ from tropfan.groebner import (
     product_of_variables,
     reduced_groebner_basis,
     saturate,
+    vector_space_dimension,
 )
 from tropfan.linalg import (
     IntMatrix,
     clear_denominators,
     dot,
+    hnf_completion,
     integer_kernel_basis,
     lattice_index,
     primitive_vector,
@@ -53,6 +57,7 @@ from tropfan.linalg import (
 )
 from tropfan.polynomials import (
     IdealSpec,
+    Polynomial,
     edge_lattice_length,
     homogenize,
     ideal,
@@ -60,6 +65,7 @@ from tropfan.polynomials import (
 )
 from tropfan.tropical import (
     _groebner_variety,
+    _maximal_kept_faces,
     _multiplicity_from_initial,
     _validated,
     tropical_prevariety,
@@ -82,6 +88,23 @@ def plucker_ideal(perm=tuple(range(10))):
             for k in range(j + 1, 6) for l in range(k + 1, 6)]
     return ideal(PLUCKER_VARS,
                  tuple(parse_polynomial(r, PLUCKER_VARS) for r in rels))
+
+
+def phylogenetic_trees():
+    """trop G(2,5) from the combinatorics alone, as the space of
+    phylogenetic trees on five leaves (Speyer and Sturmfels, "The tropical
+    Grassmannian", 2004), in the coordinates of plucker_ideal: a ray e_ab
+    with 1 at p_ab for each pair a < b, one cell cone(e_ab, e_cd) of weight
+    1 for each two disjoint pairs, and a lineality spanned by five vectors,
+    the k-th with 1 at every p_ij with k in {i, j}."""
+    n = len(PLUCKER_PAIRS)
+    lineality = [tuple(int(k in pair) for pair in PLUCKER_PAIRS)
+                 for k in range(1, 6)]
+    rays = {pair: tuple(int(q == pair) for q in PLUCKER_PAIRS)
+            for pair in PLUCKER_PAIRS}
+    cells = [(cone_from_generators([rays[p], rays[q]], lineality, n), 1)
+             for p, q in combinations(PLUCKER_PAIRS, 2) if not set(p) & set(q)]
+    return weighted_from_cones(n, cells, "min")
 
 
 def optimum_attained_twice(f, w, convention="min") -> bool:
@@ -114,6 +137,47 @@ def multiplicity_at(spec_homogeneous, sigma) -> int:
     w = relative_interior_point(sigma)
     gb = reduced_groebner_basis(spec_homogeneous, TermOrder((w,)))
     return _multiplicity_from_initial(initial_ideal(gb, w), sigma)
+
+
+def reference_multiplicity_from_initial(inw: IdealSpec, sigma: Cone) -> int:
+    """_multiplicity_from_initial through a unimodular completion of the
+    cell's span lattice: the transpose of the completion maps each exponent
+    to its pairings with the span lattice, which must agree across a
+    generator's terms, followed by its residual coordinates. Quotient out
+    the span lattice, drop those variables, saturate by the remaining ones,
+    and count standard monomials."""
+    n = sigma.ambient_dim
+    basis = sigma.span_lattice
+    d = basis.ncols
+    v = hnf_completion(basis)
+    vt = v.transpose()
+    residual_vars = tuple(f"z{i}" for i in range(n - d))
+    gens = []
+    for g in inw.generators:
+        if g.is_zero():
+            continue
+        imgs = {}
+        firsts = None
+        for e, c in g.terms.items():
+            img = vt.mul_vec(e)
+            if firsts is None:
+                firsts = img[:d]
+            elif img[:d] != firsts:
+                raise DimMismatchError(
+                    "cell is not a face of the initial ideal's Gröbner region")
+            imgs[img[d:]] = c
+        if not imgs:
+            continue
+        mins = [min(e[i] for e in imgs) for i in range(n - d)]
+        shifted = {tuple(x - m for x, m in zip(e, mins)): c
+                   for e, c in imgs.items()}
+        gens.append(Polynomial._from_terms(residual_vars, shifted))
+    if not gens:
+        gens = [Polynomial.zero(residual_vars)]
+    residual = IdealSpec(residual_vars, tuple(gens))
+    if n - d > 0:
+        residual = saturate(residual, product_of_variables(residual_vars))
+    return vector_space_dimension(residual)
 
 
 def groebner_route_variety(spec, convention="min"):

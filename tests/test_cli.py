@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -378,6 +379,22 @@ class TestHypersurfaceCommand:
     def test_monomial_exit_one(self, capsys):
         code, _, err = run(capsys, ["hypersurface", "x^2", "--vars", "x,y"])
         assert code == 1
+
+    def test_oversized_expansion_exits_two_at_once(self, capsys):
+        # the expansion would not end; the parser refuses its first product
+        # past the bound, at the '^'
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["hypersurface", "(x+1)^99999999",
+                                      "--vars", "x"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "too large to expand" in err and "position 6" in err
+
+    def test_large_power_of_a_monomial(self, capsys):
+        code, out, _ = run(capsys, ["hypersurface", "x^99999999+1",
+                                    "--vars", "x", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["multiplicities"] == [99999999]
 
     def test_max_swaps_rays(self, capsys):
         code, out_min, _ = run(capsys, ["hypersurface", "x+y+1",

@@ -727,8 +727,8 @@ class TestKernelIsSaturated:
 
 
 class TestSmithWitnessesOncePerLattice:
-    """quotient_reps and hnf_completion share one memoized Smith form per
-    basis."""
+    """quotient_reps, hnf_completion and the cell multiplicities share one
+    memoized Smith form per basis."""
 
     @pytest.fixture
     def smith_calls(self, monkeypatch):
@@ -761,10 +761,12 @@ class TestSmithWitnessesOncePerLattice:
         # 206 Smith forms, one per call, before they were memoized, 70
         # while every face of the Gröbner fans was built, and 61 while the
         # sliced cells reduced their inequalities, which no caller reads,
-        # modulo their equations
+        # modulo their equations, and 46 while each multiplicity completed
+        # the cell's span lattice, whose Smith form the equation lattice's
+        # witness now replaces
         for entry in PRIME_CORPUS:
             groebner_route_variety(entry.ideal())
-        assert smith_calls[0] == 46
+        assert smith_calls[0] == 30
 
 
 def int_vectors(n, bound):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tropfan.errors import PolynomialParseError, ZeroPolynomialError
 from tropfan.polynomials import (
+    MAX_TERM_PAIRS,
     IdealSpec,
     Polynomial,
     edge_lattice_length,
@@ -73,6 +74,29 @@ class TestParser:
 
     def test_unary_minus(self):
         assert P("-x + -y", ("x", "y")) == -P("x+y", ("x", "y"))
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_power_is_the_repeated_product(self, k):
+        base = P("x+2*y-1", ("x", "y"))
+        assert P(f"(x+2*y-1)^{k}", ("x", "y")) == base ** k
+
+    def test_products_bounded_before_multiplying(self):
+        # 100 * 100 term pairs is the bound itself; 101 * 100 is refused at
+        # the '*', before any term pair is formed
+        vs = ("x", "y")
+        assert MAX_TERM_PAIRS == 10_000
+        assert P("(x+1)^99*(y+1)^99", vs).num_terms() == 10_000
+        with pytest.raises(PolynomialParseError, match="101 and 100") as e:
+            P("(x+1)^100*(y+1)^99", vs)
+        assert e.value.position == 10
+
+    def test_powers_bounded_before_multiplying(self):
+        # a power squares and multiplies, each product checked: the first
+        # one past the bound is refused at the '^'
+        with pytest.raises(PolynomialParseError) as e:
+            P("2*(x+1)^99999999", ("x",))
+        assert e.value.position == 8
+        assert P("x^99999999", ("x",)).terms == {(99999999,): 1}
 
 
 small_polys = st.lists(

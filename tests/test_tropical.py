@@ -44,6 +44,7 @@ from tropfan.groebner import (
 )
 from tropfan.linalg import IntMatrix, _echelon_kernel, dot, rational_rank
 from tropfan.polynomials import (
+    IdealSpec,
     Polynomial,
     homogenize,
     ideal,
@@ -52,8 +53,11 @@ from tropfan.polynomials import (
 )
 from tropfan.tropical import (
     _displacement_verdict,
+    _maximal_kept_faces,
+    _multiplicity_from_initial,
     _separated_pairs,
     _solve_shift,
+    _validated,
     is_tropical_basis,
     stable_intersection,
     tropical_evaluate,
@@ -68,6 +72,7 @@ from oracles import (
     groebner_route_variety,
     multiplicity_at,
     optimum_attained_twice,
+    phylogenetic_trees,
     plucker_ideal,
     reference_cone_feasible,
     reference_dd,
@@ -75,6 +80,7 @@ from oracles import (
     reference_is_balanced,
     reference_is_tropical_basis,
     reference_kept_faces,
+    reference_multiplicity_from_initial,
     reference_newton_polytope,
     reference_stable_intersection,
     reference_tropical_hypersurface,
@@ -296,65 +302,29 @@ class TestVariety:
                 assert support_contains(pre, l)
 
 
-class TestFaceWalk:
-    """Tripwires: the face walk over a whole Gröbner fan keys every face by
-    ray masks and builds none (55 facets keyed and 39 built on space_conic,
-    81 and 71 on linear5, when faces were built by incidence), and it
-    saturates only the faces whose facets were all kept (55 and 81
-    saturations, one per face, before that pruning), except the lineality
-    face, whose initial ideal is the whole ideal, found monomial-free at
-    entry (13 and 21 saturations while it was tested again), and the faces
-    whose initial ideal has a one-term generator, a monomial (12 and 20
-    saturations while those were saturated too); it runs no double
-    description and reduces modulo lattices with no unimodular completion
-    or inverse."""
+def count_calls(monkeypatch, homes) -> dict:
+    """Count the calls of each function named in homes (name -> defining
+    module) from the library, patched in every module that bound it, the
+    defining one included: hnf_completion looks int_inverse and det up in
+    tropfan.linalg."""
+    import tropfan.fans
+    import tropfan.groebner
+    import tropfan.linalg
+    import tropfan.tropical
 
-    def walk(self, spec, monkeypatch, facet_counts):
-        import tropfan.fans
-        import tropfan.groebner
-        import tropfan.linalg
-        import tropfan.tropical
-        from tropfan.groebner import groebner_fan
+    calls = dict.fromkeys(homes, 0)
+    for name, home in homes.items():
+        original = getattr(home, name)
 
-        fan_data = groebner_fan(homogenize(spec))
-        facet_counts.update(keyed=0, built=0)
-        homes = {"cone_from_halfspaces": tropfan.fans,
-                 "int_inverse": tropfan.linalg,
-                 "hnf_completion": tropfan.linalg,
-                 "saturate": tropfan.groebner}
-        calls = dict.fromkeys(homes, 0)
-        for name, home in homes.items():
-            original = getattr(home, name)
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
 
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            # every module that bound the function, the defining one
-            # included: hnf_completion looks int_inverse up in tropfan.linalg
-            for module in (tropfan.linalg, tropfan.fans, tropfan.groebner,
-                           tropfan.tropical):
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
-        kept = tropfan.tropical._kept_faces(fan_data)
-        saturations = calls.pop("saturate")
-        assert calls == {"cone_from_halfspaces": 0, "int_inverse": 0,
-                         "hnf_completion": 0}
-        return len(fan_data), dict(facet_counts), saturations, len(kept)
-
-    def test_space_conic_derives_each_face_once(self, monkeypatch,
-                                                facet_counts):
-        from tropfan.corpus import PRIME_CORPUS
-
-        entry = next(e for e in PRIME_CORPUS if e.name == "space_conic")
-        assert self.walk(entry.ideal(), monkeypatch, facet_counts) \
-            == (16, {"keyed": 0, "built": 0}, 8, 5)
-
-    def test_linear5_derives_each_face_once(self, monkeypatch, facet_counts):
-        vs = tuple("abcde")
-        spec = ideal(vs, (P("a+b+c+d+e", vs), P("a+2*b+3*c+5*d+7*e", vs)))
-        assert self.walk(spec, monkeypatch, facet_counts) \
-            == (10, {"keyed": 0, "built": 0}, 15, 16)
+        for module in (tropfan.linalg, tropfan.fans, tropfan.groebner,
+                       tropfan.tropical):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 # (name, variables, generators): the heavier probes of the goldens
@@ -370,6 +340,68 @@ def _variety_cases():
     from tropfan.corpus import PRIME_CORPUS
     return ([(e.name, e.variables, e.generators) for e in PRIME_CORPUS]
             + list(VARIETY_PROBES))
+
+
+class TestFaceWalk:
+    """Tripwires: the face walk over a whole Gröbner fan keys every face by
+    ray masks and builds none (55 facets keyed and 39 built on space_conic,
+    81 and 71 on linear5, when faces were built by incidence), and it
+    saturates only the faces whose facets were all kept (55 and 81
+    saturations, one per face, before that pruning), except the lineality
+    face, whose initial ideal is the whole ideal, found monomial-free at
+    entry (13 and 21 saturations while it was tested again), and the faces
+    whose initial ideal has a one-term generator, a monomial (12 and 20
+    saturations while those were saturated too); it runs no double
+    description and reduces modulo lattices with no unimodular completion
+    or inverse. The whole Gröbner route, multiplicities included, forms no
+    completion, inverse or determinant (22 of each on a traced `variety`
+    run while each multiplicity completed its cell's span lattice)."""
+
+    def walk(self, spec, monkeypatch, facet_counts):
+        import tropfan.fans
+        import tropfan.groebner
+        import tropfan.linalg
+        import tropfan.tropical
+        from tropfan.groebner import groebner_fan
+
+        fan_data = groebner_fan(homogenize(spec))
+        facet_counts.update(keyed=0, built=0)
+        calls = count_calls(monkeypatch, {
+            "cone_from_halfspaces": tropfan.fans,
+            "int_inverse": tropfan.linalg,
+            "hnf_completion": tropfan.linalg,
+            "saturate": tropfan.groebner})
+        kept = tropfan.tropical._kept_faces(fan_data)
+        saturations = calls.pop("saturate")
+        assert calls == {"cone_from_halfspaces": 0, "int_inverse": 0,
+                         "hnf_completion": 0}
+        return len(fan_data), dict(facet_counts), saturations, len(kept)
+
+    @pytest.mark.parametrize("case", _variety_cases(), ids=lambda c: c[0])
+    def test_groebner_route_forms_no_completion(self, case, monkeypatch):
+        import tropfan.linalg
+
+        _, variables, generators = case
+        vs = tuple(variables)
+        spec = ideal(vs, tuple(P(g, vs) for g in generators))
+        calls = count_calls(monkeypatch, dict.fromkeys(
+            ("hnf_completion", "int_inverse", "det"), tropfan.linalg))
+        assert groebner_route_variety(spec).multiplicities
+        assert calls == {"hnf_completion": 0, "int_inverse": 0, "det": 0}
+
+    def test_space_conic_derives_each_face_once(self, monkeypatch,
+                                                facet_counts):
+        from tropfan.corpus import PRIME_CORPUS
+
+        entry = next(e for e in PRIME_CORPUS if e.name == "space_conic")
+        assert self.walk(entry.ideal(), monkeypatch, facet_counts) \
+            == (16, {"keyed": 0, "built": 0}, 8, 5)
+
+    def test_linear5_derives_each_face_once(self, monkeypatch, facet_counts):
+        vs = tuple("abcde")
+        spec = ideal(vs, (P("a+b+c+d+e", vs), P("a+2*b+3*c+5*d+7*e", vs)))
+        assert self.walk(spec, monkeypatch, facet_counts) \
+            == (10, {"keyed": 0, "built": 0}, 15, 16)
 
 
 # affine linear forms c_0 + c_1 x_1 + ... + c_n x_n, one row per form, with
@@ -996,6 +1028,67 @@ class TestTropicalBasisAgainstReference:
     def test_drawn_pairs(self, polys):
         assert basis_outcome(is_tropical_basis, polys) \
             == basis_outcome(reference_is_tropical_basis, polys)
+
+
+def multiplicity_routes(spec) -> list:
+    """(witness route, completion route) multiplicity of every maximal cell
+    of Trop(I^h), for a monomial-free ideal."""
+    out = []
+    for face, inw in _maximal_kept_faces(spec):
+        sigma = face.build()
+        out.append((_multiplicity_from_initial(inw, sigma),
+                    reference_multiplicity_from_initial(inw, sigma)))
+    return out
+
+
+class TestMultiplicityAgainstCompletion:
+    """A cell's multiplicity reads its residual exponents off the first rows
+    of the equation lattice's Smith witness; the reference reads them off a
+    unimodular completion of the span lattice. The two residual ideals
+    differ by a unimodular substitution, so every degree agrees."""
+
+    @pytest.mark.parametrize("case", _variety_cases(), ids=lambda c: c[0])
+    def test_named_ideals(self, case):
+        _, variables, generators = case
+        vs = tuple(variables)
+        routes = multiplicity_routes(
+            ideal(vs, tuple(P(g, vs) for g in generators)))
+        assert routes and all(a == b for a, b in routes)
+
+    def test_weights_two_and_three(self):
+        cases = {c[0]: c for c in DEGREE_CASES}
+        for name, weight in (("double_line", 2), ("triple_plane", 3)):
+            _, variables, generators, _ = cases[name]
+            vs = tuple(variables)
+            routes = multiplicity_routes(
+                ideal(vs, tuple(P(g, vs) for g in generators)))
+            assert routes and all(r == (weight, weight) for r in routes)
+
+    def test_grassmannian25(self):
+        assert multiplicity_routes(plucker_ideal()) == [(1, 1)] * 15
+
+    def test_inhomogeneous_generator_refused(self):
+        # on the cell where x and y tie, x + y is an initial form and
+        # x + y + h is not
+        hv = ("h", "x", "y")
+        sigma = cone_from_halfspaces([(1, -1, 0)], [(0, 1, -1)], 3)
+        for route in (_multiplicity_from_initial,
+                      reference_multiplicity_from_initial):
+            assert route(ideal(hv, (P("x+y", hv),)), sigma) == 1
+            with pytest.raises(DimMismatchError, match="not a face"):
+                route(ideal(hv, (P("x+y+h", hv),)), sigma)
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_pairs())
+    @example([P("x^2+y", XY), P("x*y+1", XY)])
+    def test_drawn_pairs(self, polys):
+        spec = IdealSpec(polys[0].variables, tuple(polys))
+        try:
+            free = _validated(spec)
+        except TropfanError:
+            return
+        if free:
+            assert all(a == b for a, b in multiplicity_routes(spec))
 
 
 class TestStableIntersection:
@@ -1691,6 +1784,14 @@ class TestGrassmannian25:
         text = dumps_canonical(cycle_to_dict(cycle))
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "e8a79da7b8beb08a1fc21d5a811f6b65720482e70efa3d967f126da776532be2"
+
+    def test_space_of_phylogenetic_trees(self, cycle):
+        # the rays, cells and weights from the combinatorics alone, with no
+        # Gröbner fan: 10 splits and 15 trees of weight 1
+        trees = phylogenetic_trees()
+        assert trees.fan.rays.ncols == 10
+        assert trees.multiplicities == (1,) * 15
+        assert cycle_to_dict(trees) == cycle_to_dict(cycle)
 
     def test_plucker_relations_are_a_tropical_basis(self):
         # Speyer and Sturmfels: the three-term Plücker relations form a

@@ -5,7 +5,10 @@ by tropfan/__init__.py, or read by the benchmark's tracer
 tests/oracles.py. A name tropfan/__init__.py exports must in turn be read
 by another library module or the tracer, or be written in backticks in
 README.md: an export that none of them names is a second name nobody
-documents. Everything is read with ast, so nothing is imported."""
+documents. The definitions that no export and no cli.main reach are kept
+by the tracer's list alone; they are pinned, and each waits on the delete
+list of the ROADMAP's benchmark item. Everything is read with ast, so
+nothing is imported."""
 
 import ast
 import re
@@ -15,6 +18,14 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tropfan"
 TRACER = ROOT / "perfbench" / "tracer.py"
 README = ROOT / "README.md"
+ROADMAP = ROOT / "ROADMAP.md"
+
+# library definitions that only the tracer's list keeps
+TRACER_ONLY = {
+    "fans.all_faces", "fans.facets_with_normals", "fans.fan_cone",
+    "groebner.normal_form", "groebner.s_polynomial",
+    "linalg.det", "linalg.hnf_completion", "linalg.int_inverse",
+}
 
 
 def parse(path):
@@ -79,6 +90,36 @@ def exported(modules):
     return {(module, name) for module, name, _ in imported(modules["__init__"])}
 
 
+def reachable(modules):
+    """(module, name) of the definitions that an export or cli.main reaches
+    by name: a definition reaches those its body reads, in its own module or
+    through its module's imports, and a module's statements outside its
+    definitions, which run on import, reach what they read."""
+    defs = {(stem, node.name): node for stem, tree in modules.items()
+            for node in definitions(tree)}
+    aliases = {stem: {local: (module, name)
+                      for module, name, local in imported(tree)}
+               for stem, tree in modules.items()}
+
+    def reads(stem, node):
+        return [(stem, name) if (stem, name) in defs else aliases[stem][name]
+                for name in names_used(node)
+                if (stem, name) in defs or name in aliases[stem]]
+
+    todo = [*exported(modules), ("cli", "main")]
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                todo.extend(reads(stem, node))
+    seen = set()
+    while todo:
+        key = todo.pop()
+        if key in defs and key not in seen:
+            seen.add(key)
+            todo.extend(reads(key[0], defs[key]))
+    return seen
+
+
 def traced():
     """The names the tracer reads: the TRACED table, and every attribute it
     takes off a sys.modules["tropfan.<module>"] entry."""
@@ -131,3 +172,18 @@ def test_every_export_is_read_or_documented():
     assert sorted(name for module, name in exported(modules)
                   if (module, name) not in reached
                   and name not in readme) == []
+
+
+def test_tracer_only_definitions_are_pinned_and_listed_for_deletion():
+    modules = library_modules()
+    reached = reachable(modules)
+    only = {f"{stem}.{node.name}" for stem, tree in modules.items()
+            for node in definitions(tree) if (stem, node.name) not in reached}
+    assert only == TRACER_ONLY
+    # the tracer lists each one but det, which hnf_completion calls
+    assert only - {f"{m}.{n}" for m, n in traced()} == {"linalg.det"}
+    text = ROADMAP.read_text()
+    start = text.index("**Then delete.**")
+    delete_list = text[start:text.index("\n8. ", start)]
+    assert sorted(name for name in only
+                  if f"`{name}`" not in delete_list) == []
