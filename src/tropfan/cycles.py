@@ -70,28 +70,17 @@ class TropicalCycle(namedtuple("TropicalCycle",
         return is_pure(self.fan)
 
 
-def weighted_from_cones(ambient_dim, weighted_cones, convention,
-                        merge_duplicates=False) -> TropicalCycle:
-    """Assemble a cycle, pure or not, from (cone, weight) pairs; zero-weight
-    cones are dropped, duplicates summed when merging."""
-    groups = {}
-    order = []
-    for cone, weight in weighted_cones:
-        key = cone_key(cone)
-        if key in groups:
-            if not merge_duplicates:
-                raise MultiplicityMismatchError("duplicate maximal cone")
-            prev_cone, prev_w = groups[key]
-            groups[key] = (prev_cone, prev_w + weight)
-        else:
-            groups[key] = (cone, weight)
-            order.append(key)
-    kept = [(c, w) for key in order for c, w in [groups[key]] if w != 0]
-    for _, w in kept:
-        if w < 0:
-            raise MultiplicityMismatchError("multiplicities must be positive")
-    fan, sources = fan_from_cones(ambient_dim, [c for c, _ in kept],
-                                  drop_contained=False)
+def weighted_from_cones(ambient_dim, weighted_cones,
+                        convention) -> TropicalCycle:
+    """Assemble a cycle, pure or not, from (cone, weight) pairs with
+    distinct cones; zero-weight cones are dropped."""
+    pairs = list(weighted_cones)
+    if len({cone_key(c) for c, _ in pairs}) < len(pairs):
+        raise MultiplicityMismatchError("duplicate maximal cone")
+    if any(w < 0 for _, w in pairs):
+        raise MultiplicityMismatchError("multiplicities must be positive")
+    kept = [(c, w) for c, w in pairs if w]
+    fan, sources = fan_from_cones(ambient_dim, [c for c, _ in kept])
     return TropicalCycle(fan, tuple(kept[i][1] for i in sources), convention)
 
 
@@ -254,7 +243,6 @@ def cycle_from_dict(data, require_weights: bool = True):
     elif require_weights:
         raise CycleSchemaError("missing field", "multiplicities")
     if weights is None:
-        fan, _ = fan_from_cones(ambient, cones, drop_contained=True)
+        fan, _ = fan_from_cones(ambient, cones)
         return fan
-    return weighted_from_cones(ambient, list(zip(cones, weights)), convention,
-                               merge_duplicates=False)
+    return weighted_from_cones(ambient, list(zip(cones, weights)), convention)

@@ -26,17 +26,21 @@ that kernel to _cone_from_kernel, whose pass then stops, and returns None,
 at the first row that drops the dimension, and a cone that reaches the end
 has the kernel's dimension, with no rank computed.
 
-A cone's faces come by incidence. face_lattice is the one walk of a face
+A cone's faces come by incidence, from the tight-ray masks it caches (the
+rays each inequality is tight on). face_lattice is the one walk of a face
 lattice: a face is the bit mask of the cone's rays it contains, its facets
-are the maximal proper sets among that mask and each inequality's tight-ray
-mask, and its key is read off the mask, so the walk builds nothing; faces
-and all_faces build what it meets, and facets_by_key gives one level of it,
-each facet keyed by the same masks and built only on demand. A face is built
-from its rays with no double description, and its inequalities are the rows
-of the cone cutting out its facets. Fans share one ray matrix and one
-lineality space; maximal cones are index sets into the shared rays, and a
-fan keeps the canonical cones it was assembled from, in maximal_cones order,
-as its attribute cones, so none is built again.
+are the maximal proper sets among that mask and the tight-ray masks, and its
+key is read off the mask, so the walk builds nothing; faces and all_faces
+build what it meets, facets_by_key gives one level of it, and face_key_at
+keys the face whose relative interior holds a point, the meet of the masks
+of the inequalities tight on it. A face is built from its rays with no
+double description, and its inequalities are the rows of the cone cutting
+out its facets.
+Fans share one ray matrix and one lineality space; maximal cones are index
+sets into the shared rays. fan_from_cones takes the cones it is given as the
+maximal ones, once each by key, and keeps them, in maximal_cones order, as
+the fan's attribute cones, so none is built again; common_refinement keeps
+a piece only when no larger piece's face lattice has met its key.
 Cone, Face and Fan are named tuples: a value also equals the plain tuple of
 its fields and iterates over them, which no code relies on. A Cone or a Fan
 keeps state beyond its fields, so namedtuple's _make and _replace, which
@@ -152,10 +156,11 @@ class Cone(namedtuple("Cone", "ambient_dim rays lineality dim")):
     rays and lineality hold generator columns; with ambient_dim and dim they
     are the fields, which alone decide equality, hashing and the repr.
     inequalities (rows a with a.x >= 0) and equations (rows with a.x = 0)
-    cut out the same set; they are derived on first read and cached, as is
-    span_lattice, the saturated lattice of the cone's span. The attribute
-    facet_rows() gives rows, from the construction, that cut out the facets
-    modulo the equations.
+    cut out the same set; they are derived on first read and cached, as are
+    span_lattice, the saturated lattice of the cone's span, and tight_masks,
+    the rays each inequality is tight on. The attribute facet_rows() gives
+    rows, from the construction, that cut out the facets modulo the
+    equations.
     """
 
     def __new__(cls, ambient_dim, rays, lineality, dim, facet_rows):
@@ -198,6 +203,14 @@ class Cone(namedtuple("Cone", "ambient_dim rays lineality dim")):
         rows = sorted(set(quotient_reps(self.facet_rows(),
                                         self._equation_basis)))
         return IntMatrix(len(rows), self.ambient_dim, tuple(rows))
+
+    @cached_property
+    def tight_masks(self) -> tuple:
+        """For each inequality, the bit mask of the rays (bit j for ray
+        column j) that it is tight on."""
+        rays = self.rays.columns()
+        return tuple(sum(1 << j for j, r in enumerate(rays) if dot(a, r) == 0)
+                     for a in self.inequalities.entries)
 
     def contains(self, point) -> bool:
         if len(point) != self.ambient_dim:
@@ -312,14 +325,6 @@ def negate_cone(c: Cone) -> Cone:
                 facet_rows=partial(_negated_rows, c))
 
 
-def _tight_masks(c: Cone) -> list:
-    """For each inequality of the cone, the bit mask of its rays (bit j for
-    ray column j) that the inequality is tight on."""
-    rays = c.rays.columns()
-    return [sum(1 << j for j, r in enumerate(rays) if dot(a, r) == 0)
-            for a in c.inequalities.entries]
-
-
 def _facets_of(mask, tight) -> dict:
     """The facets of the face whose tight rays are mask, as a map from each
     facet's ray mask to the index of an inequality cutting it out.
@@ -372,7 +377,7 @@ def facets_by_key(c: Cone):
     """
     rays = c.rays.columns()
     ineqs = c.inequalities.entries
-    tight = _tight_masks(c)
+    tight = c.tight_masks
 
     def build(t):
         rows = [ineqs[i] for i in _facets_of(t, tight).values()]
@@ -417,7 +422,7 @@ def face_lattice(c: Cone, seen=None) -> list:
         return []
     rays = c.rays.columns()
     ineqs = c.inequalities.entries
-    tight = _tight_masks(c)
+    tight = c.tight_masks
     top = (1 << len(rays)) - 1
     keys = {top: cone_key(c)}
 
@@ -447,6 +452,18 @@ def face_lattice(c: Cone, seen=None) -> list:
         level = below
         dim -= 1
     return sorted(new, key=lambda f: f.key)
+
+
+def face_key_at(c: Cone, point):
+    """The cone_key of the face of c whose relative interior holds the
+    point, a point of c, with no face built: its rays are those tight on
+    every inequality of c that the point is tight on."""
+    rays = c.rays.columns()
+    mask = (1 << len(rays)) - 1
+    for a, t in zip(c.inequalities.entries, c.tight_masks):
+        if not dot(a, point):
+            mask &= t
+    return _face_key(c, _in_mask(rays, mask))
 
 
 def faces(c: Cone, codim: int) -> list:
@@ -514,51 +531,28 @@ def fan_cone(fan: Fan, index: int) -> Cone:
     return fan.cones[index]
 
 
-def fan_from_cones(ambient_dim: int, cones, drop_contained: bool = True):
-    """Assemble a fan from cones sharing one lineality space.
-
-    Returns (fan, kept_cone_indices) where the indices point into the input
-    list (after deduplication, in input order) so callers can carry per-cone
-    data such as multiplicities through the canonicalization. The fan keeps
-    the kept cones themselves.
-    """
-    uniq = []
-    keys = {}
+def fan_from_cones(ambient_dim: int, cones):
+    """Assemble a fan from cones sharing one lineality space, taken as its
+    maximal cones: a cone listed twice is kept once, by its key, and none
+    is tested for lying in another. Returns (fan, indices): the input index
+    of each kept cone, in maximal_cones order, so that callers can carry
+    per-cone data such as multiplicities; the fan keeps the cones."""
+    kept = {}
     for i, c in enumerate(cones):
         if c.ambient_dim != ambient_dim:
             raise DimMismatchError("cone ambient dimension mismatch")
-        k = cone_key(c)
-        if k not in keys:
-            keys[k] = len(uniq)
-            uniq.append((c, i))
-    kept = []
-    for j, (c, src) in enumerate(uniq):
-        contained = False
-        if drop_contained:
-            for j2, (c2, _) in enumerate(uniq):
-                if j2 != j and c2.contains_cone(c) and not c.contains_cone(c2):
-                    contained = True
-                    break
-        if not contained:
-            kept.append((c, src))
+        kept.setdefault(cone_key(c), (c, i))
+    kept = list(kept.values())
     if not kept:
         empty = IntMatrix.from_columns([], ambient_dim)
         return Fan(ambient_dim, empty, empty, ()), []
     lin = kept[0][0].lineality
-    for c, _ in kept:
-        if c.lineality.entries != lin.entries:
-            raise DimMismatchError("cones do not share a lineality space")
-    ray_set = {}
-    for c, _ in kept:
-        for r in c.rays.columns():
-            ray_set[r] = True
-    rays = sorted(ray_set)
+    if any(c.lineality.entries != lin.entries for c, _ in kept):
+        raise DimMismatchError("cones do not share a lineality space")
+    rays = sorted({r for c, _ in kept for r in c.rays.columns()})
     ray_index = {r: i for i, r in enumerate(rays)}
-    entries = []
-    for c, src in kept:
-        idx = tuple(sorted(ray_index[r] for r in c.rays.columns()))
-        entries.append((idx, src, c))
-    entries.sort(key=lambda t: t[0])
+    entries = sorted(((tuple(sorted(ray_index[r] for r in c.rays.columns())),
+                       src, c) for c, src in kept), key=lambda t: t[0])
     fan = Fan(ambient_dim,
               IntMatrix.from_columns(rays, ambient_dim),
               lin,
@@ -570,7 +564,10 @@ def fan_from_cones(ambient_dim: int, cones, drop_contained: bool = True):
 def common_refinement(f1: Fan, f2: Fan) -> Fan:
     """The fan of inclusion-maximal pairwise intersections. Each pair takes
     one double description pass; a piece met by several pairs is kept once,
-    by its key."""
+    by its key. The pieces of two fans meet in common faces, so a piece
+    inside another is a face of it: walked by descending dimension through
+    one shared face_lattice map, a piece is maximal exactly when no larger
+    piece has met its key."""
     if f1.ambient_dim != f2.ambient_dim:
         raise DimMismatchError("fans live in different ambient spaces")
     pieces = {}
@@ -578,8 +575,13 @@ def common_refinement(f1: Fan, f2: Fan) -> Fan:
         for c2 in f2.cones:
             piece = intersect(c1, c2)
             pieces.setdefault(cone_key(piece), piece)
-    fan, _ = fan_from_cones(f1.ambient_dim, list(pieces.values()),
-                            drop_contained=True)
+    seen = {}
+    maximal = []
+    for key, piece in sorted(pieces.items(), key=lambda kp: -kp[1].dim):
+        if key not in seen:
+            maximal.append(piece)
+            face_lattice(piece, seen)
+    fan, _ = fan_from_cones(f1.ambient_dim, maximal)
     return fan
 
 

@@ -163,16 +163,21 @@ class Polynomial:
         return Polynomial(self.variables, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "Polynomial":
+        """By squaring and multiplying, as the parser's factor does: the
+        base is squared only while bits of k remain, and the first factor
+        taken is not multiplied by one."""
         if k < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.variables, 1)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return Polynomial.constant(self.variables, 1) if result is None \
+            else result
 
     def __str__(self):
         if not self.terms:

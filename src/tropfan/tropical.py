@@ -17,24 +17,24 @@ entry test has decided it. The maximal kept faces, those that are no kept
 face's facet, are the only ones built; slice the homogenizing coordinate
 back out of each, and compute one multiplicity per maximal cell as the
 degree of the saturated initial ideal in coordinates read off the cell's
-memoized Smith witness. A
-tropical-basis check reads supports only: it keeps the maximal cells
-unsliced and unweighted, lifts each prevariety cone into homogenized
-coordinates with x0 = 0, cuts it by every Gröbner cone, builds only the
-pieces of full dimension, and tests one relative interior point of each
-against the cells. Stable
-intersections of pure cycles use the fan displacement rule, displaced along
-the moment curve v(t) = (t, t^2, ..., t^n) as t -> 0+, with lattice-index
-weights: the sign of a row y on v(t) is that of y's first nonzero entry, so
-nothing is drawn and no pair is left undecided. A pair of cones is rejected
-first by rows: bit masks over the other fan's rays give, per cone row, the
-pairs it separates by a Farkas certificate. Every other pair takes one
-elimination of its joint equation rows, with one right-hand side per power
-of t, which skips it or splits the displacement between the two spans and
-starts the piece's pass from a basis of their intersection. The pass stops
-at the first dimension drop, and a piece of the expected dimension is
-decided by the leading signs of a few integer vectors. No linear program
-and no rank runs.
+memoized Smith witness. A tropical-basis check reads supports only: it
+lifts each prevariety cone into homogenized coordinates with x0 = 0, cuts
+it by every Gröbner cone, builds only the pieces of full dimension, and
+looks up the key of the face of the Gröbner cone holding each piece's
+interior point (face_key_at) among the keys of the kept faces, building no
+face and no cell. Stable intersections of pure cycles use the fan
+displacement rule, displaced along the moment curve v(t) = (t, t^2, ...,
+t^n) as t -> 0+, with lattice-index weights: the sign of a row y on v(t) is
+that of y's first nonzero entry, so nothing is drawn and no pair is left
+undecided; pieces that several pairs meet are summed by key. A pair of
+cones is rejected first by rows: bit masks over the other fan's rays give,
+per cone row, the pairs it separates by a Farkas certificate. Every other
+pair takes one elimination of its joint equation rows, with one right-hand
+side per power of t, which skips it or splits the displacement between the
+two spans and starts the piece's pass from a basis of their intersection.
+The pass stops at the first dimension drop, and a piece of the expected
+dimension is decided by the leading signs of a few integer vectors. No
+linear program and no rank runs.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ from .fans import (
     _cone_from_kernel,
     common_refinement,
     cone_from_incidence,
+    cone_key,
+    face_key_at,
     face_lattice,
     relative_interior_point,
     slice_first_coordinate,
@@ -156,7 +158,7 @@ def tropical_hypersurface(f: Polynomial, convention: str = "min") -> TropicalCyc
                 [facets[k][:n] for k in edge_facets], lineality, rows,
                 [on_facet[k] for k in edge_facets], n - 1)
             pairs.append((cone, edge_lattice_length(vi, vertices[j])))
-    cycle = weighted_from_cones(n, pairs, "min", merge_duplicates=False)
+    cycle = weighted_from_cones(n, pairs, "min")
     if convention == "max":
         cycle = swap_convention(cycle)
     return cycle
@@ -290,8 +292,7 @@ def _groebner_variety(spec: IdealSpec):
         sigma = face.build()
         mult = _multiplicity_from_initial(inw, sigma)
         pairs.append((slice_first_coordinate(sigma), mult))
-    return weighted_from_cones(len(spec.variables), pairs, "min",
-                               merge_duplicates=False)
+    return weighted_from_cones(len(spec.variables), pairs, "min")
 
 
 def is_tropical_basis(polys) -> bool:
@@ -307,12 +308,13 @@ def is_tropical_basis(polys) -> bool:
     dimension drop. Those pieces cover sigma, since the lower-dimensional
     ones lie in their closures. A piece's relative interior lies in the
     relative interior of one face of gamma, on which membership in the
-    closed subfan Trop(I^h) is constant, so one relative interior point per
-    piece is tested against the unsliced maximal cells: (0, w) lies in a
-    cell exactly when w lies in its slice. One polynomial needs no fan, no
-    prevariety and no hypersurface: its hypersurface is the variety of the
-    ideal it generates, and it is empty exactly when that ideal holds a
-    monomial, which _validated decides.
+    closed subfan Trop(I^h) is constant, so a piece is decided by the key of
+    that face, read at one relative interior point (face_key_at) and looked
+    up among the keys of the kept faces (_kept_faces): no face and no cell
+    is built, and no point is tested against a cone. One polynomial needs
+    no fan, no prevariety and no hypersurface: its hypersurface is the
+    variety of the ideal it generates, and it is empty exactly when that
+    ideal holds a monomial, which _validated decides.
     """
     if not polys:
         raise ZeroIdealError("empty generating set")
@@ -327,19 +329,20 @@ def is_tropical_basis(polys) -> bool:
     prevariety = tropical_prevariety(polys)
     if not free:
         return prevariety.is_empty()
-    cells = [face.build() for face, _ in _maximal_kept_faces(spec)]
-    gammas = [gamma.inequalities.entries
-              for _, gamma in groebner_fan(homogenize(spec))]
+    kept = {face.key
+            for face, _ in _kept_faces(groebner_fan(homogenize(spec)))}
+    gammas = [gamma for _, gamma in groebner_fan(homogenize(spec))]
     n = len(variables) + 1
     for sigma in prevariety.cones:
         rows = tuple((0,) + a for a in sigma.inequalities.entries)
         kernel = [(0,) + k for k in _echelon_kernel(sigma.equations)]
-        for gamma_rows in gammas:
-            piece = _cone_from_kernel(rows + gamma_rows, kernel, n, full=True)
+        for gamma in gammas:
+            piece = _cone_from_kernel(rows + gamma.inequalities.entries,
+                                      kernel, n, full=True)
             if piece is None:
                 continue  # a lower-dimensional piece lies in a full one
             w = relative_interior_point(piece)
-            if not any(cell.contains(w) for cell in cells):
+            if face_key_at(gamma, w) not in kept:
                 return False
     return True
 
@@ -475,7 +478,7 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle) -> TropicalCycle:
     if expected_dim < 0:
         return weighted_from_cones(n, (), a.convention)
     separated = _separated_pairs(a.fan, b.fan)
-    pairs = []
+    cells = {}
     for i, ca in enumerate(cones_a):
         for j, cb in enumerate(cones_b):
             if separated(i, j):
@@ -491,8 +494,9 @@ def stable_intersection(a: TropicalCycle, b: TropicalCycle) -> TropicalCycle:
             if _displacement_verdict(ca, cb, tau, split):
                 weight = a.multiplicities[i] * b.multiplicities[j] \
                     * lattice_index(ca.span_lattice, cb.span_lattice)
-                pairs.append((tau, weight))
-    result = weighted_from_cones(n, pairs, a.convention, merge_duplicates=True)
+                tau, total = cells.get(cone_key(tau), (tau, 0))
+                cells[cone_key(tau)] = (tau, total + weight)
+    result = weighted_from_cones(n, cells.values(), a.convention)
     if any(c.dim != expected_dim for c in result.fan.cones):
         raise GenericityError("displacement produced cells of unexpected dimension")
     return result

@@ -25,7 +25,9 @@ from tropfan.fans import (
     cone_from_generators,
     cone_from_halfspaces,
     cone_key,
+    face_lattice,
     facets_by_key,
+    fan_from_cones,
     intersect,
     relative_interior_point,
     slice_first_coordinate,
@@ -129,6 +131,29 @@ def relint_contains(c, point) -> bool:
         raise DimMismatchError("point dimension mismatch")
     return (all(dot(r, point) == 0 for r in c.equations.entries)
             and all(dot(r, point) > 0 for r in c.inequalities.entries))
+
+
+def reference_face_key_at(c, point):
+    """The key of the least-dimensional face of c whose relative interior
+    holds the point, every face of face_lattice built and tested."""
+    holding = [f for f in face_lattice(c) if relint_contains(f.build(), point)]
+    return min(holding, key=lambda f: f.dim).key
+
+
+def reference_common_refinement(f1, f2):
+    """The common refinement by pairwise containment: the distinct pairwise
+    intersections, less every one that another strictly contains."""
+    pieces = {}
+    for c1 in f1.cones:
+        for c2 in f2.cones:
+            piece = intersect(c1, c2)
+            pieces.setdefault(cone_key(piece), piece)
+    uniq = list(pieces.values())
+    maximal = [c for c in uniq
+               if not any(o is not c and o.contains_cone(c)
+                          and not c.contains_cone(o) for o in uniq)]
+    fan, _ = fan_from_cones(f1.ambient_dim, maximal)
+    return fan
 
 
 def multiplicity_at(spec_homogeneous, sigma) -> int:
@@ -249,7 +274,7 @@ def reference_tropical_hypersurface(f, convention="min"):
                 rows, [tuple(vi[k] - vj[k] for k in range(n))], n)
             if cone.dim == n - 1:
                 pairs.append((cone, edge_lattice_length(vi, vj)))
-    cycle = weighted_from_cones(n, pairs, "min", merge_duplicates=False)
+    cycle = weighted_from_cones(n, pairs, "min")
     return swap_convention(cycle) if convention == "max" else cycle
 
 
@@ -488,9 +513,11 @@ def reference_stable_intersection(a, b, seed=0):
         weight = ma * mb * lattice_index(_span_lattice(ca),
                                          _span_lattice(cb))
         pairs.append((piece, weight))
-    if not pairs:
-        return weighted_from_cones(n, (), a.convention)
-    return weighted_from_cones(n, pairs, a.convention, merge_duplicates=True)
+    totals = {}
+    for piece, weight in pairs:
+        key = cone_key(piece)
+        totals[key] = (piece, totals.get(key, (piece, 0))[1] + weight)
+    return weighted_from_cones(n, totals.values(), a.convention)
 
 
 def reference_kept_faces(fan_data):

@@ -40,7 +40,11 @@ from tropfan.linalg import (
     vec_neg,
 )
 from tropfan.polynomials import Polynomial
-from tropfan.tropical import tropical_hypersurface, tropical_variety
+from tropfan.tropical import (
+    stable_intersection,
+    tropical_hypersurface,
+    tropical_variety,
+)
 
 from oracles import quotient_normal_vector, reference_is_balanced
 
@@ -144,8 +148,8 @@ class TestBalancing:
         mid = (1, 1, 0)
         split3 = base[1:] + [cone_from_generators([e1, mid], [], 3),
                              cone_from_generators([mid, e2], [], 3)]
-        f_base, _ = fan_from_cones(3, base, drop_contained=False)
-        f_split, _ = fan_from_cones(3, split3, drop_contained=False)
+        f_base, _ = fan_from_cones(3, base)
+        f_split, _ = fan_from_cones(3, split3)
         assert is_balanced(make_cycle(f_base, [1] * 6, "min"))
         assert is_balanced(make_cycle(f_split, [1] * 7, "min"))
 
@@ -266,18 +270,36 @@ class TestJson:
 
 
 class TestWeightedFromCones:
-    def test_duplicate_merge(self):
-        a = cone_from_generators([(1, 0)], [], 2)
-        b = cone_from_generators([(1, 0)], [], 2)
-        c = weighted_from_cones(2, [(a, 2), (b, 3)], "min",
-                                merge_duplicates=True)
-        assert list(c.multiplicities) == [5]
+    def test_coinciding_pieces_add(self, monkeypatch):
+        # the line of 1 + x + y against the two axes of 1 + x + y + xy: the
+        # pairs (ray e1, ray -e2) and (ray e2, ray -e1) both meet at the
+        # origin after the shift, and stable_intersection sums their
+        # weights there itself (the mixed area of the triangle and the
+        # square is 2)
+        import tropfan.tropical
+
+        met = []
+        verdict = tropfan.tropical._displacement_verdict
+
+        def counted(*args):
+            met.append(verdict(*args))
+            return met[-1]
+
+        monkeypatch.setattr(tropfan.tropical, "_displacement_verdict", counted)
+        xy = ("x", "y")
+        line = tropical_hypersurface(
+            Polynomial(xy, {(0, 0): 1, (1, 0): 1, (0, 1): 1}))
+        axes = tropical_hypersurface(
+            Polynomial(xy, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}))
+        point = stable_intersection(line, axes)
+        assert met.count(True) == 2
+        assert point.fan.maximal_cones == ((),)
+        assert point.multiplicities == (2,)
 
     def test_duplicate_error(self):
         a = cone_from_generators([(1, 0)], [], 2)
         with pytest.raises(MultiplicityMismatchError):
-            weighted_from_cones(2, [(a, 2), (a, 3)], "min",
-                                merge_duplicates=False)
+            weighted_from_cones(2, [(a, 2), (a, 3)], "min")
 
     def test_non_pure_cycle_is_not_pure(self):
         cones = [(cone_from_generators([(1, 0), (0, 1)], [], 2), 1),

@@ -15,6 +15,8 @@ from tropfan.fans import (
     cone_from_generators,
     cone_from_halfspaces,
     cone_key,
+    face_key_at,
+    face_lattice,
     faces,
     facets_by_key,
     facets_with_normals,
@@ -42,6 +44,7 @@ from oracles import (
     reference_cone_from_halfspaces,
     reference_fan_cone,
     reference_cone_feasible,
+    reference_face_key_at,
     reference_negate_cone,
     relint_contains,
     validate_fan,
@@ -367,6 +370,42 @@ class TestFacesByIncidence:
         assert all_faces(cones[0], seen) == []
 
 
+# points of a cone: a mask of its rays, one positive scale per ray and one
+# shift per lineality vector
+point_draws = st.lists(st.tuples(
+    st.integers(0, 1023),
+    st.lists(st.integers(1, 3), min_size=10, max_size=10),
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4)), max_size=4)
+
+
+class TestFaceKeyAt:
+    """The key of the face whose relative interior holds a point, read off
+    the inequalities the point is tight on, against the least-dimensional
+    face of face_lattice whose relative interior holds it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_vecs4, small_lins4, st.booleans(), point_draws)
+    # a pointed orthant, and a wedge with a lineality
+    @example([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], [],
+             True, [(0b1011, [1, 2, 3] + [1] * 7, [0] * 4)])
+    @example([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 0)], [(1, -1, 0, 1)],
+             False, [(0b10, [2] * 10, [1, -2, 0, 0]), (0, [1] * 10, [1] * 4)])
+    def test_matches_the_face_holding_the_point(self, vecs, lins,
+                                                 from_generators, draws):
+        make = cone_from_generators if from_generators else cone_from_halfspaces
+        c = make([v for v in vecs if any(v)], [l for l in lins if any(l)], 4)
+        rays, lin = c.generators()
+        for face in face_lattice(c):
+            assert face_key_at(c, face.point) == face.key
+        for mask, scales, shifts in draws:
+            terms = [tuple(k * x for x in r)
+                     for j, (r, k) in enumerate(zip(rays, scales))
+                     if mask >> j & 1]
+            terms += [tuple(k * x for x in l) for l, k in zip(lin, shifts)]
+            point = tuple(map(sum, zip((0,) * 4, *terms)))
+            assert face_key_at(c, point) == reference_face_key_at(c, point)
+
+
 class TestRelativeInterior:
     def test_quadrant(self):
         c = cone_from_generators([(1, 0), (0, 1)], [], 2)
@@ -440,12 +479,17 @@ class TestSupport:
 
 
 class TestFanAssembly:
-    def test_contained_cones_dropped(self):
+    def test_cones_taken_as_given(self):
+        # a cone inside another is kept, as the caller listed it, and a cone
+        # listed twice is kept once, at its first index
         big = cone_from_generators([(1, 0), (0, 1)], [], 2)
         small = cone_from_generators([(1, 0)], [], 2)
-        fan, _ = fan_from_cones(2, [small, big])
-        assert len(fan.maximal_cones) == 1
-        assert fan_dim(fan) == 2
+        again = cone_from_generators([(0, 1), (1, 0)], [], 2)
+        fan, kept = fan_from_cones(2, [small, big, again])
+        assert fan.maximal_cones == ((0, 1), (1,))
+        assert kept == [1, 0]
+        assert fan.cones == (big, small) and fan.cones[0] is big
+        assert fan_dim(fan) == 2 and not is_pure(fan)
 
     def test_validate(self):
         assert validate_fan(line_fan())
@@ -453,22 +497,23 @@ class TestFanAssembly:
         # overlapping, non-face intersection: not a fan
         c1 = cone_from_generators([(1, 0), (0, 1)], [], 2)
         c2 = cone_from_generators([(1, 1), (-1, 1)], [], 2)
-        bad, _ = fan_from_cones(2, [c1, c2], drop_contained=False)
+        bad, _ = fan_from_cones(2, [c1, c2])
         assert not validate_fan(bad)
 
     def test_fans_keep_their_cones(self):
         c1 = cone_from_generators([(1, 0), (0, 1)], [], 2)
         c2 = cone_from_generators([(-1, -1)], [], 2)
         c3 = cone_from_generators([(1, 0)], [], 2)
+        # c3, a face of c1, is kept: the cones are assembled as given
         fan, kept = fan_from_cones(2, [c2, c3, c1])
-        assert kept == [0, 2]
-        assert fan.cones == (c2, c1)
+        assert kept == [0, 2, 1]
+        assert fan.cones == (c2, c1, c3)
         assert_same_cones(fan.cones,
-                          [reference_fan_cone(fan, i) for i in (0, 1)])
+                          [reference_fan_cone(fan, i) for i in (0, 1, 2)])
         assert fan_cone(fan, 0) is c2
         # the cones are fixed by the other fields, so equality ignores them
         bare = Fan(fan.ambient_dim, fan.rays, fan.lineality,
-                   fan.maximal_cones, (c2, c1))
+                   fan.maximal_cones, (c2, c1, c3))
         assert bare == fan and hash(bare) == hash(fan)
         with pytest.raises(ValueError):
             Fan(fan.ambient_dim, fan.rays, fan.lineality, fan.maximal_cones)

@@ -80,6 +80,21 @@ class TestParser:
         base = P("x+2*y-1", ("x", "y"))
         assert P(f"(x+2*y-1)^{k}", ("x", "y")) == base ** k
 
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        # 20 = 10100 in binary: four squarings and one product at most
+        # 2 * floor(log2 20) + 1; the base was once squared again after the
+        # last bit, a 969 x 969 product whose result was dropped
+        p = P("x+y+z+1", ("x", "y", "z"))
+        products = []
+        original = Polynomial.__mul__
+        monkeypatch.setattr(Polynomial, "__mul__",
+                            lambda f, g: products.append(1) or original(f, g))
+        assert p ** 0 == Polynomial.constant(p.variables, 1)
+        assert p ** 1 == p
+        assert products == []
+        assert (p ** 20).num_terms() == 1771  # binomial(23, 3)
+        assert len(products) <= 2 * 4 + 1
+
     def test_products_bounded_before_multiplying(self):
         # 100 * 100 term pairs is the bound itself; 101 * 100 is refused at
         # the '*', before any term pair is formed

@@ -27,6 +27,7 @@ from tropfan.errors import (
     ZeroIdealError,
 )
 from tropfan.fans import (
+    common_refinement,
     cone_from_generators,
     cone_from_halfspaces,
     fan_dim,
@@ -74,6 +75,7 @@ from oracles import (
     optimum_attained_twice,
     phylogenetic_trees,
     plucker_ideal,
+    reference_common_refinement,
     reference_cone_feasible,
     reference_dd,
     reference_fan_cone,
@@ -208,7 +210,35 @@ class TestOnePassHypersurface:
             assert a.equations == b.equations
 
 
+@st.composite
+def hypersurface_pairs(draw):
+    """Two polynomials in the same 2 to 4 variables, each with 2 to 5
+    terms of exponents at most 2."""
+    n = draw(st.integers(2, 4))
+    support = st.lists(st.tuples(*[st.integers(0, 2)] * n),
+                       min_size=2, max_size=5, unique=True)
+    variables = tuple("xyzw"[:n])
+    return [Polynomial(variables, {e: 1 for e in draw(support)})
+            for _ in range(2)]
+
+
 class TestPrevariety:
+    @settings(max_examples=60, deadline=None)
+    @given(hypersurface_pairs())
+    # two tropical lines meeting at the origin; two planes in Q^3 sharing
+    # a lineality
+    @example([P("x+y+1", XY), P("x+2*y+3", XY)])
+    @example([P("x+y+z", XYZ), P("x^2+y^2+z^2", XYZ)])
+    def test_refinement_matches_pairwise_containment(self, polys):
+        fans = [tropical_hypersurface(f).fan for f in polys]
+        assert common_refinement(*fans) == reference_common_refinement(*fans)
+
+    def test_a4_b4_matches_pairwise_containment(self):
+        fans = [tropical_hypersurface(P(text, XYZW)).fan for text in (A4, B4)]
+        refined = common_refinement(*fans)
+        assert refined == reference_common_refinement(*fans)
+        assert_fan_keeps_its_cones(refined)
+
     def test_example_dim_two(self):
         pre = tropical_prevariety([P("x+y+z", XYZ), P("x^2+y^2+z^2", XYZ)])
         assert fan_dim(pre) == 2
@@ -781,12 +811,13 @@ class TestConesBuiltOnce:
         (tmp_path / "A4B4.ideal").write_text(f"vars: x,y,z,w\n{A4}\n{B4}\n")
         # the two hypersurfaces, one pass each (28 + 21 = 49 passes, one per
         # vertex pair, before: 409 in all), then 20 x 18 pieces keyed, of
-        # which 47 distinct ones are built with no further pass; the
-        # containment scans are those of fan_from_cones dropping pieces
-        # inside others
+        # which 47 distinct ones are built with no further pass. No
+        # containment scan runs (1712 while fan_from_cones dropped pieces
+        # inside others by pairwise scans): a piece inside a larger one is a
+        # face of it, met by the larger piece's face lattice walk
         assert run("prevariety", "A4B4.ideal", "--format", "json") \
             == {"dd": 1 + 1 + 20 * 18, "rank_in_dd": 0,
-                "from_generators": 2, "contains_cone": 1712}
+                "from_generators": 2, "contains_cone": 0}
 
 
 class TestBalancingA5B5:
@@ -995,6 +1026,28 @@ def small_pairs(draw):
     poly = st.lists(term, min_size=2, max_size=3).map(
         lambda terms: Polynomial(variables, dict(terms)))
     return [draw(poly), draw(poly)]
+
+
+class TestTropicalBasisBuildsNoFace:
+    def test_benchmark_ideals(self, monkeypatch):
+        # each full piece is decided by the key of the face of its Gröbner
+        # cone that holds its interior point, so neither a face nor a cell
+        # of the Gröbner fan is built (the maximal cells were built, and
+        # every piece's point tested against them, before)
+        import tropfan.fans
+
+        built = []
+        original = tropfan.fans._face_cone
+        monkeypatch.setattr(
+            tropfan.fans, "_face_cone",
+            lambda *args: built.append(args) or original(*args))
+        cases = {c[0]: c for c in BASIS_CASES}
+        answers = [is_tropical_basis([P(g, tuple(cases[name][1]))
+                                      for g in cases[name][2]])
+                   for name in ("line_conic", "twisted_cubic", "space_conic",
+                                "curve3")]
+        assert answers == [False, True, True, True]
+        assert built == []
 
 
 class TestTropicalBasisAgainstReference:
